@@ -6,6 +6,16 @@ structure) and X_S (sparse residual) by minimizing
 ``X_L + X_S = X``. The solver is the standard inexact ALM iteration:
 alternate singular-value thresholding on X_L and entrywise soft
 thresholding on X_S while ramping the penalty mu.
+
+Singular-value thresholding (SVT) never forms a full SVD. It takes the
+eigendecomposition of the Gram matrix of the short side (``A A^T`` with
+A the matrix or its transpose, whichever has fewer rows), keeps the
+eigen-directions whose singular value ``sqrt(eigenvalue)`` exceeds the
+threshold, and applies the shrinkage as a scaled projector
+``U_k diag(1 - t/s_k) U_k^T A``. For a (frames, bins) spectrogram the
+short side is the frame count, so each iteration costs one small
+symmetric eigensolve and two thin matrix products. The spectral norm
+that seeds mu comes from the same Gram matrix.
 """
 
 from __future__ import annotations
@@ -59,8 +69,11 @@ class RpcaResult:
     within final_residual (relative Frobenius norm of the constraint gap).
 
     trace holds one (iteration, residual, rank_estimate, nnz) row per
-    iteration for inspection; metadata records the BLAS thread count the
-    SVDs ran with, when discoverable.
+    iteration for inspection. rank_estimate counts the short-side Gram
+    eigen-directions whose singular value exceeds the SVT threshold; a
+    singular value within rounding of the threshold can make it differ
+    by one from a count taken on a full SVD. metadata records the BLAS
+    thread count the eigensolves ran with, when discoverable.
     """
 
     low_rank: np.ndarray
@@ -83,15 +96,31 @@ def soft_threshold(values: np.ndarray, threshold: float) -> np.ndarray:
 
 def svt(values: np.ndarray, threshold: float) -> np.ndarray:
     """Singular value thresholding: soft-shrink the spectrum by threshold."""
+    if threshold < 0:
+        raise ValueError("threshold must be nonnegative")
     low_rank, _ = _svt_with_rank(np.asarray(values, dtype=np.float64), threshold)
     return low_rank
 
 
+def _short_side(values):
+    """values oriented so its rows are the shorter side, and whether it
+    had to be transposed for that."""
+    tall = values.shape[0] > values.shape[1]
+    return (values.T if tall else values), tall
+
+
 def _svt_with_rank(values, threshold):
-    u, s, vt = np.linalg.svd(values, full_matrices=False)
-    shrunk = np.maximum(s - threshold, 0.0)
-    rank = int(np.count_nonzero(shrunk))
-    return (u[:, :rank] * shrunk[:rank]) @ vt[:rank], rank
+    # With A = U S V^T, A A^T = U S^2 U^T, and the shrunk matrix
+    # U (S - t) V^T equals U diag(1 - t/s) U^T A on the directions with
+    # s > t, so V is never needed.
+    a, tall = _short_side(values)
+    w, u = np.linalg.eigh(a @ a.T)
+    s = np.sqrt(np.maximum(w, 0.0))
+    keep = s > threshold
+    rank = int(np.count_nonzero(keep))
+    u_k = u[:, keep]
+    low_rank = (u_k * (1.0 - threshold / s[keep])) @ (u_k.T @ a)
+    return (low_rank.T if tall else low_rank), rank
 
 
 def _blas_threads():
@@ -136,7 +165,8 @@ def decompose(x, cfg: RpcaConfig = RpcaConfig()) -> RpcaResult:
             metadata=metadata,
         )
 
-    norm_two = np.linalg.norm(x, 2)
+    a, _ = _short_side(x)
+    norm_two = np.sqrt(np.linalg.eigvalsh(a @ a.T)[-1])
     norm_inf = np.abs(x).max()
     y = x / max(norm_two, norm_inf / lam_hat)
     s = np.zeros_like(x)

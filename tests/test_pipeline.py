@@ -8,6 +8,7 @@ import pytest
 
 import vocsep.rpca as rpca_mod
 from vocsep.audio import AudioSignal
+from vocsep.spectrogram import magnitude, stft
 from vocsep.pipeline import (
     DumpOptions,
     GridAxis,
@@ -251,6 +252,67 @@ class TestRun:
         n = tiny_clip.mixture.samples.size
         assert contour.n_frames == 1 + n // 160
         assert contour.hop_seconds == pytest.approx(0.01)
+
+
+class TestDegenerateInput:
+    """Behaviour on inputs outside the music the method targets, pinned so
+    that solver or tracker changes cannot alter it unnoticed. Silence is
+    pinned by TestRun.test_silent_input_gives_silence_and_no_voicing."""
+
+    SR = 16000
+
+    def _run_checked(self, samples):
+        signal = AudioSignal(samples, self.SR)
+        cfg = PipelineConfig.for_sample_rate(self.SR)
+        sep, contour = run(signal, cfg)
+        mix = magnitude(stft(signal, cfg.window_size, cfg.hop_size)).values
+        assert np.array_equal(sep.vocal_spec.values + sep.accomp_spec.values, mix)
+        for out in (sep.vocal.samples, sep.accompaniment.samples):
+            assert out.size == samples.size
+            assert np.all(np.isfinite(out))
+        assert contour.n_frames == 1 + samples.size // cfg.hop_size
+        return sep, contour
+
+    def test_impulse_goes_to_the_accompaniment(self):
+        x = np.zeros(self.SR)
+        x[self.SR // 2] = 1.0
+        sep, contour = self._run_checked(x)
+        assert not np.any(contour.voiced)
+        assert np.all(sep.vocal.samples == 0)
+        assert np.abs(sep.accompaniment.samples).max() == pytest.approx(1.0)
+
+    def test_exactly_one_window(self, tiny_clip):
+        sep, contour = self._run_checked(tiny_clip.mixture.samples[:2048])
+        assert contour.n_frames == 13
+        assert np.all(contour.voiced)
+        assert np.all((contour.f0_hz > 200) & (contour.f0_hz < 250))
+        assert np.any(sep.vocal.samples != 0)
+
+    def test_near_zero_amplitude(self, tiny_clip):
+        # At 1e-12 the tracker's absolute saliency floor dominates every
+        # frame, so the contour sits on the lowest candidate throughout.
+        x = tiny_clip.mixture.samples * 1e-12
+        sep, contour = self._run_checked(x)
+        assert np.all(contour.voiced)
+        assert np.all(contour.f0_hz == contour.f0_hz[0])
+        assert contour.f0_hz[0] == pytest.approx(80.0, abs=0.5)
+        assert 0 < np.abs(sep.vocal.samples).max() < 1e-12
+
+    def test_dc_is_voiced_but_has_no_vocal(self):
+        sep, contour = self._run_checked(np.full(self.SR, 0.5))
+        assert contour.n_frames == 101
+        assert int(np.count_nonzero(contour.voiced)) == 101
+        assert np.all(sep.vocal.samples == 0)
+        assert np.abs(sep.accompaniment.samples).max() > 0.4
+
+    def test_steady_tone_goes_mostly_to_the_vocal(self):
+        t = np.arange(self.SR) / self.SR
+        sep, contour = self._run_checked(0.5 * np.sin(2 * np.pi * 220.0 * t))
+        assert np.all(contour.voiced)
+        assert np.all(np.abs(1200 * np.log2(contour.f0_hz / 220.0)) < 50)
+        vocal = np.sum(sep.vocal_spec.values ** 2)
+        accomp = np.sum(sep.accomp_spec.values ** 2)
+        assert vocal / (vocal + accomp) > 0.95
 
 
 class TestLoadCorpus:

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from vocsep.rpca import RpcaConfig, decompose, soft_threshold, svt, trace_to_csv
+from vocsep.spectrogram import magnitude, stft
+from vocsep.synth import make_clip
 
 
 def _planted(rng, shape=(40, 40), rank=2, sparse_frac=0.05, magnitude=10.0):
@@ -21,6 +23,34 @@ def _planted(rng, shape=(40, 40), rank=2, sparse_frac=0.05, magnitude=10.0):
     idx = rng.choice(low.size, size=n_spikes, replace=False)
     sparse.flat[idx] = magnitude * rng.choice([-1.0, 1.0], size=n_spikes)
     return low, sparse
+
+
+def _reference_svt(values, threshold):
+    """SVT by its definition: full SVD, shrink every singular value."""
+    u, s, vt = np.linalg.svd(values, full_matrices=False)
+    shrunk = np.maximum(s - threshold, 0.0)
+    return (u * shrunk) @ vt
+
+
+def _reference_decompose(x, cfg=RpcaConfig()):
+    """The inexact ALM iteration with a full SVD at every step and the
+    spectral norm from np.linalg.norm; returns (low_rank, iterations)."""
+    lam_hat = cfg.lam / np.sqrt(max(x.shape))
+    x_fro = np.linalg.norm(x)
+    norm_two = np.linalg.norm(x, 2)
+    y = x / max(norm_two, np.abs(x).max() / lam_hat)
+    s = np.zeros_like(x)
+    mu = cfg.mu_initial_scale / norm_two
+    mu_limit = mu * cfg.mu_cap
+    for iterations in range(1, cfg.max_iterations + 1):
+        low_rank = _reference_svt(x - s + y / mu, 1.0 / mu)
+        s = soft_threshold(x - low_rank + y / mu, lam_hat / mu)
+        gap = x - low_rank - s
+        y = y + mu * gap
+        mu = min(mu * cfg.mu_growth, mu_limit)
+        if np.linalg.norm(gap) / x_fro < cfg.tolerance:
+            break
+    return low_rank, iterations
 
 
 class TestSoftThreshold:
@@ -84,6 +114,36 @@ class TestSvt:
         low, _ = _planted(rng, rank=3)
         out = svt(low, 1e-6)
         assert np.linalg.matrix_rank(out, tol=1e-8) <= 3
+
+    def test_negative_threshold_rejected(self):
+        with pytest.raises(ValueError):
+            svt(np.eye(3), -0.1)
+
+    @pytest.mark.parametrize(
+        "shape, rank",
+        [
+            ((12, 40), None),  # wide
+            ((40, 12), None),  # tall
+            ((25, 25), None),  # square
+            ((1, 30), None),
+            ((30, 1), None),
+            ((20, 50), 3),  # rank-deficient
+            ((50, 20), 3),
+            ((25, 25), 4),
+            ((10, 30), 0),
+        ],
+    )
+    @pytest.mark.parametrize("fraction", [1.5, 1.0, 0.5, 1e-2, 1e-4, 1e-6, 1e-8])
+    def test_matches_full_svd(self, rng, shape, rank, fraction):
+        if rank is None:
+            x = rng.standard_normal(shape)
+        else:
+            x = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
+        threshold = fraction * (np.linalg.norm(x, 2) if rank != 0 else 1.0)
+        out = svt(x, threshold)
+        assert out.shape == x.shape
+        err = np.linalg.norm(out - _reference_svt(x, threshold))
+        assert err <= 1e-10 * max(np.linalg.norm(x), 1.0)
 
 
 class TestDecompose:
@@ -176,6 +236,16 @@ class TestDecompose:
     def test_metadata_reports_blas_threads(self, rng):
         result = decompose(rng.standard_normal((5, 5)), RpcaConfig(max_iterations=3))
         assert "blas_threads" in result.metadata
+
+    def test_matches_full_svd_path_on_a_44k_spectrogram(self):
+        clip = make_clip(duration_seconds=1.0, sample_rate=44100, hop_size=441, seed=7)
+        x = magnitude(stft(clip.mixture, 4096, 441)).values
+        result = decompose(x)
+        low_rank, iterations = _reference_decompose(x)
+        assert result.converged
+        assert result.iterations == iterations
+        rel = np.linalg.norm(result.low_rank - low_rank) / np.linalg.norm(low_rank)
+        assert rel < 1e-6
 
     def test_deterministic(self, rng):
         x = rng.standard_normal((20, 20))
