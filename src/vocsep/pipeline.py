@@ -3,9 +3,16 @@
 Stages: STFT -> low-rank/sparse split -> binary mask -> A-weighted
 log-frequency vocal spectrogram -> subharmonic summation + comb
 enhancement -> contour tracking -> harmonic mask -> soft mask ->
-mask integration -> masked resynthesis. When the separation and
-F0-stage sparsity weights are equal the matrix decomposition runs once
-and is shared by both stages.
+mask integration -> masked resynthesis.
+
+run() wires four stage helpers: the STFT, the RPCA solve, the contour
+and the mask + resynthesis. The RPCA solve and the contour are stored in
+a plain dict memo under a key made of a digest of the mixture and the
+config fields the stage reads, so a stage whose inputs repeat is
+computed once. Each run() call has its own memo unless the caller passes
+one; grid_search passes one memo through evaluate() to run() so that
+consecutive cells with the same RPCA settings share their solves and
+contours.
 
 Also hosts corpus evaluation (with optional SNR remixing from the
 references) and grid search over pipeline parameters.
@@ -16,6 +23,7 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import dataclasses
+import hashlib
 import itertools
 import json
 import logging
@@ -186,6 +194,57 @@ def _tracker_config(cfg: PipelineConfig) -> TrackerConfig:
     )
 
 
+# Config fields each memoised stage reads besides the mixture; a change in
+# any of them makes a new memo key.
+_RPCA_FIELDS = ("window_size", "hop_size", "rpca_tolerance", "rpca_max_iterations")
+_CONTOUR_FIELDS = (
+    "gamma", "alpha", "n_partials", "shs_decay", "f0_min_hz", "f0_max_hz",
+    "h_low_hz", "cents_per_bin", "transition_scale_cents", "saliency_floor",
+)
+
+
+def _mixture_key(signal: AudioSignal) -> tuple:
+    """Identity of a mixture for memo keys: its samples and rate, not a
+    clip id (ids in a manifest need not be unique)."""
+    digest = hashlib.sha256(np.ascontiguousarray(signal.samples).tobytes()).hexdigest()
+    return digest, signal.sample_rate
+
+
+def _rpca_key(mixture_key: tuple, cfg: PipelineConfig, lam: float) -> tuple:
+    return ("rpca", mixture_key, lam) + tuple(getattr(cfg, f) for f in _RPCA_FIELDS)
+
+
+def _stft_stage(signal: AudioSignal, cfg: PipelineConfig):
+    spec = stft(signal, cfg.window_size, cfg.hop_size)
+    mag = magnitude(spec)
+    logger.info("stft: %d frames x %d bins", mag.n_frames, mag.n_bins)
+    return spec, mag
+
+
+def _rpca_stage(mixture_key, mag, cfg: PipelineConfig, lam: float, memo: dict, stage: str):
+    """Low-rank/sparse split of the magnitude at sparsity weight lam."""
+    key = _rpca_key(mixture_key, cfg, lam)
+    if key not in memo:
+        t0 = time.perf_counter()
+        memo[key] = rpca.decompose(mag.values, _rpca_config(cfg, lam))
+        _log_rpca(stage, memo[key], t0)
+    return memo[key]
+
+
+def _contour_stage(mixture_key, mag, cfg: PipelineConfig, memo: dict, dump=None) -> F0Contour:
+    """F0 contour from the lambda_f0 split. Debug artifacts are written
+    when the contour is computed, not on a memo hit."""
+    key = ("contour", _rpca_key(mixture_key, cfg, cfg.lambda_f0)) + tuple(
+        getattr(cfg, f) for f in _CONTOUR_FIELDS
+    )
+    if key not in memo:
+        decomposition = _rpca_stage(mixture_key, mag, cfg, cfg.lambda_f0, memo, "rpca[f0]")
+        if dump is not None and dump.rpca_trace_path:
+            rpca.trace_to_csv(decomposition, dump.rpca_trace_path)
+        memo[key] = _estimate_contour(mag, decomposition, cfg, dump)
+    return memo[key]
+
+
 def _estimate_contour(mag, decomposition, cfg: PipelineConfig, dump=None):
     """Track the vocal F0 from a mixture magnitude spectrogram and its
     low-rank/sparse split. Frames whose binary-masked vocal spectrogram
@@ -224,93 +283,9 @@ def _estimate_contour(mag, decomposition, cfg: PipelineConfig, dump=None):
     return contour
 
 
-def estimate_f0(signal: AudioSignal, cfg: PipelineConfig, dump: DumpOptions | None = None) -> F0Contour:
-    """Estimate the vocal F0 contour of a mixture."""
-    t0 = time.perf_counter()
-    spec = stft(signal, cfg.window_size, cfg.hop_size)
-    mag = magnitude(spec)
-    logger.info("stft: %d frames x %d bins (%.2fs)", mag.n_frames, mag.n_bins,
-                time.perf_counter() - t0)
-    t0 = time.perf_counter()
-    decomposition = rpca.decompose(mag.values, _rpca_config(cfg, cfg.lambda_f0))
-    _log_rpca("rpca[f0]", decomposition, t0)
-    if dump is not None and dump.rpca_trace_path:
-        rpca.trace_to_csv(decomposition, dump.rpca_trace_path)
-    t0 = time.perf_counter()
-    contour = _estimate_contour(mag, decomposition, cfg, dump)
-    logger.info("f0 tracking done (%.2fs)", time.perf_counter() - t0)
-    return contour
-
-
-def _log_rpca(stage, result, t0):
-    logger.info(
-        "%s: %d iterations, residual %.2e%s (%.2fs)",
-        stage, result.iterations, result.final_residual,
-        "" if result.converged else " [not converged]",
-        time.perf_counter() - t0,
-    )
-
-
-def run(
-    signal: AudioSignal,
-    cfg: PipelineConfig | None = None,
-    ground_truth_f0: F0Contour | None = None,
-    dump: DumpOptions | None = None,
-    _force_two_pass: bool = False,
-):
-    """Separate a mixture and estimate its vocal F0.
-
-    Parameters
-    ----------
-    signal : AudioSignal
-        Mono mixture.
-    cfg : PipelineConfig, optional
-        Defaults to the geometry for the signal's sample rate.
-    ground_truth_f0 : F0Contour, optional
-        Skip F0 estimation and build the harmonic mask from this
-        contour instead (align it with align_contour first).
-    dump : DumpOptions, optional
-        Debug artifact paths.
-
-    Returns
-    -------
-    (SeparationResult, F0Contour)
-    """
-    if cfg is None:
-        cfg = PipelineConfig.for_sample_rate(signal.sample_rate)
-    t_start = time.perf_counter()
-    spec = stft(signal, cfg.window_size, cfg.hop_size)
-    mag = magnitude(spec)
-    logger.info("stft: %d frames x %d bins", mag.n_frames, mag.n_bins)
-
-    decomposition_f0 = None
-    if ground_truth_f0 is None:
-        t0 = time.perf_counter()
-        decomposition_f0 = rpca.decompose(mag.values, _rpca_config(cfg, cfg.lambda_f0))
-        _log_rpca("rpca[f0]", decomposition_f0, t0)
-        if dump is not None and dump.rpca_trace_path:
-            rpca.trace_to_csv(decomposition_f0, dump.rpca_trace_path)
-        contour = _estimate_contour(mag, decomposition_f0, cfg, dump)
-    else:
-        if ground_truth_f0.n_frames != mag.n_frames:
-            raise ValueError(
-                "ground-truth contour has %d frames, expected %d; align it "
-                "with align_contour()" % (ground_truth_f0.n_frames, mag.n_frames)
-            )
-        contour = ground_truth_f0
-
-    if (
-        decomposition_f0 is not None
-        and cfg.lambda_sep == cfg.lambda_f0
-        and not _force_two_pass
-    ):
-        decomposition_sep = decomposition_f0  # identical problem, reuse
-    else:
-        t0 = time.perf_counter()
-        decomposition_sep = rpca.decompose(mag.values, _rpca_config(cfg, cfg.lambda_sep))
-        _log_rpca("rpca[sep]", decomposition_sep, t0)
-
-    soft = wiener_mask(decomposition_sep)
+def _mask_stage(spec, mag, decomposition, contour: F0Contour, cfg: PipelineConfig, dump=None):
+    """Integrate the Wiener and harmonic masks and resynthesize."""
+    soft = wiener_mask(decomposition)
     harmonic = harmonic_mask(
         contour,
         mag,
@@ -327,8 +302,75 @@ def run(
         mask_to_pgm(soft, str(out / "wiener.pgm"))
         mask_to_pgm(harmonic, str(out / "harmonic.pgm"))
         mask_to_csv(integrated, str(out / "integrated.csv"))
+    return separate(spec, integrated)
 
-    result = separate(spec, integrated)
+
+def estimate_f0(signal: AudioSignal, cfg: PipelineConfig, dump: DumpOptions | None = None) -> F0Contour:
+    """Estimate the vocal F0 contour of a mixture (the STFT and contour
+    stages of run())."""
+    _, mag = _stft_stage(signal, cfg)
+    return _contour_stage(_mixture_key(signal), mag, cfg, {}, dump)
+
+
+def _log_rpca(stage, result, t0):
+    logger.info(
+        "%s: %d iterations, residual %.2e%s (%.2fs)",
+        stage, result.iterations, result.final_residual,
+        "" if result.converged else " [not converged]",
+        time.perf_counter() - t0,
+    )
+
+
+def run(
+    signal: AudioSignal,
+    cfg: PipelineConfig | None = None,
+    ground_truth_f0: F0Contour | None = None,
+    dump: DumpOptions | None = None,
+    memo: dict | None = None,
+):
+    """Separate a mixture and estimate its vocal F0.
+
+    Parameters
+    ----------
+    signal : AudioSignal
+        Mono mixture.
+    cfg : PipelineConfig, optional
+        Defaults to the geometry for the signal's sample rate.
+    ground_truth_f0 : F0Contour, optional
+        Skip F0 estimation and build the harmonic mask from this
+        contour instead (align it with align_contour first).
+    dump : DumpOptions, optional
+        Debug artifact paths.
+    memo : dict, optional
+        Stage results (RPCA solves, contours) to reuse and add to; a
+        fresh one is used when omitted, so equal lambda_sep and
+        lambda_f0 still solve once. Stages taken from the memo write no
+        debug artifacts.
+
+    Returns
+    -------
+    (SeparationResult, F0Contour)
+    """
+    if cfg is None:
+        cfg = PipelineConfig.for_sample_rate(signal.sample_rate)
+    if memo is None:
+        memo = {}
+    t_start = time.perf_counter()
+    mixture_key = _mixture_key(signal)
+    spec, mag = _stft_stage(signal, cfg)
+
+    if ground_truth_f0 is None:
+        contour = _contour_stage(mixture_key, mag, cfg, memo, dump)
+    else:
+        if ground_truth_f0.n_frames != mag.n_frames:
+            raise ValueError(
+                "ground-truth contour has %d frames, expected %d; align it "
+                "with align_contour()" % (ground_truth_f0.n_frames, mag.n_frames)
+            )
+        contour = ground_truth_f0
+
+    decomposition = _rpca_stage(mixture_key, mag, cfg, cfg.lambda_sep, memo, "rpca[sep]")
+    result = _mask_stage(spec, mag, decomposition, contour, cfg, dump)
     logger.info("pipeline done (%.2fs total)", time.perf_counter() - t_start)
     return result, contour
 
@@ -393,8 +435,10 @@ def _score_clip(
     snr_db: float | None,
     tolerance_cents: float,
     use_ground_truth_f0: bool,
+    memo: dict | None = None,
 ) -> dict:
-    """Evaluate one clip; returns a per-clip report dict."""
+    """Evaluate one clip; returns a per-clip report dict. memo is passed
+    on to run()."""
     ref_vocal = read_wav(entry.vocal_path)
     ref_accomp = read_wav(entry.accomp_path)
     truth = read_f0_csv(entry.f0_path)
@@ -426,7 +470,7 @@ def _score_clip(
     if use_ground_truth_f0:
         n_frames = 1 + n // cfg.hop_size
         gt = align_contour(truth, n_frames, cfg.hop_size / mixture.sample_rate)
-    separation, contour = run(mixture, cfg, ground_truth_f0=gt)
+    separation, contour = run(mixture, cfg, ground_truth_f0=gt, memo=memo)
 
     gated = {
         "est_vocal": voiced_region_mask(separation.vocal, truth),
@@ -454,10 +498,10 @@ def _score_clip(
     }
 
 
-def _score_clip_safe(args):
+def _score_clip_safe(args, memo=None):
     entry, cfg, snr_db, tolerance_cents, use_gt = args
     try:
-        return _score_clip(entry, cfg, snr_db, tolerance_cents, use_gt)
+        return _score_clip(entry, cfg, snr_db, tolerance_cents, use_gt, memo)
     except Exception as exc:  # per-clip failures must not sink the corpus
         logger.warning("clip %s failed: %s", entry.clip_id, exc)
         return {"id": entry.clip_id, "error": "%s: %s" % (type(exc).__name__, exc)}
@@ -495,6 +539,7 @@ def evaluate(
     tolerance_cents: float = 50.0,
     workers: int = 1,
     use_ground_truth_f0: bool = False,
+    memo: dict | None = None,
 ) -> dict:
     """Score a corpus: per-clip SDR/SIR/SAR/NSDR for both sources, raw
     pitch accuracy, and length-weighted global aggregates.
@@ -503,26 +548,32 @@ def evaluate(
     SNR (dB, measured over voiced samples) and the report contains one
     section per SNR; otherwise the manifest mixtures are scored
     directly. Clip failures are recorded per clip, never fatal.
+
+    With workers > 1 every clip of every section goes to one process
+    pool and memo is not used; serially, memo is passed to each run().
     """
     if not entries:
         raise ValueError("empty corpus")
     snrs = list(snr_list) if snr_list is not None else [None]
-
-    def _run_section(snr_db):
-        jobs = [(e, cfg, snr_db, tolerance_cents, use_ground_truth_f0) for e in entries]
-        if workers > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                clips = list(pool.map(_score_clip_safe, jobs))
-        else:
-            clips = [_score_clip_safe(job) for job in jobs]
-        return _aggregate(clips)
+    jobs = [
+        (e, cfg, snr_db, tolerance_cents, use_ground_truth_f0)
+        for snr_db in snrs
+        for e in entries
+    ]
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            clips = list(pool.map(_score_clip_safe, jobs))
+    else:
+        clips = [_score_clip_safe(job, memo) for job in jobs]
+    n = len(entries)
+    sections = [_aggregate(clips[k * n:(k + 1) * n]) for k in range(len(snrs))]
 
     if snr_list is None:
-        report = _run_section(None)
+        report = sections[0]
     else:
         report = {
             "sections": [
-                {"snr_db": snr_db, **_run_section(snr_db)} for snr_db in snrs
+                {"snr_db": snr_db, **section} for snr_db, section in zip(snrs, sections)
             ]
         }
     report["config"] = cfg.to_dict()
@@ -594,6 +645,11 @@ def _apply_axes(cfg: PipelineConfig, names, values) -> PipelineConfig:
     return cfg.with_overrides(overrides)
 
 
+def _rpca_settings(cfg: PipelineConfig) -> tuple:
+    """Every config field that any RPCA solve of run() reads."""
+    return (cfg.lambda_f0, cfg.lambda_sep) + tuple(getattr(cfg, f) for f in _RPCA_FIELDS)
+
+
 def grid_search(
     entries: list,
     spec: GridSearchSpec,
@@ -606,21 +662,33 @@ def grid_search(
     Returns one dict per cell: axis values, the objective value (None
     if every clip failed), and the per-cell failure count. A failing
     cell never aborts the sweep.
+
+    Consecutive cells with the same RPCA settings share their solves
+    and contours through one memo, which is emptied whenever the
+    settings change; put the lambda axes first to make those runs long.
     """
     names = [axis.name for axis in spec.axes]
     cells = []
     combos = list(itertools.product(*(axis.values() for axis in spec.axes)))
     logger.info("grid search: %d cells over axes %s", len(combos), names)
+    memo, memo_settings = {}, None
     for combo in combos:
         cell = dict(zip(names, combo))
         try:
             cell_cfg = _apply_axes(cfg, names, combo)
+            # a cell whose config is invalid never gets here, so it
+            # leaves the memo to the cells around it
+            settings = _rpca_settings(cell_cfg)
+            if settings != memo_settings:
+                memo.clear()
+                memo_settings = settings
             report = evaluate(
                 entries,
                 cell_cfg,
                 tolerance_cents=tolerance_cents,
                 workers=workers,
                 use_ground_truth_f0=spec.use_ground_truth_f0,
+                memo=memo,
             )
             if spec.objective == "gnsdr":
                 value = report.get("vocal", {}).get("gnsdr")

@@ -22,14 +22,9 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-try:
-    from threadpoolctl import threadpool_info
-except ImportError:  # pragma: no cover
-    threadpool_info = None
 
 logger = logging.getLogger(__name__)
 
@@ -72,8 +67,7 @@ class RpcaResult:
     iteration for inspection. rank_estimate counts the short-side Gram
     eigen-directions whose singular value exceeds the SVT threshold; a
     singular value within rounding of the threshold can make it differ
-    by one from a count taken on a full SVD. metadata records the BLAS
-    thread count the eigensolves ran with, when discoverable.
+    by one from a count taken on a full SVD.
     """
 
     low_rank: np.ndarray
@@ -83,7 +77,6 @@ class RpcaResult:
     final_residual: float
     lambda_hat: float
     trace: tuple = ()
-    metadata: dict = field(default_factory=dict)
 
 
 def soft_threshold(values: np.ndarray, threshold: float) -> np.ndarray:
@@ -123,13 +116,6 @@ def _svt_with_rank(values, threshold):
     return (low_rank.T if tall else low_rank), rank
 
 
-def _blas_threads():
-    if threadpool_info is None:
-        return None
-    counts = [info.get("num_threads") for info in threadpool_info()]
-    return max(counts) if counts else None
-
-
 def decompose(x, cfg: RpcaConfig = RpcaConfig()) -> RpcaResult:
     """Split a matrix into low-rank and sparse parts.
 
@@ -153,7 +139,6 @@ def decompose(x, cfg: RpcaConfig = RpcaConfig()) -> RpcaResult:
 
     lam_hat = cfg.lam / np.sqrt(max(x.shape))
     x_fro = np.linalg.norm(x)
-    metadata = {"blas_threads": _blas_threads()}
     if x_fro == 0.0:
         return RpcaResult(
             low_rank=np.zeros_like(x),
@@ -162,7 +147,6 @@ def decompose(x, cfg: RpcaConfig = RpcaConfig()) -> RpcaResult:
             converged=True,
             final_residual=0.0,
             lambda_hat=lam_hat,
-            metadata=metadata,
         )
 
     a, _ = _short_side(x)
@@ -203,7 +187,6 @@ def decompose(x, cfg: RpcaConfig = RpcaConfig()) -> RpcaResult:
         final_residual=float(residual),
         lambda_hat=float(lam_hat),
         trace=tuple(trace),
-        metadata=metadata,
     )
 
 

@@ -40,6 +40,20 @@ def tiny_corpus(tmp_path_factory):
     return write_demo_corpus(root, n_clips=1, duration_seconds=1.5)
 
 
+@pytest.fixture
+def solves(monkeypatch):
+    """The lambda of every RPCA solve made while the test runs."""
+    calls = []
+    original = rpca_mod.decompose
+
+    def counting(x, cfg=rpca_mod.RpcaConfig()):
+        calls.append(cfg.lam)
+        return original(x, cfg)
+
+    monkeypatch.setattr(rpca_mod, "decompose", counting)
+    return calls
+
+
 @pytest.fixture(scope="module")
 def demo_report(demo_corpus):
     entries = load_corpus(demo_corpus)
@@ -141,61 +155,53 @@ class TestAlignContour:
 
 
 class TestRun:
-    def test_equal_lambdas_run_one_decomposition(self, tiny_clip, monkeypatch):
-        calls = []
-        original = rpca_mod.decompose
-
-        def counting(x, cfg=rpca_mod.RpcaConfig()):
-            calls.append(cfg.lam)
-            return original(x, cfg)
-
-        monkeypatch.setattr(rpca_mod, "decompose", counting)
+    def test_equal_lambdas_run_one_decomposition(self, tiny_clip, solves):
         run(tiny_clip.mixture, PipelineConfig())
-        assert len(calls) == 1
+        assert solves == [0.8]
 
-    def test_different_lambdas_run_two(self, tiny_clip, monkeypatch):
-        calls = []
-        original = rpca_mod.decompose
-
-        def counting(x, cfg=rpca_mod.RpcaConfig()):
-            calls.append(cfg.lam)
-            return original(x, cfg)
-
-        monkeypatch.setattr(rpca_mod, "decompose", counting)
+    def test_different_lambdas_run_two(self, tiny_clip, solves):
         run(tiny_clip.mixture, PipelineConfig(lambda_sep=1.0, lambda_f0=0.8))
-        assert sorted(calls) == [0.8, 1.0]
+        assert solves == [0.8, 1.0]
 
-    def test_shared_decomposition_changes_nothing(self, tiny_clip, monkeypatch):
-        calls = []
-        original = rpca_mod.decompose
+    def test_memo_hit_changes_nothing(self, tiny_clip, solves):
+        cfg = PipelineConfig(lambda_sep=1.0)
+        memo = {}
+        first, contour_a = run(tiny_clip.mixture, cfg, memo=memo)
+        assert solves == [0.8, 1.0]
+        reused, contour_b = run(tiny_clip.mixture, cfg, memo=memo)
+        assert solves == [0.8, 1.0]
+        assert contour_b is contour_a
+        fresh, contour_c = run(tiny_clip.mixture, cfg)
+        assert solves == [0.8, 1.0, 0.8, 1.0]
+        np.testing.assert_array_equal(contour_c.f0_hz, contour_a.f0_hz)
+        for sep in (reused, fresh):
+            np.testing.assert_array_equal(sep.vocal_spec.values, first.vocal_spec.values)
+            np.testing.assert_array_equal(sep.vocal.samples, first.vocal.samples)
 
-        def counting(x, cfg=rpca_mod.RpcaConfig()):
-            calls.append(cfg.lam)
-            return original(x, cfg)
+    def test_memo_is_keyed_by_samples_not_by_object(self, tiny_clip, solves):
+        memo = {}
+        run(tiny_clip.mixture, PipelineConfig(), memo=memo)
+        copy = AudioSignal(tiny_clip.mixture.samples.copy(), tiny_clip.mixture.sample_rate)
+        run(copy, PipelineConfig(w=70.0), memo=memo)
+        assert solves == [0.8]
+        louder = AudioSignal(2.0 * tiny_clip.mixture.samples, tiny_clip.mixture.sample_rate)
+        run(louder, PipelineConfig(), memo=memo)
+        assert solves == [0.8, 0.8]
 
-        monkeypatch.setattr(rpca_mod, "decompose", counting)
-        cfg = PipelineConfig()
-        shared, _ = run(tiny_clip.mixture, cfg)
-        forced, _ = run(tiny_clip.mixture, cfg, _force_two_pass=True)
-        assert len(calls) == 3
-        np.testing.assert_array_equal(
-            shared.vocal_spec.values, forced.vocal_spec.values
-        )
-        np.testing.assert_array_equal(shared.vocal.samples, forced.vocal.samples)
+    def test_contour_fields_recompute_the_contour_only(self, tiny_clip, solves):
+        memo = {}
+        _, base = run(tiny_clip.mixture, PipelineConfig(), memo=memo)
+        _, other = run(tiny_clip.mixture, PipelineConfig(alpha=0.0), memo=memo)
+        _, fresh = run(tiny_clip.mixture, PipelineConfig(alpha=0.0))
+        assert solves == [0.8, 0.8]
+        assert other is not base
+        np.testing.assert_array_equal(other.f0_hz, fresh.f0_hz)
 
-    def test_ground_truth_skips_estimation_pass(self, tiny_clip, monkeypatch):
-        calls = []
-        original = rpca_mod.decompose
-
-        def counting(x, cfg=rpca_mod.RpcaConfig()):
-            calls.append(cfg.lam)
-            return original(x, cfg)
-
-        monkeypatch.setattr(rpca_mod, "decompose", counting)
+    def test_ground_truth_skips_estimation_pass(self, tiny_clip, solves):
         sep, contour = run(
             tiny_clip.mixture, PipelineConfig(), ground_truth_f0=tiny_clip.truth
         )
-        assert len(calls) == 1
+        assert len(solves) == 1
         assert contour is tiny_clip.truth
         assert sep.vocal.samples.size == tiny_clip.mixture.samples.size
 
@@ -390,6 +396,10 @@ class TestEvaluate:
         serial = evaluate(entries, PipelineConfig())
         parallel = evaluate(entries, PipelineConfig(), workers=2)
         assert serial["clips"] == parallel["clips"]
+        serial = evaluate(entries, PipelineConfig(), snr_list=[-5.0, 5.0])
+        parallel = evaluate(entries, PipelineConfig(), snr_list=[-5.0, 5.0], workers=2)
+        assert [s["snr_db"] for s in parallel["sections"]] == [-5.0, 5.0]
+        assert serial["sections"] == parallel["sections"]
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
@@ -463,6 +473,42 @@ class TestGridSearch:
         assert cells[0]["value"] is None
         assert "error" in cells[0]
         assert cells[1]["value"] is not None
+
+    def test_cells_sharing_lambda_reuse_solves(self, tiny_corpus, solves):
+        entries = load_corpus(tiny_corpus)
+        cfg = PipelineConfig()
+        lam = GridAxis("lambda", 0.8, 1.0, 0.2)
+        width = GridAxis("w", 30.0, 50.0, 20.0)
+        cells = grid_search(entries, GridSearchSpec(axes=(lam, width)), cfg)
+        assert len(solves) == 2 * len(entries)
+
+        fresh = {}
+        for cell in cells:
+            report = evaluate(entries, _apply_axes(cfg, ["lambda", "w"], [cell["lambda"], cell["w"]]))
+            fresh[cell["lambda"], cell["w"]] = report
+            assert cell["value"] == report["vocal"]["gnsdr"]
+            assert cell["n_failed"] == report["n_failed"] == 0
+
+        swapped = grid_search(entries, GridSearchSpec(axes=(width, lam)), cfg)
+        key = lambda c: (c["lambda"], c["w"])
+        assert sorted(swapped, key=key) == sorted(cells, key=key)
+
+        # an invalid cell between valid ones is recorded and leaves them be
+        del solves[:]
+        mixed = grid_search(
+            entries, GridSearchSpec(axes=(width, GridAxis("lambda", -0.5, 0.8, 1.3))), cfg
+        )
+        assert [(c["w"], c["lambda"]) for c in mixed] == [
+            (30.0, -0.5), (30.0, 0.8), (50.0, -0.5), (50.0, 0.8),
+        ]
+        for cell in mixed[0::2]:
+            assert cell["value"] is None and "error" in cell
+            assert cell["n_failed"] == len(entries)
+        for cell in mixed[1::2]:
+            report = fresh[0.8, cell["w"]]
+            assert cell["value"] == report["vocal"]["gnsdr"]
+            assert cell["n_failed"] == 0
+        assert len(solves) == len(entries)
 
 
 class TestCsvWriters:

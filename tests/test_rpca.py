@@ -233,10 +233,6 @@ class TestDecompose:
         nnz = lambda r: int(np.sum(np.abs(r.sparse) > 1e-8))
         assert nnz(tight) <= nnz(loose)
 
-    def test_metadata_reports_blas_threads(self, rng):
-        result = decompose(rng.standard_normal((5, 5)), RpcaConfig(max_iterations=3))
-        assert "blas_threads" in result.metadata
-
     def test_matches_full_svd_path_on_a_44k_spectrogram(self):
         clip = make_clip(duration_seconds=1.0, sample_rate=44100, hop_size=441, seed=7)
         x = magnitude(stft(clip.mixture, 4096, 441)).values
