@@ -20,7 +20,6 @@ from .masks import (
     wiener_mask,
 )
 from .metrics import (
-    CorpusScore,
     SeparationScore,
     decompose_estimate,
     gnsdr,

@@ -19,7 +19,6 @@ from .tracking import F0Contour, contour_accuracy_prep
 
 __all__ = [
     "SeparationScore",
-    "CorpusScore",
     "DB_CAP",
     "decompose_estimate",
     "sdr_sir_sar",
@@ -40,17 +39,6 @@ class SeparationScore:
     sir: float
     sar: float
     nsdr: float
-
-
-@dataclass(frozen=True)
-class CorpusScore:
-    """Length-weighted corpus aggregates in dB."""
-
-    gnsdr: float
-    gsir: float
-    gsar: float
-    n_clips: int
-    total_seconds: float
 
 
 def _as_signal_array(x) -> np.ndarray:

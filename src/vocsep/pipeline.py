@@ -28,6 +28,7 @@ import itertools
 import json
 import logging
 import time
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,12 +66,7 @@ from .spectrogram import (
     stft,
     to_log_frequency,
 )
-from .tracking import (
-    F0Contour,
-    TrackerConfig,
-    read_f0_csv,
-    viterbi,
-)
+from .tracking import F0Contour, read_f0_csv, viterbi
 
 logger = logging.getLogger(__name__)
 
@@ -90,18 +86,18 @@ __all__ = [
     "write_report_csv",
 ]
 
-_DEFAULT_TRANSITION_SCALE = float(np.sqrt(150.0**2 / 2.0))
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
-    """All pipeline tunables. Defaults are the 16 kHz settings; use
+    """The pipeline tunables. Defaults are the 16 kHz settings; use
     for_sample_rate() to pick the right geometry for a signal.
 
     lambda_sep and lambda_f0 weight the sparse term for the separation
     and F0-estimation decompositions; gamma sets the binary mask
     threshold; n_partials, w and alpha control the harmonic mask width,
-    partial count, and enhancement exponent.
+    partial count, and enhancement exponent. Everything else (F0 range,
+    log-frequency grid, SHS decay, Tukey shape, tracker transition,
+    solver tolerance and iteration cap) is the default of the stage's
+    own config.
     """
 
     window_size: int = 2048
@@ -112,17 +108,7 @@ class PipelineConfig:
     n_partials: int = 10
     w: float = 50.0
     alpha: float = 0.6
-    f0_min_hz: float = 80.0
-    f0_max_hz: float = 720.0
-    h_low_hz: float = 30.0
-    cents_per_bin: float = 10.0
     mask_mode: str = "soft"
-    shs_decay: float = 0.86
-    tukey_shape: float = 0.5
-    transition_scale_cents: float = _DEFAULT_TRANSITION_SCALE
-    saliency_floor: float = 1e-12
-    rpca_tolerance: float = 1e-7
-    rpca_max_iterations: int = 1000
 
     def __post_init__(self):
         if self.mask_mode not in ("soft", "binary"):
@@ -177,32 +163,6 @@ class DumpOptions:
     rpca_trace_path: str | None = None
 
 
-def _rpca_config(cfg: PipelineConfig, lam: float) -> rpca.RpcaConfig:
-    return rpca.RpcaConfig(
-        lam=lam,
-        tolerance=cfg.rpca_tolerance,
-        max_iterations=cfg.rpca_max_iterations,
-    )
-
-
-def _tracker_config(cfg: PipelineConfig) -> TrackerConfig:
-    return TrackerConfig(
-        f0_min_hz=cfg.f0_min_hz,
-        f0_max_hz=cfg.f0_max_hz,
-        transition_scale_cents=cfg.transition_scale_cents,
-        saliency_floor=cfg.saliency_floor,
-    )
-
-
-# Config fields each memoised stage reads besides the mixture; a change in
-# any of them makes a new memo key.
-_RPCA_FIELDS = ("window_size", "hop_size", "rpca_tolerance", "rpca_max_iterations")
-_CONTOUR_FIELDS = (
-    "gamma", "alpha", "n_partials", "shs_decay", "f0_min_hz", "f0_max_hz",
-    "h_low_hz", "cents_per_bin", "transition_scale_cents", "saliency_floor",
-)
-
-
 def _mixture_key(signal: AudioSignal) -> tuple:
     """Identity of a mixture for memo keys: its samples and rate, not a
     clip id (ids in a manifest need not be unique)."""
@@ -211,7 +171,9 @@ def _mixture_key(signal: AudioSignal) -> tuple:
 
 
 def _rpca_key(mixture_key: tuple, cfg: PipelineConfig, lam: float) -> tuple:
-    return ("rpca", mixture_key, lam) + tuple(getattr(cfg, f) for f in _RPCA_FIELDS)
+    """Memo key of an RPCA solve: the config fields it reads besides
+    the mixture."""
+    return ("rpca", mixture_key, lam, cfg.window_size, cfg.hop_size)
 
 
 def _stft_stage(signal: AudioSignal, cfg: PipelineConfig):
@@ -226,7 +188,7 @@ def _rpca_stage(mixture_key, mag, cfg: PipelineConfig, lam: float, memo: dict, s
     key = _rpca_key(mixture_key, cfg, lam)
     if key not in memo:
         t0 = time.perf_counter()
-        memo[key] = rpca.decompose(mag.values, _rpca_config(cfg, lam))
+        memo[key] = rpca.decompose(mag.values, rpca.RpcaConfig(lam=lam))
         _log_rpca(stage, memo[key], t0)
     return memo[key]
 
@@ -234,8 +196,9 @@ def _rpca_stage(mixture_key, mag, cfg: PipelineConfig, lam: float, memo: dict, s
 def _contour_stage(mixture_key, mag, cfg: PipelineConfig, memo: dict, dump=None) -> F0Contour:
     """F0 contour from the lambda_f0 split. Debug artifacts are written
     when the contour is computed, not on a memo hit."""
-    key = ("contour", _rpca_key(mixture_key, cfg, cfg.lambda_f0)) + tuple(
-        getattr(cfg, f) for f in _CONTOUR_FIELDS
+    key = (
+        "contour", _rpca_key(mixture_key, cfg, cfg.lambda_f0),
+        cfg.gamma, cfg.alpha, cfg.n_partials,
     )
     if key not in memo:
         decomposition = _rpca_stage(mixture_key, mag, cfg, cfg.lambda_f0, memo, "rpca[f0]")
@@ -256,14 +219,12 @@ def _estimate_contour(mag, decomposition, cfg: PipelineConfig, dump=None):
         hop_size=mag.hop_size,
         sample_rate=mag.sample_rate,
     )
-    grid = LogFrequencyGrid.for_nyquist(
-        mag.nyquist_hz, h_low_hz=cfg.h_low_hz, cents_per_bin=cfg.cents_per_bin
-    )
+    grid = LogFrequencyGrid.for_nyquist(mag.nyquist_hz)
     logspec = to_log_frequency(apply_a_weighting(vocal_mag), grid)
-    summation = shs(logspec, ShsConfig(n_partials=cfg.n_partials, decay=cfg.shs_decay))
+    summation = shs(logspec, ShsConfig(n_partials=cfg.n_partials))
     enhancement = f0_enhancement(mask_b, grid, mag.nyquist_hz, mag.hop_seconds)
     saliency = combine(summation, enhancement, cfg.alpha)
-    contour = viterbi(saliency, _tracker_config(cfg))
+    contour = viterbi(saliency)
 
     if dump is not None and dump.saliency_path:
         saliency_to_csv(saliency, dump.saliency_path)
@@ -287,11 +248,7 @@ def _mask_stage(spec, mag, decomposition, contour: F0Contour, cfg: PipelineConfi
     """Integrate the Wiener and harmonic masks and resynthesize."""
     soft = wiener_mask(decomposition)
     harmonic = harmonic_mask(
-        contour,
-        mag,
-        HarmonicMaskConfig(
-            n_partials=cfg.n_partials, width_hz=cfg.w, tukey_shape=cfg.tukey_shape
-        ),
+        contour, mag, HarmonicMaskConfig(n_partials=cfg.n_partials, width_hz=cfg.w)
     )
     integrated = integrate_soft(soft, harmonic)
     if cfg.mask_mode == "binary":
@@ -596,7 +553,9 @@ class GridAxis:
     """Inclusive swept range for one config field.
 
     name may be any numeric PipelineConfig field, or "lambda" to sweep
-    lambda_sep and lambda_f0 together.
+    lambda_sep and lambda_f0 together. The integer fields (window_size,
+    hop_size, n_partials) take only whole values; a fractional one makes
+    its cell fail.
     """
 
     name: str
@@ -632,13 +591,20 @@ class GridSearchSpec:
         object.__setattr__(self, "axes", tuple(self.axes))
 
 
+_INT_FIELDS = frozenset(
+    name for name, kind in typing.get_type_hints(PipelineConfig).items() if kind is int
+)
+
+
 def _apply_axes(cfg: PipelineConfig, names, values) -> PipelineConfig:
     overrides = {}
     for name, value in zip(names, values):
         if name == "lambda":
             overrides["lambda_sep"] = value
             overrides["lambda_f0"] = value
-        elif name == "n_partials":
+        elif name in _INT_FIELDS:
+            if not float(value).is_integer():
+                raise ValueError("%s must be a whole number, got %r" % (name, value))
             overrides[name] = int(value)
         else:
             overrides[name] = value
@@ -647,7 +613,7 @@ def _apply_axes(cfg: PipelineConfig, names, values) -> PipelineConfig:
 
 def _rpca_settings(cfg: PipelineConfig) -> tuple:
     """Every config field that any RPCA solve of run() reads."""
-    return (cfg.lambda_f0, cfg.lambda_sep) + tuple(getattr(cfg, f) for f in _RPCA_FIELDS)
+    return (cfg.lambda_f0, cfg.lambda_sep, cfg.window_size, cfg.hop_size)
 
 
 def grid_search(

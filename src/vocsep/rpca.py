@@ -30,22 +30,24 @@ logger = logging.getLogger(__name__)
 
 __all__ = ["RpcaConfig", "RpcaResult", "soft_threshold", "svt", "decompose", "trace_to_csv"]
 
+# Penalty schedule: mu0 = MU_INITIAL_SCALE / ||X||_2, multiplied by
+# MU_GROWTH each iteration and capped at mu0 * MU_CAP.
+MU_INITIAL_SCALE = 1.25
+MU_GROWTH = 1.5
+MU_CAP = 1e7
+
 
 @dataclass(frozen=True)
 class RpcaConfig:
     """Solver settings.
 
     lam is the sparsity weight before the 1/sqrt(max(T, F)) size
-    scaling. mu_initial_scale sets mu0 = mu_initial_scale / ||X||_2;
-    mu grows by mu_growth each iteration and is capped at mu0 * mu_cap.
+    scaling.
     """
 
     lam: float = 1.0
     tolerance: float = 1e-7
     max_iterations: int = 1000
-    mu_initial_scale: float = 1.25
-    mu_growth: float = 1.5
-    mu_cap: float = 1e7
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -54,8 +56,6 @@ class RpcaConfig:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.mu_initial_scale <= 0 or self.mu_growth <= 1 or self.mu_cap < 1:
-            raise ValueError("invalid mu schedule")
 
 
 @dataclass(frozen=True)
@@ -154,8 +154,8 @@ def decompose(x, cfg: RpcaConfig = RpcaConfig()) -> RpcaResult:
     norm_inf = np.abs(x).max()
     y = x / max(norm_two, norm_inf / lam_hat)
     s = np.zeros_like(x)
-    mu = cfg.mu_initial_scale / norm_two
-    mu_limit = mu * cfg.mu_cap
+    mu = MU_INITIAL_SCALE / norm_two
+    mu_limit = mu * MU_CAP
 
     trace = []
     residual = np.inf
@@ -169,7 +169,7 @@ def decompose(x, cfg: RpcaConfig = RpcaConfig()) -> RpcaResult:
         y = y + mu * gap
         residual = np.linalg.norm(gap) / x_fro
         trace.append((iterations, residual, rank, int(np.count_nonzero(s))))
-        mu = min(mu * cfg.mu_growth, mu_limit)
+        mu = min(mu * MU_GROWTH, mu_limit)
         if residual < cfg.tolerance:
             converged = True
             break

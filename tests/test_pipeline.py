@@ -197,6 +197,40 @@ class TestRun:
         assert other is not base
         np.testing.assert_array_equal(other.f0_hz, fresh.f0_hz)
 
+    def test_memo_filled_at_base_matches_a_fresh_run_for_every_field(self):
+        # one valid alternative per PipelineConfig field, each changing
+        # this clip's outputs; a field added without a case here fails
+        # the first assertion
+        alternatives = {
+            "window_size": 1024,
+            "hop_size": 320,
+            "lambda_sep": 1.0,
+            "lambda_f0": 1.0,
+            "gamma": 0.5,
+            "n_partials": 5,
+            "w": 70.0,
+            "alpha": 1.2,
+            "mask_mode": "binary",
+        }
+        assert list(alternatives) == [f.name for f in dataclasses.fields(PipelineConfig)]
+        mixture = make_clip(duration_seconds=0.5, sample_rate=16000, seed=5).mixture
+        base = PipelineConfig()
+        base_memo = {}
+        base_sep, base_contour = run(mixture, base, memo=base_memo)
+        for name, value in alternatives.items():
+            cfg = dataclasses.replace(base, **{name: value})
+            sep, contour = run(mixture, cfg, memo=dict(base_memo))
+            fresh_sep, fresh_contour = run(mixture, cfg)
+            assert not (
+                np.array_equal(fresh_sep.vocal.samples, base_sep.vocal.samples)
+                and np.array_equal(fresh_contour.f0_hz, base_contour.f0_hz)
+            ), name
+            np.testing.assert_array_equal(sep.vocal.samples, fresh_sep.vocal.samples, err_msg=name)
+            np.testing.assert_array_equal(
+                sep.accompaniment.samples, fresh_sep.accompaniment.samples, err_msg=name
+            )
+            np.testing.assert_array_equal(contour.f0_hz, fresh_contour.f0_hz, err_msg=name)
+
     def test_ground_truth_skips_estimation_pass(self, tiny_clip, solves):
         sep, contour = run(
             tiny_clip.mixture, PipelineConfig(), ground_truth_f0=tiny_clip.truth
@@ -446,10 +480,24 @@ class TestGridSearch:
         assert cfg.lambda_sep == 0.9
         assert cfg.lambda_f0 == 0.9
 
-    def test_n_partials_axis_casts_to_int(self):
-        cfg = _apply_axes(PipelineConfig(), ["n_partials"], [12.0])
-        assert cfg.n_partials == 12
-        assert isinstance(cfg.n_partials, int)
+    @pytest.mark.parametrize("name", ["n_partials", "hop_size", "window_size"])
+    def test_n_partials_axis_casts_to_int(self, name):
+        cfg = _apply_axes(PipelineConfig(), [name], [320.0])
+        assert getattr(cfg, name) == 320
+        assert isinstance(getattr(cfg, name), int)
+
+    def test_fractional_int_axis_value_rejected(self):
+        with pytest.raises(ValueError, match="whole number"):
+            _apply_axes(PipelineConfig(), ["n_partials"], [1.5])
+
+    def test_hop_size_axis_scores_every_cell(self, tiny_corpus):
+        entries = load_corpus(tiny_corpus)
+        spec = GridSearchSpec(axes=(GridAxis("hop_size", 160.0, 320.0, 160.0),))
+        cells = grid_search(entries, spec, PipelineConfig())
+        assert [c["hop_size"] for c in cells] == [160.0, 320.0]
+        for cell in cells:
+            assert cell["n_failed"] == 0
+            assert cell["value"] is not None
 
     def test_single_cell_matches_direct_evaluate(self, tiny_corpus):
         entries = load_corpus(tiny_corpus)
