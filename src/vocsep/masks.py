@@ -151,19 +151,27 @@ def harmonic_mask(
 
     values = np.zeros((contour.n_frames, bin_hz.size))
     half = cfg.width_hz / 2.0
-    for t in np.flatnonzero(contour.voiced):
-        f0 = contour.f0_hz[t]
-        row = values[t]
-        for n in range(1, cfg.n_partials + 1):
-            center = n * f0
-            if center > nyquist:
-                break
-            lo = np.searchsorted(bin_hz, center - half, side="left")
-            hi = np.searchsorted(bin_hz, center + half, side="right")
-            if hi <= lo:
-                continue
-            positions = (bin_hz[lo:hi] - (center - half)) / cfg.width_hz
-            row[lo:hi] = np.maximum(row[lo:hi], _tukey_taper(positions, cfg.tukey_shape))
+    frames = np.flatnonzero(contour.voiced)
+    f0 = contour.f0_hz[frames]
+    for n in range(1, cfg.n_partials + 1):
+        center = n * f0
+        inside = center <= nyquist
+        if not inside.any():
+            break
+        rows, left = frames[inside], center[inside] - half
+        lo = np.searchsorted(bin_hz, left, side="left")
+        hi = np.searchsorted(bin_hz, center[inside] + half, side="right")
+        # lobe k covers bins lo[k] .. hi[k]-1: lay the lobes out as the
+        # rows of a (lobes, widest lobe) rectangle and drop the padding
+        cols = lo[:, None] + np.arange((hi - lo).max())
+        in_lobe = cols < hi[:, None]
+        lobe, _ = np.nonzero(in_lobe)
+        cols, rows = cols[in_lobe], rows[lobe]
+        positions = (bin_hz[cols] - left[lobe]) / cfg.width_hz
+        # (row, col) pairs are distinct within one partial, so the
+        # fancy-indexed read-max-write drops no update
+        taper = _tukey_taper(positions, cfg.tukey_shape)
+        values[rows, cols] = np.maximum(values[rows, cols], taper)
     return TimeFrequencyMask(values=values, kind="soft")
 
 

@@ -489,6 +489,11 @@ def _aggregate(clips: list) -> dict:
     return section
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError("workers must be >= 1, got %r" % (workers,))
+
+
 def evaluate(
     entries: list,
     cfg: PipelineConfig,
@@ -511,6 +516,7 @@ def evaluate(
     """
     if not entries:
         raise ValueError("empty corpus")
+    _check_workers(workers)
     snrs = list(snr_list) if snr_list is not None else [None]
     jobs = [
         (e, cfg, snr_db, tolerance_cents, use_ground_truth_f0)
@@ -633,6 +639,7 @@ def grid_search(
     and contours through one memo, which is emptied whenever the
     settings change; put the lambda axes first to make those runs long.
     """
+    _check_workers(workers)
     names = [axis.name for axis in spec.axes]
     cells = []
     combos = list(itertools.product(*(axis.values() for axis in spec.axes)))

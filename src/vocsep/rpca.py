@@ -162,12 +162,25 @@ def decompose(x, cfg: RpcaConfig = RpcaConfig()) -> RpcaResult:
     converged = False
     iterations = 0
     low_rank = np.zeros_like(x)
+    # the loop updates y and s in place and works in three buffers made once
+    y_mu, arg, gap = np.empty_like(x), np.empty_like(x), np.empty_like(x)
     for iterations in range(1, cfg.max_iterations + 1):
-        low_rank, rank = _svt_with_rank(x - s + y / mu, 1.0 / mu)
-        s = soft_threshold(x - low_rank + y / mu, lam_hat / mu)
-        gap = x - low_rank - s
-        y = y + mu * gap
+        np.divide(y, mu, out=y_mu)
+        np.subtract(x, s, out=arg)
+        arg += y_mu
+        low_rank, rank = _svt_with_rank(arg, 1.0 / mu)
+        np.subtract(x, low_rank, out=arg)
+        arg += y_mu
+        # soft_threshold(arg, t) as arg - clip(arg, -t, t): the same
+        # values, except that a zero may come out as -0.0
+        t = lam_hat / mu
+        np.clip(arg, -t, t, out=s)
+        np.subtract(arg, s, out=s)
+        np.subtract(x, low_rank, out=gap)
+        gap -= s
         residual = np.linalg.norm(gap) / x_fro
+        gap *= mu
+        y += gap
         trace.append((iterations, residual, rank, int(np.count_nonzero(s))))
         mu = min(mu * MU_GROWTH, mu_limit)
         if residual < cfg.tolerance:

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.interpolate import CubicSpline
 from scipy.signal import get_window
 
@@ -238,10 +239,7 @@ def stft(
     padded = np.pad(x, pad, mode="reflect")
     n_frames = 1 + x.size // hop_size
     window = get_window("hann", window_size, fftbins=True)
-    frames = np.empty((n_frames, window_size), dtype=np.float64)
-    for t in range(n_frames):
-        start = t * hop_size
-        frames[t] = padded[start : start + window_size]
+    frames = sliding_window_view(padded, window_size)[::hop_size][:n_frames]
     values = np.fft.rfft(frames * window, axis=1)
     return ComplexSpectrogram(
         values=values,

@@ -4,9 +4,12 @@ The tracker maximizes the summed log of per-frame normalized saliency
 plus Laplacian log transition weights on the cents distance between
 consecutive bins. Among score-equal paths it returns the one with the
 lexicographically smallest bin sequence (ties break toward the lower
-bin, earliest frame first), computed with a backward max pass and a
-forward greedy pass. Voicing detection is out of scope: every frame of
-a tracked contour is voiced.
+bin, earliest frame first). A backward pass scores the best path from
+each (frame, bin) onward, and a forward greedy pass picks the path.
+The backward pass is an L1 distance transform (Felzenszwalb &
+Huttenlocher, "Distance Transforms of Sampled Functions"), so each
+frame costs O(bins) rather than O(bins^2). Voicing detection is out of
+scope: every frame of a tracked contour is voiced.
 """
 
 from __future__ import annotations
@@ -146,6 +149,46 @@ def _emissions(values, floor):
     return np.log(shifted) - np.log(shifted.sum(axis=1, keepdims=True))
 
 
+def _running_max(values):
+    """Running max of a 1-d array, the last index attaining it, and the
+    running second-largest value (an equal value counts as second)."""
+    top = np.maximum.accumulate(values)
+    at = np.maximum.accumulate(np.where(values == top, np.arange(values.size), 0))
+    second = np.empty_like(values)
+    second[0] = -np.inf
+    np.minimum(values[1:], top[:-1], out=second[1:])
+    np.maximum.accumulate(second, out=second)
+    return top, at, second
+
+
+def _best_transition(following, log_g, kj, c0):
+    """max_j (log_g[i, j] + following[j]) for every bin i, bitwise.
+
+    log_g[i, j] is c0 - k|i - j| up to rounding, so for j <= i the max
+    is a running max of following[j] + k*j, and for j >= i one of
+    following[j] - k*j taken from the right. Each side's winner is
+    scored again with the exact log_g expression. Where a side's
+    runner-up comes within rounding of its winner, rounding may rank
+    them either way, so those rows take the full O(bins) max.
+    """
+    n_bins = following.size
+    rows = np.arange(n_bins)
+    top_l, at_l, second_l = _running_max(following + kj)
+    top_r, at_r, second_r = (a[::-1] for a in _running_max((following - kj)[::-1]))
+    at_r = n_bins - 1 - at_r
+    score = np.maximum(
+        log_g[rows, at_l] + following[at_l], log_g[rows, at_r] + following[at_r]
+    )
+    # With M bounding every magnitude here, a sweep value and an exact
+    # score each round by under 2 eps M, so a runner-up more than
+    # 8 eps M below its side's winner cannot score above it.
+    tol = 16.0 * np.finfo(np.float64).eps * (np.abs(following).max() + kj[-1] + abs(c0))
+    close = np.flatnonzero((second_l >= top_l - tol) | (second_r >= top_r - tol))
+    if close.size:
+        score[close] = np.max(log_g[close] + following, axis=1)
+    return score
+
+
 def viterbi(s: SaliencySpectrogram, cfg: TrackerConfig = TrackerConfig()) -> F0Contour:
     """Pick the best contour through a saliency spectrogram.
 
@@ -175,13 +218,15 @@ def viterbi(s: SaliencySpectrogram, cfg: TrackerConfig = TrackerConfig()) -> F0C
     offsets = np.arange(n_bins, dtype=np.float64)
     dist_cents = np.abs(offsets[:, None] - offsets[None, :]) * s.grid.cents_per_bin
     b = cfg.transition_scale_cents
-    log_g = -math.log(2.0 * b) - dist_cents / b
+    c0 = -math.log(2.0 * b)
+    log_g = c0 - dist_cents / b
+    kj = (s.grid.cents_per_bin / b) * offsets
 
     # best[t, j]: best achievable score over frames t..T-1 starting at j
     best = np.empty_like(em)
     best[-1] = em[-1]
     for t in range(n_frames - 2, -1, -1):
-        best[t] = em[t] + np.max(log_g + best[t + 1][None, :], axis=1)
+        best[t] = em[t] + _best_transition(best[t + 1], log_g, kj, c0)
 
     path = np.empty(n_frames, dtype=np.intp)
     path[0] = np.argmax(best[0])

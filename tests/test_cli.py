@@ -147,6 +147,15 @@ class TestEvaluate:
         report = json.loads(out.read_text())
         assert report["n_failed"] == 1
 
+    @pytest.mark.parametrize(
+        "command", [["evaluate"], ["grid-search", "--axis", "alpha:0.6:0.6:0.2"]]
+    )
+    def test_fewer_than_one_worker_is_invalid_input(self, cli_corpus, tmp_path, command):
+        out = tmp_path / "out"
+        code = main(command + ["--corpus", cli_corpus, "--out", str(out), "--workers", "0"])
+        assert code == EXIT_INVALID_INPUT
+        assert not out.exists()
+
     def test_malformed_manifest_is_invalid_input(self, tmp_path):
         manifest = tmp_path / "manifest.json"
         manifest.write_text("{}")

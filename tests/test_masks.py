@@ -45,6 +45,38 @@ def _mag(values, sample_rate=44100, window_size=2048, hop_size=441):
     )
 
 
+def _loop_harmonic_mask(contour, mag, cfg):
+    """The harmonic mask as a loop over voiced frames and partials, as
+    it was before the partial loop was vectorized over frames."""
+    bin_hz = mag.bin_hz
+    values = np.zeros((contour.n_frames, bin_hz.size))
+    half = cfg.width_hz / 2.0
+    for t in np.flatnonzero(contour.voiced):
+        f0 = contour.f0_hz[t]
+        row = values[t]
+        for n in range(1, cfg.n_partials + 1):
+            center = n * f0
+            if center > mag.nyquist_hz:
+                break
+            lo = np.searchsorted(bin_hz, center - half, side="left")
+            hi = np.searchsorted(bin_hz, center + half, side="right")
+            if hi <= lo:
+                continue
+            positions = (bin_hz[lo:hi] - (center - half)) / cfg.width_hz
+            row[lo:hi] = np.maximum(row[lo:hi], _tukey_taper(positions, cfg.tukey_shape))
+    return values
+
+
+def _random_f0(rng, n_frames, nyquist):
+    """Mostly vocal-range f0, some high enough that upper partials
+    cross Nyquist, and a fifth of the frames unvoiced."""
+    f0 = rng.uniform(80.0, 720.0, n_frames)
+    high = rng.random(n_frames) < 0.2
+    f0[high] = rng.uniform(720.0, 0.9 * nyquist, int(high.sum()))
+    f0[rng.random(n_frames) < 0.2] = 0.0
+    return f0
+
+
 class TestTimeFrequencyMask:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -232,6 +264,39 @@ class TestHarmonicMask:
         row = harmonic_mask(contour, mag, cfg).values[0]
         bin_hz = np.arange(window // 2 + 1) * sr / window
         assert np.any(row[np.abs(bin_hz - 14000.0) <= 35.0] > 0)
+
+    @pytest.mark.parametrize(
+        "sr, window, hop, n_partials, width_hz",
+        [(16000, 2048, 160, 10, 50.0), (44100, 4096, 441, 20, 70.0)],
+    )
+    @pytest.mark.parametrize("tukey_shape", [0.0, 0.5, 1.0])
+    def test_matches_frame_loop_on_random_contours(
+        self, rng, sr, window, hop, n_partials, width_hz, tukey_shape
+    ):
+        mag = _mag(np.ones((101, window // 2 + 1)), sr, window, hop)
+        contour = voiced_contour(_random_f0(rng, 101, sr / 2.0), hop / sr)
+        cfg = HarmonicMaskConfig(n_partials=n_partials, width_hz=width_hz, tukey_shape=tukey_shape)
+        expected = _loop_harmonic_mask(contour, mag, cfg)
+        assert np.array_equal(harmonic_mask(contour, mag, cfg).values, expected)
+
+    @pytest.mark.parametrize(
+        "f0, width_hz",
+        [
+            # f0 below the lobe width: lobes of neighbouring partials overlap
+            ([30.0, 45.0, 0.0, 60.0], 70.0),
+            # narrower than the 7.8125 Hz bin spacing: some lobes hold no bin
+            ([200.0, 201.0, 203.9, 0.0], 3.0),
+            # 4 bins wide, centred on bins 32*n: both edges land on bin centres
+            ([250.0, 0.0, 250.0, 500.0], 31.25),
+        ],
+    )
+    @pytest.mark.parametrize("tukey_shape", [0.0, 0.5, 1.0])
+    def test_matches_frame_loop_on_edge_cases(self, f0, width_hz, tukey_shape):
+        mag = _mag(np.ones((len(f0), 1025)), 16000, 2048, 160)
+        contour = voiced_contour(f0, 0.01)
+        cfg = HarmonicMaskConfig(n_partials=10, width_hz=width_hz, tukey_shape=tukey_shape)
+        expected = _loop_harmonic_mask(contour, mag, cfg)
+        assert np.array_equal(harmonic_mask(contour, mag, cfg).values, expected)
 
     def test_frame_count_mismatch_rejected(self):
         mag = _mag(np.ones((3, 1025)))

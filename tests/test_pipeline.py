@@ -439,6 +439,15 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate([], PipelineConfig())
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_fewer_than_one_worker_rejected(self, tiny_corpus, workers):
+        entries = load_corpus(tiny_corpus)
+        with pytest.raises(ValueError, match="workers"):
+            evaluate(entries, PipelineConfig(), workers=workers)
+        spec = GridSearchSpec(axes=(GridAxis("alpha", 0.6, 0.6, 0.2),))
+        with pytest.raises(ValueError, match="workers"):
+            grid_search(entries, spec, PipelineConfig(), workers=workers)
+
 
 class TestGridAxis:
     def test_lambda_range_has_seven_values(self):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from vocsep.rpca import RpcaConfig, decompose, soft_threshold, svt, trace_to_csv
+from vocsep.rpca import RpcaConfig, _svt_with_rank, decompose, soft_threshold, svt, trace_to_csv
 from vocsep.spectrogram import magnitude, stft
 from vocsep.synth import make_clip
 
@@ -53,6 +53,39 @@ def _reference_decompose(x, cfg=RpcaConfig()):
         if np.linalg.norm(gap) / x_fro < cfg.tolerance:
             break
     return low_rank, iterations
+
+
+def _allocating_decompose(x, cfg=RpcaConfig()):
+    """The solver loop as it was before it worked in preallocated
+    buffers: fresh arrays every iteration, y/mu computed twice and
+    soft_threshold for the shrinkage. Same SVT and mu schedule as the
+    solver; returns (low_rank, sparse, trace)."""
+    lam_hat = cfg.lam / np.sqrt(max(x.shape))
+    x_fro = np.linalg.norm(x)
+    a = x.T if x.shape[0] > x.shape[1] else x
+    norm_two = np.sqrt(np.linalg.eigvalsh(a @ a.T)[-1])
+    y = x / max(norm_two, np.abs(x).max() / lam_hat)
+    s = np.zeros_like(x)
+    mu = 1.25 / norm_two
+    mu_limit = mu * 1e7
+    trace = []
+    for iterations in range(1, cfg.max_iterations + 1):
+        low_rank, rank = _svt_with_rank(x - s + y / mu, 1.0 / mu)
+        s = soft_threshold(x - low_rank + y / mu, lam_hat / mu)
+        gap = x - low_rank - s
+        y = y + mu * gap
+        residual = np.linalg.norm(gap) / x_fro
+        trace.append((iterations, residual, rank, int(np.count_nonzero(s))))
+        mu = min(mu * 1.5, mu_limit)
+        if residual < cfg.tolerance:
+            break
+    return low_rank, s, tuple(trace)
+
+
+def _clip_magnitude(sample_rate):
+    window, hop = (2048, 160) if sample_rate == 16000 else (4096, 441)
+    clip = make_clip(duration_seconds=1.0, sample_rate=sample_rate, hop_size=hop, seed=7)
+    return magnitude(stft(clip.mixture, window, hop)).values
 
 
 class TestSoftThreshold:
@@ -244,6 +277,36 @@ class TestDecompose:
         assert result.iterations == iterations
         rel = np.linalg.norm(result.low_rank - low_rank) / np.linalg.norm(low_rank)
         assert rel < 1e-6
+
+    @pytest.mark.parametrize(
+        "sample_rate, lam, tall, max_iterations",
+        [
+            (16000, 0.8, False, 1000),
+            (16000, 1.0, False, 1000),
+            (44100, 0.8, False, 1000),
+            (44100, 1.0, False, 1000),
+            (16000, 1.0, True, 1000),  # the transposed (bins, frames) matrix
+            (16000, 1.0, False, 3),  # cut off before it converges
+        ],
+    )
+    def test_bitwise_equal_to_allocating_loop(self, sample_rate, lam, tall, max_iterations):
+        x = _clip_magnitude(sample_rate)
+        if tall:
+            x = np.ascontiguousarray(x.T)
+        cfg = RpcaConfig(lam=lam, max_iterations=max_iterations)
+        result = decompose(x, cfg)
+        low_rank, sparse, trace = _allocating_decompose(x, cfg)
+        assert result.converged == (max_iterations > 3)
+        assert np.array_equal(result.low_rank, low_rank)
+        assert np.array_equal(result.sparse, sparse)
+        assert result.trace == trace
+
+    def test_solves_share_no_memory(self):
+        x = _clip_magnitude(16000)
+        a, b = decompose(x), decompose(x)
+        for first in (a.low_rank, a.sparse):
+            for second in (b.low_rank, b.sparse, x):
+                assert not np.shares_memory(first, second)
 
     def test_deterministic(self, rng):
         x = rng.standard_normal((20, 20))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import get_window
 
 from vocsep.audio import AudioSignal
 from vocsep.spectrogram import (
@@ -63,6 +64,18 @@ class TestStft:
         row = mag.values[mag.n_frames // 2] ** 2
         assert row[k - 1 : k + 2].sum() / row.sum() > 0.90
         assert np.argmax(row) == k
+
+    @pytest.mark.parametrize("sr,window,hop", GEOMETRIES + [(16000, 256, 100)])
+    def test_matches_frame_copy_loop(self, sr, window, hop, rng):
+        x = rng.standard_normal(sr // 4 + 37)
+        padded = np.pad(x, window // 2, mode="reflect")
+        frames = np.array(
+            [padded[t * hop : t * hop + window] for t in range(1 + x.size // hop)]
+        )
+        expected = np.fft.rfft(frames * get_window("hann", window, fftbins=True), axis=1)
+        got = stft(AudioSignal(x, sr), window, hop).values
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
 
     def test_zero_signal(self):
         spec = stft(AudioSignal(np.zeros(4000), 16000), 2048, 160)

@@ -13,6 +13,7 @@ from vocsep.tracking import (
     CENTS_REFERENCE_HZ,
     F0Contour,
     TrackerConfig,
+    _best_transition,
     contour_accuracy_prep,
     read_f0_csv,
     transition_cost,
@@ -49,6 +50,59 @@ def _brute_force_bins(values, cents_per_bin, cfg):
         if score > best_score:
             best_score, best_path = score, path
     return np.asarray(best_path)
+
+
+def _quadratic_viterbi_f0(s, cfg=TrackerConfig()):
+    """The tracker with its backward pass written as the O(bins^2) max
+    over every transition, as it was before the distance transform.
+    Returns the f0 path, the backward scores and the log transitions."""
+    centers = s.grid.centers_hz
+    candidates = np.flatnonzero((centers >= cfg.f0_min_hz) & (centers <= cfg.f0_max_hz))
+    lo = int(candidates[0])
+    n_bins = int(candidates[-1]) - lo + 1
+    shifted = s.values[:, lo : lo + n_bins] + cfg.saliency_floor
+    em = np.log(shifted) - np.log(shifted.sum(axis=1, keepdims=True))
+    n_frames = em.shape[0]
+    offsets = np.arange(n_bins, dtype=np.float64)
+    dist_cents = np.abs(offsets[:, None] - offsets[None, :]) * s.grid.cents_per_bin
+    b = cfg.transition_scale_cents
+    log_g = -math.log(2.0 * b) - dist_cents / b
+    best = np.empty_like(em)
+    best[-1] = em[-1]
+    for t in range(n_frames - 2, -1, -1):
+        best[t] = em[t] + np.max(log_g + best[t + 1][None, :], axis=1)
+    path = np.empty(n_frames, dtype=np.intp)
+    path[0] = np.argmax(best[0])
+    for t in range(1, n_frames):
+        path[t] = np.argmax(log_g[path[t - 1]] + best[t])
+    return centers[path + lo], best, log_g
+
+
+def _saliency_case(kind, n_frames, n_bins, rng):
+    """Test saliencies: random, quantised to a few levels (so
+    scores tie exactly), or random/one-hot with some all-zero frames
+    (flat frames make many paths tie up to rounding)."""
+    if kind == "random":
+        return rng.random((n_frames, n_bins))
+    if kind == "quantised":
+        return np.round(rng.random((n_frames, n_bins)) * 3.0) / 3.0
+    if kind == "zero_frames":
+        values = rng.random((n_frames, n_bins))
+    else:  # one_hot
+        values = np.zeros((n_frames, n_bins))
+        values[np.arange(n_frames), rng.integers(0, n_bins, n_frames)] = 1.0
+    values[rng.random(n_frames) < 0.3] = 0.0
+    return values
+
+
+SALIENCY_KINDS = ["random", "quantised", "zero_frames", "one_hot"]
+# (cents_per_bin, transition_scale_cents): the defaults, then other grids and scales
+TRACKER_GEOMETRIES = [
+    (10.0, TrackerConfig().transition_scale_cents),
+    (7.5, 106.0),
+    (100.0, 40.0),
+    (10.0, 300.0),
+]
 
 
 class TestF0Contour:
@@ -190,6 +244,26 @@ class TestViterbi:
         grid = LogFrequencyGrid(h_low_hz=1000.0, cents_per_bin=100.0, n_bins=5)
         with pytest.raises(ValueError):
             viterbi(_saliency(np.ones((2, 5)), grid))
+
+    @pytest.mark.parametrize("kind", SALIENCY_KINDS)
+    @pytest.mark.parametrize("cents_per_bin, scale_cents", TRACKER_GEOMETRIES)
+    def test_matches_quadratic_backward_pass(self, kind, cents_per_bin, scale_cents):
+        # the full 80-720 Hz search range of a 16 kHz grid
+        grid = LogFrequencyGrid.for_nyquist(8000.0, cents_per_bin=cents_per_bin)
+        cfg = TrackerConfig(transition_scale_cents=scale_cents)
+        rng = np.random.default_rng(int(cents_per_bin * 10 + scale_cents))
+        for _ in range(3):
+            values = _saliency_case(kind, 100, grid.n_bins, rng)
+            expected, best, log_g = _quadratic_viterbi_f0(_saliency(values, grid), cfg)
+            np.testing.assert_array_equal(viterbi(_saliency(values, grid), cfg).f0_hz, expected)
+            # the scores behind the path match too, bit for bit
+            c0 = -math.log(2.0 * scale_cents)
+            kj = (cents_per_bin / scale_cents) * np.arange(best.shape[1], dtype=np.float64)
+            for following in best[1:]:
+                np.testing.assert_array_equal(
+                    _best_transition(following, log_g, kj, c0),
+                    np.max(log_g + following[None, :], axis=1),
+                )
 
     def test_tracker_config_validation(self):
         with pytest.raises(ValueError):
