@@ -9,19 +9,15 @@ files. Exit codes: 0 success, 2 invalid input, 3 partial corpus failure
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
 
 from . import pipeline
 from .audio import read_wav, write_wav
-from .pipeline import (
-    DumpOptions,
-    GridAxis,
-    GridSearchSpec,
-    PipelineConfig,
-    report_failures,
-)
+from .pipeline import GridAxis, GridSearchSpec, PipelineConfig
+from .report import report_failures, write_grid_csv, write_report_csv
 from .tracking import write_f0_csv
 
 EXIT_OK = 0
@@ -43,34 +39,23 @@ def _add_config_args(parser):
 
 
 def _config_from_args(args, sample_rate: int) -> PipelineConfig:
-    cfg = PipelineConfig.for_sample_rate(sample_rate)
+    """Sample-rate defaults, then --config, then the config flags given."""
     if args.config:
         cfg = PipelineConfig.from_json(args.config, sample_rate=sample_rate)
+    else:
+        cfg = PipelineConfig.for_sample_rate(sample_rate)
     overrides = {
-        name: getattr(args, name)
-        for name in (
-            "lambda_sep", "lambda_f0", "gamma", "n_partials", "w", "alpha", "mask_mode"
-        )
-        if getattr(args, name, None) is not None
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(PipelineConfig)
+        if getattr(args, f.name, None) is not None
     }
     return cfg.with_overrides(overrides)
-
-
-def _dump_options(args) -> DumpOptions | None:
-    masks_dir = getattr(args, "dump_masks", None)
-    saliency = getattr(args, "dump_saliency", None)
-    trace = getattr(args, "dump_rpca_trace", None)
-    if masks_dir or saliency or trace:
-        return DumpOptions(
-            masks_dir=masks_dir, saliency_path=saliency, rpca_trace_path=trace
-        )
-    return None
 
 
 def _cmd_separate(args) -> int:
     signal = read_wav(args.input, mixdown=args.mixdown)
     cfg = _config_from_args(args, signal.sample_rate)
-    result, contour = pipeline.run(signal, cfg, dump=_dump_options(args))
+    result, contour = pipeline.run(signal, cfg, dump_dir=args.dump_dir)
     write_wav(args.vocal, result.vocal)
     write_wav(args.accomp, result.accompaniment)
     if args.f0_csv:
@@ -82,21 +67,15 @@ def _cmd_separate(args) -> int:
 def _cmd_estimate_f0(args) -> int:
     signal = read_wav(args.input, mixdown=args.mixdown)
     cfg = _config_from_args(args, signal.sample_rate)
-    contour = pipeline.estimate_f0(signal, cfg, dump=_dump_options(args))
+    contour = pipeline.estimate_f0(signal, cfg, dump_dir=args.dump_dir)
     write_f0_csv(contour, args.out)
     logger.info("wrote %s", args.out)
     return EXIT_OK
 
 
-def _corpus_config(args) -> PipelineConfig:
-    if args.config:
-        return PipelineConfig.from_json(args.config, sample_rate=args.sample_rate)
-    return PipelineConfig.for_sample_rate(args.sample_rate)
-
-
 def _cmd_evaluate(args) -> int:
     entries = pipeline.load_corpus(args.corpus)
-    cfg = _corpus_config(args)
+    cfg = _config_from_args(args, args.sample_rate)
     snr_list = [float(s) for s in args.snr.split(",")] if args.snr else None
     report = pipeline.evaluate(
         entries,
@@ -106,7 +85,7 @@ def _cmd_evaluate(args) -> int:
         workers=args.workers,
     )
     if args.csv:
-        pipeline.write_report_csv(report, args.out)
+        write_report_csv(report, args.out)
     else:
         with open(args.out, "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
@@ -131,7 +110,7 @@ def _parse_axis(text: str) -> GridAxis:
 
 def _cmd_grid_search(args) -> int:
     entries = pipeline.load_corpus(args.corpus)
-    cfg = _corpus_config(args)
+    cfg = _config_from_args(args, args.sample_rate)
     spec = GridSearchSpec(
         axes=tuple(_parse_axis(a) for a in args.axis),
         objective=args.objective,
@@ -140,7 +119,7 @@ def _cmd_grid_search(args) -> int:
     cells = pipeline.grid_search(
         entries, spec, cfg, tolerance_cents=args.tolerance_cents, workers=args.workers
     )
-    pipeline.write_grid_csv(cells, spec, args.out)
+    write_grid_csv(cells, spec, args.out)
     failed_cells = sum(1 for c in cells if c["value"] is None or c["n_failed"])
     if failed_cells:
         logger.warning("%d grid cells had failures", failed_cells)
@@ -163,9 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--accomp", required=True, help="output WAV for the accompaniment")
     p.add_argument("--f0-csv", dest="f0_csv", help="also write the tracked F0 contour")
     p.add_argument("--mixdown", action="store_true", help="average multichannel input")
-    p.add_argument("--dump-masks", dest="dump_masks", help="directory for mask dumps")
-    p.add_argument("--dump-saliency", dest="dump_saliency", help="saliency CSV path")
-    p.add_argument("--dump-rpca-trace", dest="dump_rpca_trace", help="solver trace CSV")
+    p.add_argument("--dump-dir", help="directory for the solver trace, saliency and masks")
     _add_config_args(p)
     p.set_defaults(func=_cmd_separate)
 
@@ -173,9 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--out", required=True, help="output CSV (time_seconds,f0_hz)")
     p.add_argument("--mixdown", action="store_true")
-    p.add_argument("--dump-saliency", dest="dump_saliency")
-    p.add_argument("--dump-rpca-trace", dest="dump_rpca_trace")
-    p.add_argument("--dump-masks", dest="dump_masks")
+    p.add_argument("--dump-dir", help="directory for the solver trace, saliency and binary mask")
     _add_config_args(p)
     p.set_defaults(func=_cmd_estimate_f0)
 

@@ -9,7 +9,6 @@ spectrogram resynthesizes with the mixture phases.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +28,6 @@ __all__ = [
     "integrate_soft",
     "integrate_binary",
     "separate",
-    "mask_to_pgm",
-    "mask_to_csv",
 ]
 
 
@@ -232,21 +229,3 @@ def separate(spec: ComplexSpectrogram, mask: TimeFrequencyMask) -> SeparationRes
         vocal_spec=MagnitudeSpectrogram(values=vocal_mag, **geometry),
         accomp_spec=MagnitudeSpectrogram(values=accomp_mag, **geometry),
     )
-
-
-def mask_to_pgm(mask: TimeFrequencyMask, path) -> None:
-    """Write a mask as an ASCII PGM image (bins across, frames down)."""
-    gray = np.rint(mask.values * 255).astype(int)
-    with open(path, "w") as fh:
-        fh.write("P2\n%d %d\n255\n" % (mask.n_bins, mask.n_frames))
-        for row in gray:
-            fh.write(" ".join(str(v) for v in row))
-            fh.write("\n")
-
-
-def mask_to_csv(mask: TimeFrequencyMask, path) -> None:
-    """Write a mask as CSV, one frame per row."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in mask.values:
-            writer.writerow(["%.8g" % v for v in row])

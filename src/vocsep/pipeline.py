@@ -21,7 +21,6 @@ references) and grid search over pipeline parameters.
 from __future__ import annotations
 
 import concurrent.futures
-import csv
 import dataclasses
 import hashlib
 import itertools
@@ -43,8 +42,6 @@ from .masks import (
     harmonic_mask,
     integrate_binary,
     integrate_soft,
-    mask_to_csv,
-    mask_to_pgm,
     separate,
     wiener_mask,
 )
@@ -57,7 +54,8 @@ from .metrics import (
     sdr_sir_sar,
     voiced_region_mask,
 )
-from .saliency import ShsConfig, combine, f0_enhancement, saliency_to_csv, shs
+from .report import mask_to_csv, mask_to_pgm, saliency_to_csv, trace_to_csv
+from .saliency import ShsConfig, combine, f0_enhancement, shs
 from .spectrogram import (
     LogFrequencyGrid,
     MagnitudeSpectrogram,
@@ -66,7 +64,7 @@ from .spectrogram import (
     stft,
     to_log_frequency,
 )
-from .tracking import F0Contour, read_f0_csv, viterbi
+from .tracking import F0Contour, align_contour, read_f0_csv, viterbi
 
 logger = logging.getLogger(__name__)
 
@@ -74,7 +72,6 @@ __all__ = [
     "PipelineConfig",
     "GridAxis",
     "GridSearchSpec",
-    "DumpOptions",
     "CorpusEntry",
     "run",
     "estimate_f0",
@@ -82,8 +79,6 @@ __all__ = [
     "grid_search",
     "load_corpus",
     "align_contour",
-    "write_grid_csv",
-    "write_report_csv",
 ]
 
 @dataclass(frozen=True)
@@ -154,15 +149,6 @@ class PipelineConfig:
         return base.with_overrides(data)
 
 
-@dataclass(frozen=True)
-class DumpOptions:
-    """Debug artifact paths; any subset may be set."""
-
-    masks_dir: str | None = None
-    saliency_path: str | None = None
-    rpca_trace_path: str | None = None
-
-
 def _mixture_key(signal: AudioSignal) -> tuple:
     """Identity of a mixture for memo keys: its samples and rate, not a
     clip id (ids in a manifest need not be unique)."""
@@ -193,7 +179,15 @@ def _rpca_stage(mixture_key, mag, cfg: PipelineConfig, lam: float, memo: dict, s
     return memo[key]
 
 
-def _contour_stage(mixture_key, mag, cfg: PipelineConfig, memo: dict, dump=None) -> F0Contour:
+def _dump_dir(path) -> Path | None:
+    """The debug dump directory, created if missing; None for no dumps."""
+    if path is not None:
+        path = Path(path)
+        path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def _contour_stage(mixture_key, mag, cfg: PipelineConfig, memo: dict, dump_dir=None) -> F0Contour:
     """F0 contour from the lambda_f0 split. Debug artifacts are written
     when the contour is computed, not on a memo hit."""
     key = (
@@ -202,13 +196,13 @@ def _contour_stage(mixture_key, mag, cfg: PipelineConfig, memo: dict, dump=None)
     )
     if key not in memo:
         decomposition = _rpca_stage(mixture_key, mag, cfg, cfg.lambda_f0, memo, "rpca[f0]")
-        if dump is not None and dump.rpca_trace_path:
-            rpca.trace_to_csv(decomposition, dump.rpca_trace_path)
-        memo[key] = _estimate_contour(mag, decomposition, cfg, dump)
+        if dump_dir is not None:
+            trace_to_csv(decomposition, dump_dir / "rpca_trace.csv")
+        memo[key] = _estimate_contour(mag, decomposition, cfg, dump_dir)
     return memo[key]
 
 
-def _estimate_contour(mag, decomposition, cfg: PipelineConfig, dump=None):
+def _estimate_contour(mag, decomposition, cfg: PipelineConfig, dump_dir=None):
     """Track the vocal F0 from a mixture magnitude spectrogram and its
     low-rank/sparse split. Frames whose binary-masked vocal spectrogram
     is identically zero come back unvoiced."""
@@ -226,11 +220,9 @@ def _estimate_contour(mag, decomposition, cfg: PipelineConfig, dump=None):
     saliency = combine(summation, enhancement, cfg.alpha)
     contour = viterbi(saliency)
 
-    if dump is not None and dump.saliency_path:
-        saliency_to_csv(saliency, dump.saliency_path)
-    if dump is not None and dump.masks_dir:
-        Path(dump.masks_dir).mkdir(parents=True, exist_ok=True)
-        mask_to_pgm(mask_b, str(Path(dump.masks_dir) / "binary_rpca.pgm"))
+    if dump_dir is not None:
+        saliency_to_csv(saliency, dump_dir / "saliency.csv")
+        mask_to_pgm(mask_b, dump_dir / "binary_rpca.pgm")
 
     sounding = vocal_mag.values.max(axis=1) > 0
     if not sounding.all():
@@ -244,7 +236,7 @@ def _estimate_contour(mag, decomposition, cfg: PipelineConfig, dump=None):
     return contour
 
 
-def _mask_stage(spec, mag, decomposition, contour: F0Contour, cfg: PipelineConfig, dump=None):
+def _mask_stage(spec, mag, decomposition, contour: F0Contour, cfg: PipelineConfig, dump_dir=None):
     """Integrate the Wiener and harmonic masks and resynthesize."""
     soft = wiener_mask(decomposition)
     harmonic = harmonic_mask(
@@ -253,20 +245,22 @@ def _mask_stage(spec, mag, decomposition, contour: F0Contour, cfg: PipelineConfi
     integrated = integrate_soft(soft, harmonic)
     if cfg.mask_mode == "binary":
         integrated = integrate_binary(integrated)
-    if dump is not None and dump.masks_dir:
-        out = Path(dump.masks_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        mask_to_pgm(soft, str(out / "wiener.pgm"))
-        mask_to_pgm(harmonic, str(out / "harmonic.pgm"))
-        mask_to_csv(integrated, str(out / "integrated.csv"))
+    if dump_dir is not None:
+        mask_to_pgm(soft, dump_dir / "wiener.pgm")
+        mask_to_pgm(harmonic, dump_dir / "harmonic.pgm")
+        mask_to_csv(integrated, dump_dir / "integrated.csv")
     return separate(spec, integrated)
 
 
-def estimate_f0(signal: AudioSignal, cfg: PipelineConfig, dump: DumpOptions | None = None) -> F0Contour:
+def estimate_f0(
+    signal: AudioSignal, cfg: PipelineConfig, dump_dir: str | Path | None = None
+) -> F0Contour:
     """Estimate the vocal F0 contour of a mixture (the STFT and contour
-    stages of run())."""
+    stages of run()). With dump_dir, writes rpca_trace.csv, saliency.csv
+    and binary_rpca.pgm there."""
+    dump_dir = _dump_dir(dump_dir)
     _, mag = _stft_stage(signal, cfg)
-    return _contour_stage(_mixture_key(signal), mag, cfg, {}, dump)
+    return _contour_stage(_mixture_key(signal), mag, cfg, {}, dump_dir)
 
 
 def _log_rpca(stage, result, t0):
@@ -282,7 +276,7 @@ def run(
     signal: AudioSignal,
     cfg: PipelineConfig | None = None,
     ground_truth_f0: F0Contour | None = None,
-    dump: DumpOptions | None = None,
+    dump_dir: str | Path | None = None,
     memo: dict | None = None,
 ):
     """Separate a mixture and estimate its vocal F0.
@@ -296,8 +290,11 @@ def run(
     ground_truth_f0 : F0Contour, optional
         Skip F0 estimation and build the harmonic mask from this
         contour instead (align it with align_contour first).
-    dump : DumpOptions, optional
-        Debug artifact paths.
+    dump_dir : str or Path, optional
+        Directory for debug artifacts, created if missing:
+        rpca_trace.csv (the lambda_f0 solve), saliency.csv and
+        binary_rpca.pgm from the contour stage; wiener.pgm,
+        harmonic.pgm and integrated.csv from the mask stage.
     memo : dict, optional
         Stage results (RPCA solves, contours) to reuse and add to; a
         fresh one is used when omitted, so equal lambda_sep and
@@ -312,12 +309,13 @@ def run(
         cfg = PipelineConfig.for_sample_rate(signal.sample_rate)
     if memo is None:
         memo = {}
+    dump_dir = _dump_dir(dump_dir)
     t_start = time.perf_counter()
     mixture_key = _mixture_key(signal)
     spec, mag = _stft_stage(signal, cfg)
 
     if ground_truth_f0 is None:
-        contour = _contour_stage(mixture_key, mag, cfg, memo, dump)
+        contour = _contour_stage(mixture_key, mag, cfg, memo, dump_dir)
     else:
         if ground_truth_f0.n_frames != mag.n_frames:
             raise ValueError(
@@ -327,24 +325,9 @@ def run(
         contour = ground_truth_f0
 
     decomposition = _rpca_stage(mixture_key, mag, cfg, cfg.lambda_sep, memo, "rpca[sep]")
-    result = _mask_stage(spec, mag, decomposition, contour, cfg, dump)
+    result = _mask_stage(spec, mag, decomposition, contour, cfg, dump_dir)
     logger.info("pipeline done (%.2fs total)", time.perf_counter() - t_start)
     return result, contour
-
-
-def align_contour(contour: F0Contour, n_frames: int, hop_seconds: float) -> F0Contour:
-    """Resample a contour onto n_frames ticks hop_seconds apart by
-    nearest frame (for feeding external ground truth into run())."""
-    times = np.arange(n_frames) * hop_seconds
-    idx = np.minimum(
-        np.rint(times / contour.hop_seconds).astype(np.intp), contour.n_frames - 1
-    )
-    return F0Contour(
-        f0_hz=contour.f0_hz[idx],
-        f0_cents=contour.f0_cents[idx],
-        voiced=contour.voiced[idx],
-        hop_seconds=hop_seconds,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -543,13 +526,6 @@ def evaluate(
     return report
 
 
-def report_failures(report: dict) -> int:
-    """Total failed clips across a report's sections."""
-    if "sections" in report:
-        return sum(s.get("n_failed", 0) for s in report["sections"])
-    return report.get("n_failed", 0)
-
-
 # ---------------------------------------------------------------------------
 # grid search
 
@@ -617,11 +593,6 @@ def _apply_axes(cfg: PipelineConfig, names, values) -> PipelineConfig:
     return cfg.with_overrides(overrides)
 
 
-def _rpca_settings(cfg: PipelineConfig) -> tuple:
-    """Every config field that any RPCA solve of run() reads."""
-    return (cfg.lambda_f0, cfg.lambda_sep, cfg.window_size, cfg.hop_size)
-
-
 def grid_search(
     entries: list,
     spec: GridSearchSpec,
@@ -651,7 +622,8 @@ def grid_search(
             cell_cfg = _apply_axes(cfg, names, combo)
             # a cell whose config is invalid never gets here, so it
             # leaves the memo to the cells around it
-            settings = _rpca_settings(cell_cfg)
+            lams = (cell_cfg.lambda_f0, cell_cfg.lambda_sep)
+            settings = [_rpca_key(None, cell_cfg, lam) for lam in lams]
             if settings != memo_settings:
                 memo.clear()
                 memo_settings = settings
@@ -676,54 +648,3 @@ def grid_search(
             cell["error"] = "%s: %s" % (type(exc).__name__, exc)
         cells.append(cell)
     return cells
-
-
-def write_grid_csv(cells: list, spec: GridSearchSpec, path) -> None:
-    """Write grid cells as CSV, best objective first (failures last)."""
-    names = [axis.name for axis in spec.axes]
-    ordered = sorted(
-        cells,
-        key=lambda c: (c["value"] is None, -(c["value"] if c["value"] is not None else 0)),
-    )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names + [spec.objective, "n_failed", "error"])
-        for cell in ordered:
-            writer.writerow(
-                [cell[n] for n in names]
-                + [
-                    "" if cell["value"] is None else "%.6f" % cell["value"],
-                    cell["n_failed"],
-                    cell.get("error", ""),
-                ]
-            )
-
-
-def write_report_csv(report: dict, path) -> None:
-    """Flatten a report's per-clip scores into CSV rows."""
-    sections = report.get("sections") or [report]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "snr_db", "id", "length_seconds",
-                "vocal_sdr", "vocal_sir", "vocal_sar", "vocal_nsdr",
-                "accomp_sdr", "accomp_sir", "accomp_sar", "accomp_nsdr",
-                "raw_pitch_accuracy", "error",
-            ]
-        )
-        for section in sections:
-            snr = section.get("snr_db", "")
-            for clip in section.get("clips", []):
-                if "error" in clip:
-                    writer.writerow([snr, clip["id"]] + [""] * 10 + [clip["error"]])
-                    continue
-                v, a = clip["vocal"], clip["accompaniment"]
-                writer.writerow(
-                    [
-                        snr, clip["id"], "%.3f" % clip["length_seconds"],
-                        "%.4f" % v["sdr"], "%.4f" % v["sir"], "%.4f" % v["sar"], "%.4f" % v["nsdr"],
-                        "%.4f" % a["sdr"], "%.4f" % a["sir"], "%.4f" % a["sar"], "%.4f" % a["nsdr"],
-                        "%.6f" % clip["raw_pitch_accuracy"], "",
-                    ]
-                )

@@ -20,7 +20,6 @@ that seeds mu comes from the same Gram matrix.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 
@@ -28,7 +27,7 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["RpcaConfig", "RpcaResult", "soft_threshold", "svt", "decompose", "trace_to_csv"]
+__all__ = ["RpcaConfig", "RpcaResult", "soft_threshold", "svt", "decompose"]
 
 # Penalty schedule: mu0 = MU_INITIAL_SCALE / ||X||_2, multiplied by
 # MU_GROWTH each iteration and capped at mu0 * MU_CAP.
@@ -201,11 +200,3 @@ def decompose(x, cfg: RpcaConfig = RpcaConfig()) -> RpcaResult:
         lambda_hat=float(lam_hat),
         trace=tuple(trace),
     )
-
-
-def trace_to_csv(result: RpcaResult, path) -> None:
-    """Dump the per-iteration solver trace for debugging."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "residual", "rank_estimate", "nnz"])
-        writer.writerows(result.trace)

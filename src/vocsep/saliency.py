@@ -11,7 +11,6 @@ multiplying into the summation sharpens true-F0 peaks.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 
@@ -22,7 +21,7 @@ from .spectrogram import LogFrequencyGrid, LogSpectrogram
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["SaliencySpectrogram", "ShsConfig", "shs", "f0_enhancement", "combine", "saliency_to_csv"]
+__all__ = ["SaliencySpectrogram", "ShsConfig", "shs", "f0_enhancement", "combine"]
 
 
 @dataclass(frozen=True)
@@ -137,12 +136,3 @@ def combine(
     return SaliencySpectrogram(
         values=values, grid=summation.grid, hop_seconds=summation.hop_seconds
     )
-
-
-def saliency_to_csv(s: SaliencySpectrogram, path) -> None:
-    """Write saliency values as CSV, one frame per row."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["%.6f" % hz for hz in s.grid.centers_hz])
-        for row in s.values:
-            writer.writerow(["%.8g" % v for v in row])

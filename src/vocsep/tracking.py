@@ -29,6 +29,7 @@ __all__ = [
     "TrackerConfig",
     "transition_cost",
     "viterbi",
+    "align_contour",
     "contour_accuracy_prep",
     "write_f0_csv",
     "read_f0_csv",
@@ -243,6 +244,21 @@ def viterbi(s: SaliencySpectrogram, cfg: TrackerConfig = TrackerConfig()) -> F0C
     )
 
 
+def align_contour(contour: F0Contour, n_frames: int, hop_seconds: float) -> F0Contour:
+    """Resample a contour onto n_frames ticks hop_seconds apart by
+    nearest frame (for feeding external ground truth into run())."""
+    times = np.arange(n_frames) * hop_seconds
+    idx = np.minimum(
+        np.rint(times / contour.hop_seconds).astype(np.intp), contour.n_frames - 1
+    )
+    return F0Contour(
+        f0_hz=contour.f0_hz[idx],
+        f0_cents=contour.f0_cents[idx],
+        voiced=contour.voiced[idx],
+        hop_seconds=hop_seconds,
+    )
+
+
 def contour_accuracy_prep(estimate: F0Contour, truth: F0Contour):
     """Align two contours on a 10 ms clock by nearest frame.
 
@@ -255,16 +271,10 @@ def contour_accuracy_prep(estimate: F0Contour, truth: F0Contour):
         Matched f0 values at the voiced ticks.
     """
     n_ticks = max(int(round(truth.duration_seconds / ALIGNMENT_TICK_SECONDS)), 1)
-    times = np.arange(n_ticks) * ALIGNMENT_TICK_SECONDS
-
-    def nearest(contour):
-        idx = np.rint(times / contour.hop_seconds).astype(np.intp)
-        return np.minimum(idx, contour.n_frames - 1)
-
-    truth_idx = nearest(truth)
-    est_idx = nearest(estimate)
-    keep = truth.voiced[truth_idx]
-    return estimate.f0_hz[est_idx[keep]], truth.f0_hz[truth_idx[keep]]
+    truth_ticks = align_contour(truth, n_ticks, ALIGNMENT_TICK_SECONDS)
+    est_ticks = align_contour(estimate, n_ticks, ALIGNMENT_TICK_SECONDS)
+    keep = truth_ticks.voiced
+    return est_ticks.f0_hz[keep], truth_ticks.f0_hz[keep]
 
 
 def write_f0_csv(contour: F0Contour, path) -> None:

@@ -34,8 +34,8 @@ from vocsep.pipeline import (
     grid_search,
     load_corpus,
     run,
-    write_grid_csv,
 )
+from vocsep.report import write_grid_csv
 from vocsep.rpca import RpcaResult, decompose
 from vocsep.saliency import SaliencySpectrogram, combine, f0_enhancement, shs
 from vocsep.spectrogram import (

@@ -16,6 +16,13 @@ def _sha(path):
     return hashlib.sha256(open(path, "rb").read()).hexdigest()
 
 
+RUN_DUMPS = [
+    "binary_rpca.pgm", "harmonic.pgm", "integrated.csv",
+    "rpca_trace.csv", "saliency.csv", "wiener.pgm",
+]
+CONTOUR_DUMPS = ["binary_rpca.pgm", "rpca_trace.csv", "saliency.csv"]
+
+
 @pytest.fixture(scope="module")
 def mix_wav(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "mix.wav"
@@ -84,6 +91,42 @@ class TestSeparate:
         assert main(args) == EXIT_INVALID_INPUT
         assert main(args + ["--mixdown"]) == EXIT_OK
 
+    def test_dump_dir_is_created(self, mix_wav, tmp_path):
+        dump = tmp_path / "new" / "dumps"
+        vocal, accomp, f0 = tmp_path / "v.wav", tmp_path / "a.wav", tmp_path / "f0.csv"
+        code = main([
+            "separate", mix_wav, "--vocal", str(vocal), "--accomp", str(accomp),
+            "--f0-csv", str(f0), "--dump-dir", str(dump),
+        ])
+        assert code == EXIT_OK
+        assert sorted(p.name for p in dump.iterdir()) == RUN_DUMPS
+        assert vocal.exists() and accomp.exists() and f0.exists()
+
+    def test_dump_dir_that_is_a_file_fails_before_output(self, mix_wav, tmp_path):
+        dump = tmp_path / "taken"
+        dump.write_text("")
+        vocal, accomp = tmp_path / "v.wav", tmp_path / "a.wav"
+        code = main([
+            "separate", mix_wav, "--vocal", str(vocal), "--accomp", str(accomp),
+            "--dump-dir", str(dump),
+        ])
+        assert code == EXIT_INVALID_INPUT
+        assert not vocal.exists() and not accomp.exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_samples_are_invalid_input(self, tmp_path, bad):
+        from scipy.io import wavfile
+
+        samples = make_clip(duration_seconds=0.5, sample_rate=16000, seed=5).mixture.samples
+        samples = samples.astype(np.float32)
+        samples[100] = bad
+        wav = tmp_path / "bad.wav"
+        wavfile.write(wav, 16000, samples)
+        vocal, accomp = tmp_path / "v.wav", tmp_path / "a.wav"
+        code = main(["separate", str(wav), "--vocal", str(vocal), "--accomp", str(accomp)])
+        assert code == EXIT_INVALID_INPUT
+        assert not vocal.exists() and not accomp.exists()
+
     def test_unknown_config_field_fails(self, mix_wav, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"no_such_knob": 1}))
@@ -106,6 +149,14 @@ class TestEstimateF0:
         voiced = contour.f0_hz[contour.voiced]
         assert voiced.size > 0
         assert np.all((voiced >= 80.0) & (voiced <= 720.0))
+
+    def test_dump_dir_is_created(self, mix_wav, tmp_path):
+        dump = tmp_path / "new" / "dumps"
+        out = tmp_path / "f0.csv"
+        code = main(["estimate-f0", mix_wav, "--out", str(out), "--dump-dir", str(dump)])
+        assert code == EXIT_OK
+        assert sorted(p.name for p in dump.iterdir()) == CONTOUR_DUMPS
+        assert out.exists()
 
 
 class TestEvaluate:

@@ -15,11 +15,10 @@ from vocsep.masks import (
     harmonic_mask,
     integrate_binary,
     integrate_soft,
-    mask_to_csv,
-    mask_to_pgm,
     separate,
     wiener_mask,
 )
+from vocsep.report import mask_to_csv, mask_to_pgm
 from vocsep.rpca import RpcaResult
 from vocsep.spectrogram import MagnitudeSpectrogram, stft
 from vocsep.tracking import voiced_contour

@@ -10,7 +10,6 @@ import vocsep.rpca as rpca_mod
 from vocsep.audio import AudioSignal
 from vocsep.spectrogram import magnitude, stft
 from vocsep.pipeline import (
-    DumpOptions,
     GridAxis,
     GridSearchSpec,
     PipelineConfig,
@@ -20,11 +19,9 @@ from vocsep.pipeline import (
     evaluate,
     grid_search,
     load_corpus,
-    report_failures,
     run,
-    write_grid_csv,
-    write_report_csv,
 )
+from vocsep.report import report_failures, write_grid_csv, write_report_csv
 from vocsep.synth import make_clip, write_demo_corpus
 from vocsep.tracking import voiced_contour
 
@@ -274,18 +271,14 @@ class TestRun:
         np.testing.assert_array_equal(contour_a.f0_hz, contour_b.f0_hz)
 
     def test_dump_artifacts_written(self, tiny_clip, tmp_path):
-        dump = DumpOptions(
-            masks_dir=str(tmp_path / "masks"),
-            saliency_path=str(tmp_path / "saliency.csv"),
-            rpca_trace_path=str(tmp_path / "trace.csv"),
-        )
-        run(tiny_clip.mixture, PipelineConfig(), dump=dump)
-        assert (tmp_path / "masks" / "wiener.pgm").exists()
-        assert (tmp_path / "masks" / "harmonic.pgm").exists()
-        assert (tmp_path / "masks" / "integrated.csv").exists()
-        assert (tmp_path / "masks" / "binary_rpca.pgm").exists()
-        assert (tmp_path / "saliency.csv").exists()
-        assert (tmp_path / "trace.csv").exists()
+        dump = tmp_path / "dumps"
+        run(tiny_clip.mixture, PipelineConfig(), dump_dir=dump)
+        assert (dump / "wiener.pgm").exists()
+        assert (dump / "harmonic.pgm").exists()
+        assert (dump / "integrated.csv").exists()
+        assert (dump / "binary_rpca.pgm").exists()
+        assert (dump / "saliency.csv").exists()
+        assert (dump / "rpca_trace.csv").exists()
 
     def test_estimate_f0_alone(self, tiny_clip):
         contour = estimate_f0(tiny_clip.mixture, PipelineConfig())
@@ -301,9 +294,9 @@ class TestDegenerateInput:
 
     SR = 16000
 
-    def _run_checked(self, samples):
-        signal = AudioSignal(samples, self.SR)
-        cfg = PipelineConfig.for_sample_rate(self.SR)
+    def _run_checked(self, samples, sample_rate=SR):
+        signal = AudioSignal(samples, sample_rate)
+        cfg = PipelineConfig.for_sample_rate(sample_rate)
         sep, contour = run(signal, cfg)
         mix = magnitude(stft(signal, cfg.window_size, cfg.hop_size)).values
         assert np.array_equal(sep.vocal_spec.values + sep.accomp_spec.values, mix)
@@ -312,6 +305,11 @@ class TestDegenerateInput:
             assert np.all(np.isfinite(out))
         assert contour.n_frames == 1 + samples.size // cfg.hop_size
         return sep, contour
+
+    @pytest.mark.parametrize("sample_rate", [8000, 22050, 48000])
+    def test_other_sample_rates(self, sample_rate):
+        clip = make_clip(duration_seconds=0.5, sample_rate=sample_rate, seed=3)
+        self._run_checked(clip.mixture.samples, sample_rate)
 
     def test_impulse_goes_to_the_accompaniment(self):
         x = np.zeros(self.SR)

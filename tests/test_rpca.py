@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from vocsep.rpca import RpcaConfig, _svt_with_rank, decompose, soft_threshold, svt, trace_to_csv
+from vocsep.report import trace_to_csv
+from vocsep.rpca import RpcaConfig, _svt_with_rank, decompose, soft_threshold, svt
 from vocsep.spectrogram import magnitude, stft
 from vocsep.synth import make_clip
 

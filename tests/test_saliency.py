@@ -14,9 +14,9 @@ from vocsep.saliency import (
     ShsConfig,
     combine,
     f0_enhancement,
-    saliency_to_csv,
     shs,
 )
+from vocsep.report import saliency_to_csv
 from vocsep.spectrogram import LogFrequencyGrid, LogSpectrogram
 
 
