@@ -9,13 +9,14 @@ spectrogram resynthesizes with the mixture phases.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .audio import AudioSignal
 from .rpca import RpcaResult
-from .spectrogram import ComplexSpectrogram, MagnitudeSpectrogram, istft
+from .spectrogram import ComplexSpectrogram, MagnitudeSpectrogram, istft, magnitude
 from .tracking import F0Contour
 
 __all__ = [
@@ -198,34 +199,17 @@ def separate(spec: ComplexSpectrogram, mask: TimeFrequencyMask) -> SeparationRes
             "mask shape %s does not match spectrogram %s"
             % (mask.values.shape, spec.values.shape)
         )
-    mixture_mag = np.abs(spec.values)
-    vocal_mag = mask.values * mixture_mag
-    accomp_mag = mixture_mag - vocal_mag
+    mixture = magnitude(spec)
+    vocal_mag = mask.values * mixture.values
+    accomp_mag = mixture.values - vocal_mag
     # re-deriving the vocal part from the rounded remainder makes
     # vocal + accomp == mixture bitwise (one of the two subtractions is
     # always exact by Sterbenz); shifts the vocal by at most one ulp
-    vocal_mag = mixture_mag - accomp_mag
+    vocal_mag = mixture.values - accomp_mag
     phase = np.exp(1j * np.angle(spec.values))
-
-    def _resynth(mag_values):
-        return istft(
-            ComplexSpectrogram(
-                values=mag_values * phase,
-                window_size=spec.window_size,
-                hop_size=spec.hop_size,
-                sample_rate=spec.sample_rate,
-                n_samples=spec.n_samples,
-            )
-        )
-
-    geometry = dict(
-        window_size=spec.window_size,
-        hop_size=spec.hop_size,
-        sample_rate=spec.sample_rate,
-    )
     return SeparationResult(
-        vocal=_resynth(vocal_mag),
-        accompaniment=_resynth(accomp_mag),
-        vocal_spec=MagnitudeSpectrogram(values=vocal_mag, **geometry),
-        accomp_spec=MagnitudeSpectrogram(values=accomp_mag, **geometry),
+        vocal=istft(dataclasses.replace(spec, values=vocal_mag * phase)),
+        accompaniment=istft(dataclasses.replace(spec, values=accomp_mag * phase)),
+        vocal_spec=dataclasses.replace(mixture, values=vocal_mag),
+        accomp_spec=dataclasses.replace(mixture, values=accomp_mag),
     )

@@ -26,6 +26,7 @@ __all__ = [
     "gnsdr",
     "raw_pitch_accuracy",
     "voiced_region_mask",
+    "snr_gain",
 ]
 
 DB_CAP = 300.0
@@ -197,3 +198,14 @@ def voiced_region_mask(signal: AudioSignal, truth: F0Contour) -> AudioSignal:
     frame_idx = np.minimum(np.arange(n) // hop_samples, truth.n_frames - 1)
     gated = signal.samples * truth.voiced[frame_idx]
     return AudioSignal(samples=gated, sample_rate=signal.sample_rate)
+
+
+def snr_gain(target: np.ndarray, interferer: np.ndarray, snr_db: float) -> float:
+    """Gain on interferer that puts the energy ratio of target to
+    gain * interferer at snr_db. Energies are taken over the whole
+    arrays; neither source may be silent."""
+    target_energy = float(target @ target)
+    interferer_energy = float(interferer @ interferer)
+    if target_energy == 0 or interferer_energy == 0:
+        raise ValueError("cannot set an SNR with a silent source")
+    return float(np.sqrt(target_energy / (interferer_energy * 10.0 ** (snr_db / 10.0))))

@@ -52,13 +52,13 @@ from .metrics import (
     nsdr,
     raw_pitch_accuracy,
     sdr_sir_sar,
+    snr_gain,
     voiced_region_mask,
 )
 from .report import mask_to_csv, mask_to_pgm, saliency_to_csv, trace_to_csv
 from .saliency import ShsConfig, combine, f0_enhancement, shs
 from .spectrogram import (
     LogFrequencyGrid,
-    MagnitudeSpectrogram,
     apply_a_weighting,
     magnitude,
     stft,
@@ -145,7 +145,7 @@ class PipelineConfig:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError("config JSON must be an object of field overrides")
-        base = cls.for_sample_rate(sample_rate) if sample_rate else cls()
+        base = cls() if sample_rate is None else cls.for_sample_rate(sample_rate)
         return base.with_overrides(data)
 
 
@@ -207,12 +207,7 @@ def _estimate_contour(mag, decomposition, cfg: PipelineConfig, dump_dir=None):
     low-rank/sparse split. Frames whose binary-masked vocal spectrogram
     is identically zero come back unvoiced."""
     mask_b = binary_mask(decomposition, cfg.gamma)
-    vocal_mag = MagnitudeSpectrogram(
-        values=mask_b.values * mag.values,
-        window_size=mag.window_size,
-        hop_size=mag.hop_size,
-        sample_rate=mag.sample_rate,
-    )
+    vocal_mag = dataclasses.replace(mag, values=mask_b.values * mag.values)
     grid = LogFrequencyGrid.for_nyquist(mag.nyquist_hz)
     logspec = to_log_frequency(apply_a_weighting(vocal_mag), grid)
     summation = shs(logspec, ShsConfig(n_partials=cfg.n_partials))
@@ -226,12 +221,11 @@ def _estimate_contour(mag, decomposition, cfg: PipelineConfig, dump_dir=None):
 
     sounding = vocal_mag.values.max(axis=1) > 0
     if not sounding.all():
-        f0 = np.where(sounding, contour.f0_hz, 0.0)
-        contour = F0Contour(
-            f0_hz=f0,
+        contour = dataclasses.replace(
+            contour,
+            f0_hz=np.where(sounding, contour.f0_hz, 0.0),
             f0_cents=np.where(sounding, contour.f0_cents, 0.0),
             voiced=sounding,
-            hop_seconds=contour.hop_seconds,
         )
     return contour
 
@@ -388,13 +382,11 @@ def _score_clip(
         mixture = read_wav(entry.mixture_path)
     else:
         # remix from the references, targeting the SNR over voiced samples
-        voiced_v = voiced_region_mask(ref_vocal, truth)
-        voiced_a = voiced_region_mask(ref_accomp, truth)
-        v_energy = float(voiced_v.samples @ voiced_v.samples)
-        a_energy = float(voiced_a.samples @ voiced_a.samples)
-        if v_energy == 0 or a_energy == 0:
-            raise ValueError("cannot remix %s: silent voiced region" % entry.clip_id)
-        gain = float(np.sqrt(v_energy / (a_energy * 10.0 ** (snr_db / 10.0))))
+        gain = snr_gain(
+            voiced_region_mask(ref_vocal, truth).samples,
+            voiced_region_mask(ref_accomp, truth).samples,
+            snr_db,
+        )
         ref_accomp = AudioSignal(ref_accomp.samples * gain, ref_accomp.sample_rate)
         mixture = AudioSignal(
             ref_vocal.samples + ref_accomp.samples, ref_vocal.sample_rate

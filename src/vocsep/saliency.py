@@ -11,13 +11,14 @@ multiplying into the summation sharpens true-F0 peaks.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .masks import TimeFrequencyMask
-from .spectrogram import LogFrequencyGrid, LogSpectrogram
+from .spectrogram import LogFrequencyGrid, LogSpectrogram, _GridFrames
 
 logger = logging.getLogger(__name__)
 
@@ -25,28 +26,13 @@ __all__ = ["SaliencySpectrogram", "ShsConfig", "shs", "f0_enhancement", "combine
 
 
 @dataclass(frozen=True)
-class SaliencySpectrogram:
+class SaliencySpectrogram(_GridFrames):
     """Nonnegative (frames, grid bins) saliency values."""
 
-    values: np.ndarray
-    grid: LogFrequencyGrid
-    hop_seconds: float
-
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2 or values.shape[1] != self.grid.n_bins:
-            raise ValueError(
-                "values must have shape (frames, grid.n_bins), got %s" % (values.shape,)
-            )
-        if values.size and not np.all(np.isfinite(values)):
-            raise ValueError("saliency values must be finite")
-        if values.size and values.min() < 0:
+        super().__post_init__()
+        if self.values.size and self.values.min() < 0:
             raise ValueError("saliency values must be nonnegative")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -133,6 +119,4 @@ def combine(
     if summation.grid != enhancement.grid:
         raise ValueError("saliency grids differ")
     values = summation.values * np.power(enhancement.values, alpha)
-    return SaliencySpectrogram(
-        values=values, grid=summation.grid, hop_seconds=summation.hop_seconds
-    )
+    return dataclasses.replace(summation, values=values)

@@ -9,6 +9,7 @@ istft(stft(x)) exact to rounding error for any hop <= window.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -49,18 +50,16 @@ def _validate_geometry(window_size: int, hop_size: int) -> None:
 
 
 @dataclass(frozen=True)
-class ComplexSpectrogram:
-    """STFT of a signal, frames on the first axis.
-
-    values has shape (frames, window_size // 2 + 1). n_samples records
-    the analyzed signal length so istft can trim the centered padding.
-    """
+class _StftFrames:
+    """Frames on one STFT grid: values has shape
+    (frames, window_size // 2 + 1). Derive a spectrogram on the same
+    grid with dataclasses.replace(spec, values=...), which re-runs the
+    checks."""
 
     values: np.ndarray
     window_size: int
     hop_size: int
     sample_rate: int
-    n_samples: int
 
     def __post_init__(self):
         _validate_geometry(self.window_size, self.hop_size)
@@ -89,47 +88,30 @@ class ComplexSpectrogram:
         """Center frequency of each bin in Hz."""
         return np.arange(self.n_bins) * (self.sample_rate / self.window_size)
 
-
-@dataclass(frozen=True)
-class MagnitudeSpectrogram:
-    """Nonnegative magnitudes with the geometry of the source STFT."""
-
-    values: np.ndarray
-    window_size: int
-    hop_size: int
-    sample_rate: int
-
-    def __post_init__(self):
-        _validate_geometry(self.window_size, self.hop_size)
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2 or values.shape[1] != self.window_size // 2 + 1:
-            raise ValueError(
-                "values must have shape (frames, window_size//2+1), got %s"
-                % (values.shape,)
-            )
-        if values.size and values.min() < 0:
-            raise ValueError("magnitudes must be nonnegative")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_bins(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def hop_seconds(self) -> float:
-        return self.hop_size / self.sample_rate
-
-    @property
-    def bin_hz(self) -> np.ndarray:
-        return np.arange(self.n_bins) * (self.sample_rate / self.window_size)
-
     @property
     def nyquist_hz(self) -> float:
         return self.sample_rate / 2.0
+
+
+@dataclass(frozen=True)
+class ComplexSpectrogram(_StftFrames):
+    """STFT of a signal, frames on the first axis. n_samples records
+    the analyzed signal length so istft can trim the centered padding.
+    """
+
+    n_samples: int
+
+
+@dataclass(frozen=True)
+class MagnitudeSpectrogram(_StftFrames):
+    """Nonnegative float64 magnitudes with the geometry of the source STFT."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        values = np.asarray(self.values, dtype=np.float64)
+        if values.size and values.min() < 0:
+            raise ValueError("magnitudes must be nonnegative")
+        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -188,8 +170,8 @@ class LogFrequencyGrid:
 
 
 @dataclass(frozen=True)
-class LogSpectrogram:
-    """dB magnitudes resampled onto a LogFrequencyGrid, (frames, grid bins)."""
+class _GridFrames:
+    """Finite float64 values on a LogFrequencyGrid, (frames, grid bins)."""
 
     values: np.ndarray
     grid: LogFrequencyGrid
@@ -202,12 +184,17 @@ class LogSpectrogram:
                 "values must have shape (frames, grid.n_bins), got %s" % (values.shape,)
             )
         if values.size and not np.all(np.isfinite(values)):
-            raise ValueError("log spectrogram values must be finite")
+            raise ValueError("%s values must be finite" % type(self).__name__)
         object.__setattr__(self, "values", values)
 
     @property
     def n_frames(self) -> int:
         return self.values.shape[0]
+
+
+@dataclass(frozen=True)
+class LogSpectrogram(_GridFrames):
+    """dB magnitudes resampled onto a LogFrequencyGrid, (frames, grid bins)."""
 
 
 def stft(
@@ -311,12 +298,7 @@ def a_weight_at(freq_hz) -> np.ndarray:
 def apply_a_weighting(mag: MagnitudeSpectrogram) -> MagnitudeSpectrogram:
     """Scale each frequency bin by the A-weighting response at its center."""
     weights = a_weight_at(mag.bin_hz)
-    return MagnitudeSpectrogram(
-        values=mag.values * weights[np.newaxis, :],
-        window_size=mag.window_size,
-        hop_size=mag.hop_size,
-        sample_rate=mag.sample_rate,
-    )
+    return dataclasses.replace(mag, values=mag.values * weights[np.newaxis, :])
 
 
 def to_log_frequency(

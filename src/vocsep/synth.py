@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import AudioSignal, write_wav
+from .metrics import snr_gain
 from .tracking import F0Contour, voiced_contour, write_f0_csv
 
 __all__ = [
@@ -36,22 +37,11 @@ class SyntheticClip:
     truth: F0Contour
 
 
-def vibrato_f0(
-    n_samples: int,
-    sample_rate: int,
-    base_hz: float = 220.0,
-    drift_hz: float = 30.0,
-    drift_rate_hz: float = 0.1,
-    drift_chirp_hz_per_s: float = 0.0,
-    wander_hz: float = 0.0,
-    wander_rate_hz: float = 0.37,
-    vibrato_hz: float = 10.0,
-    vibrato_rate_hz: float = 2.0,
-) -> np.ndarray:
-    """Per-sample F0 track: a slow drift plus a faster vibrato, with an
-    optional second wander component and drift-rate chirp.
+def vibrato_f0(n_samples: int, sample_rate: int) -> np.ndarray:
+    """Per-sample F0 track: 220 Hz, plus a 30 Hz drift at 0.1 Hz, plus a
+    10 Hz vibrato at 2 Hz.
 
-    The defaults stay within [180, 260] Hz and keep the pitch moving:
+    The track stays within [180, 260] Hz and keeps the pitch moving:
     a line that pauses on one note for hundreds of milliseconds, or
     revisits the same note many times, starts to look like part of the
     repeating background instead of a melody. The vibrato is deeper
@@ -60,12 +50,10 @@ def vibrato_f0(
     analysis window.
     """
     t = np.arange(n_samples) / sample_rate
-    drift_phase = 2 * np.pi * (drift_rate_hz * t + 0.5 * drift_chirp_hz_per_s * t * t)
     return (
-        base_hz
-        + drift_hz * np.sin(drift_phase)
-        + wander_hz * np.sin(2 * np.pi * wander_rate_hz * t + 1.1)
-        + vibrato_hz * np.sin(2 * np.pi * vibrato_rate_hz * t)
+        220.0
+        + 30.0 * np.sin(2 * np.pi * (0.1 * t))
+        + 10.0 * np.sin(2 * np.pi * 2.0 * t)
     )
 
 
@@ -146,12 +134,7 @@ def mix_at_snr(vocal: np.ndarray, accomp: np.ndarray, snr_db: float):
     the full extent of the given arrays, so pass voiced-region slices to
     target a voiced-region SNR.
     """
-    vocal_energy = float(vocal @ vocal)
-    accomp_energy = float(accomp @ accomp)
-    if vocal_energy == 0 or accomp_energy == 0:
-        raise ValueError("cannot set an SNR with a silent source")
-    gain = np.sqrt(vocal_energy / (accomp_energy * 10.0 ** (snr_db / 10.0)))
-    scaled = gain * accomp
+    scaled = snr_gain(vocal, accomp, snr_db) * accomp
     return vocal + scaled, scaled
 
 

@@ -1,8 +1,9 @@
 """End-to-end acceptance suite.
 
 One check per release criterion, each printing a single PASS/FAIL line
-with the measured numbers. Run with `pytest tests/test_acceptance.py -s`
-(or scripts/run_acceptance.py) to see the lines on success as well.
+with the measured numbers. Run with
+`python3 -m pytest tests/test_acceptance.py -q -s` to see the lines on
+success as well.
 """
 
 import hashlib

@@ -235,6 +235,21 @@ class TestGridSearch:
         ])
         assert code == EXIT_INVALID_INPUT
 
+    @pytest.mark.parametrize("with_config", [False, True], ids=["flags", "config"])
+    def test_zero_sample_rate_is_invalid_input(self, cli_corpus, tmp_path, with_config):
+        out = tmp_path / "grid.csv"
+        config = []
+        if with_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"alpha": 0.6}))
+            config = ["--config", str(cfg)]
+        code = main([
+            "grid-search", "--corpus", cli_corpus, "--out", str(out),
+            "--axis", "alpha:0.6:0.6:0.2", "--sample-rate", "0",
+        ] + config)
+        assert code == EXIT_INVALID_INPUT
+        assert not out.exists()
+
     def test_failing_cell_gives_partial_failure(self, cli_corpus, tmp_path):
         out = tmp_path / "grid.csv"
         code = main([

@@ -119,6 +119,12 @@ class TestPipelineConfig:
         assert cfg.window_size == 4096
         assert cfg.alpha == 0.2
 
+    def test_from_json_rejects_zero_sample_rate(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"alpha": 0.2}))
+        with pytest.raises(ValueError, match="sample_rate must be positive"):
+            PipelineConfig.from_json(path, sample_rate=0)
+
     def test_from_json_rejects_non_object(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("[1, 2]")

@@ -231,6 +231,12 @@ class TestSaliencyValidation:
         with pytest.raises(ValueError):
             _saliency([[1.0, 2.0, 3.0]], _grid(2))
 
+    @pytest.mark.parametrize("build", [_logspec, _saliency], ids=["log", "saliency"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite(self, build, bad):
+        with pytest.raises(ValueError, match="finite"):
+            build([[1.0, bad]], _grid(2))
+
 
 class TestSaliencyCsv:
     def test_header_is_grid_centers(self, tmp_path, rng):

@@ -1,5 +1,6 @@
 """STFT analysis/synthesis, A-weighting, and the log-frequency grid."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,10 @@ from scipy.signal import get_window
 from vocsep.audio import AudioSignal
 from vocsep.spectrogram import (
     DB_FLOOR,
+    ComplexSpectrogram,
     LogFrequencyGrid,
+    LogSpectrogram,
+    MagnitudeSpectrogram,
     a_weight_at,
     apply_a_weighting,
     istft,
@@ -112,6 +116,61 @@ class TestStft:
         x = rng.uniform(-1, 1, size=n)
         back = istft(stft(AudioSignal(x, 16000), 2048, 160))
         assert _rel_l2(back.samples, x) < 1e-6
+
+
+def _stft_frames(cls, values, window_size=256, hop_size=64, sample_rate=16000):
+    extra = {"n_samples": 1024} if cls is ComplexSpectrogram else {}
+    return cls(
+        values=values,
+        window_size=window_size,
+        hop_size=hop_size,
+        sample_rate=sample_rate,
+        **extra,
+    )
+
+
+class TestStftContainers:
+    @pytest.mark.parametrize("cls", [ComplexSpectrogram, MagnitudeSpectrogram])
+    def test_properties(self, cls):
+        spec = _stft_frames(cls, np.ones((5, 129)))
+        assert (spec.n_frames, spec.n_bins) == (5, 129)
+        assert spec.hop_seconds == 64 / 16000
+        np.testing.assert_array_equal(spec.bin_hz, np.arange(129) * 16000 / 256)
+
+    def test_magnitude_nyquist(self):
+        assert _stft_frames(MagnitudeSpectrogram, np.ones((5, 129))).nyquist_hz == 8000.0
+
+    @pytest.mark.parametrize("cls", [ComplexSpectrogram, MagnitudeSpectrogram])
+    @pytest.mark.parametrize(
+        "values,geometry",
+        [
+            pytest.param(np.ones((3, 101)), dict(window_size=200), id="window-not-power-of-two"),
+            pytest.param(np.ones((3, 17)), dict(window_size=32, hop_size=16), id="window-below-64"),
+            pytest.param(np.ones((3, 129)), dict(hop_size=0), id="hop-zero"),
+            pytest.param(np.ones((3, 129)), dict(hop_size=257), id="hop-above-window"),
+            pytest.param(np.ones(129), {}, id="one-dimensional"),
+            pytest.param(np.ones((3, 128)), {}, id="wrong-width"),
+        ],
+    )
+    def test_rejects(self, cls, values, geometry):
+        with pytest.raises(ValueError):
+            _stft_frames(cls, values, **geometry)
+
+    def test_magnitude_rejects_negative_value(self):
+        values = np.ones((3, 129))
+        values[1, 7] = -1e-12
+        with pytest.raises(ValueError, match="nonnegative"):
+            _stft_frames(MagnitudeSpectrogram, values)
+
+    @pytest.mark.parametrize("cls", [ComplexSpectrogram, MagnitudeSpectrogram])
+    def test_replace_checks_again(self, cls):
+        spec = _stft_frames(cls, np.ones((3, 129)))
+        with pytest.raises(ValueError):
+            dataclasses.replace(spec, values=np.ones((3, 128)))
+
+    def test_magnitude_casts_to_float64(self):
+        spec = _stft_frames(MagnitudeSpectrogram, np.ones((3, 129), dtype=np.float32))
+        assert spec.values.dtype == np.float64
 
 
 class TestAWeighting:
@@ -257,6 +316,13 @@ class TestToLogFrequency:
         assert grid.centers_hz[-1] > sr / 2.0
         with pytest.raises(ValueError):
             to_log_frequency(self._mag(values), grid)
+
+    def test_log_spectrogram_rejects_wrong_width(self):
+        grid = LogFrequencyGrid(h_low_hz=30.0, cents_per_bin=10.0, n_bins=4)
+        with pytest.raises(ValueError):
+            LogSpectrogram(values=np.zeros((2, 5)), grid=grid, hop_seconds=0.01)
+        with pytest.raises(ValueError):
+            LogSpectrogram(values=np.zeros(4), grid=grid, hop_seconds=0.01)
 
     def test_hop_carried_through(self):
         sr, window = 16000, 2048
