@@ -95,10 +95,11 @@ class SeparationResult:
 def wiener_mask(result: RpcaResult) -> TimeFrequencyMask:
     """Soft mask |X_S| / (|X_S| + |X_L|), with 0/0 mapped to 0."""
     s = np.abs(result.sparse)
-    total = s + np.abs(result.low_rank)
+    total = np.abs(result.low_rank)
+    total += s
     values = np.divide(s, total, out=np.zeros_like(s), where=total > 0)
     # guard against rounding pushing the ratio epsilon above 1
-    return TimeFrequencyMask(values=np.minimum(values, 1.0), kind="soft")
+    return TimeFrequencyMask(values=np.minimum(values, 1.0, out=values), kind="soft")
 
 
 def binary_mask(result: RpcaResult, gamma: float = 1.0) -> TimeFrequencyMask:
@@ -205,11 +206,25 @@ def separate(spec: ComplexSpectrogram, mask: TimeFrequencyMask) -> SeparationRes
     # re-deriving the vocal part from the rounded remainder makes
     # vocal + accomp == mixture bitwise (one of the two subtractions is
     # always exact by Sterbenz); shifts the vocal by at most one ulp
-    vocal_mag = mixture.values - accomp_mag
-    phase = np.exp(1j * np.angle(spec.values))
+    np.subtract(mixture.values, accomp_mag, out=vocal_mag)
+    vocal_spec = dataclasses.replace(mixture, values=vocal_mag)
+    accomp_spec = dataclasses.replace(mixture, values=accomp_mag)
+    del mixture
+    phase = _unit_phase(spec.values)
+    vocal = istft(dataclasses.replace(spec, values=phase * vocal_mag))
+    # the phase buffer becomes the accompaniment spectrum in place
+    phase *= accomp_mag
+    accompaniment = istft(dataclasses.replace(spec, values=phase))
     return SeparationResult(
-        vocal=istft(dataclasses.replace(spec, values=vocal_mag * phase)),
-        accompaniment=istft(dataclasses.replace(spec, values=accomp_mag * phase)),
-        vocal_spec=dataclasses.replace(mixture, values=vocal_mag),
-        accomp_spec=dataclasses.replace(mixture, values=accomp_mag),
+        vocal=vocal, accompaniment=accompaniment, vocal_spec=vocal_spec, accomp_spec=accomp_spec
     )
+
+
+def _unit_phase(values: np.ndarray) -> np.ndarray:
+    """exp(1j * angle(values)), bitwise, built in one complex buffer."""
+    phase = np.empty_like(values)
+    np.arctan2(values.imag, values.real, out=phase.imag)
+    # the imaginary part of 1j * angle is 0.0 + angle, which maps -0.0 to 0.0
+    phase.imag += 0.0
+    phase.real = 0.0
+    return np.exp(phase, out=phase)

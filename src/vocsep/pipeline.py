@@ -5,14 +5,19 @@ log-frequency vocal spectrogram -> subharmonic summation + comb
 enhancement -> contour tracking -> harmonic mask -> soft mask ->
 mask integration -> masked resynthesis.
 
-run() wires four stage helpers: the STFT, the RPCA solve, the contour
-and the mask + resynthesis. The RPCA solve and the contour are stored in
-a plain dict memo under a key made of a digest of the mixture and the
-config fields the stage reads, so a stage whose inputs repeat is
-computed once. Each run() call has its own memo unless the caller passes
-one; grid_search passes one memo through evaluate() to run() so that
-consecutive cells with the same RPCA settings share their solves and
-contours.
+run() wires four stage helpers (the STFT, the RPCA solve, the contour
+and the vocal mask) and resynthesizes with separate(). The RPCA solve
+and the contour are stored in a plain dict memo under a key made of a
+digest of the mixture and the config fields the stage reads, so a stage
+whose inputs repeat is computed once. Each run() call has its own memo
+unless the caller passes one; grid_search passes one memo through
+evaluate() to run() so that consecutive cells with the same RPCA
+settings share their solves and contours.
+
+Every stage releases its intermediates after their last use, and a solve
+in a memo that run() or estimate_f0() made itself leaves it once no
+later stage reads it. That keeps the peak of run() near 12 times the
+float64 magnitude spectrogram (tests/test_memory.py bounds it at 13).
 
 Also hosts corpus evaluation (with optional SNR remixing from the
 references) and grid search over pipeline parameters.
@@ -187,39 +192,49 @@ def _dump_dir(path) -> Path | None:
     return path
 
 
-def _contour_stage(mixture_key, mag, cfg: PipelineConfig, memo: dict, dump_dir=None) -> F0Contour:
-    """F0 contour from the lambda_f0 split. Debug artifacts are written
-    when the contour is computed, not on a memo hit."""
+def _contour_stage(
+    mixture_key, mag, cfg: PipelineConfig, memo: dict, dump_dir=None, drop_solve=False
+) -> F0Contour:
+    """F0 contour from the lambda_f0 split. Frames whose binary-masked
+    vocal spectrogram is identically zero come back unvoiced.
+
+    Debug artifacts are written when the contour is computed, not on a
+    memo hit. drop_solve takes the split out of the memo once the binary
+    mask is built, for a memo that no later stage reads it from. Each
+    intermediate is released after its last use.
+    """
     key = (
         "contour", _rpca_key(mixture_key, cfg, cfg.lambda_f0),
         cfg.gamma, cfg.alpha, cfg.n_partials,
     )
-    if key not in memo:
-        decomposition = _rpca_stage(mixture_key, mag, cfg, cfg.lambda_f0, memo, "rpca[f0]")
-        if dump_dir is not None:
-            trace_to_csv(decomposition, dump_dir / "rpca_trace.csv")
-        memo[key] = _estimate_contour(mag, decomposition, cfg, dump_dir)
-    return memo[key]
-
-
-def _estimate_contour(mag, decomposition, cfg: PipelineConfig, dump_dir=None):
-    """Track the vocal F0 from a mixture magnitude spectrogram and its
-    low-rank/sparse split. Frames whose binary-masked vocal spectrogram
-    is identically zero come back unvoiced."""
+    if key in memo:
+        return memo[key]
+    decomposition = _rpca_stage(mixture_key, mag, cfg, cfg.lambda_f0, memo, "rpca[f0]")
     mask_b = binary_mask(decomposition, cfg.gamma)
-    vocal_mag = dataclasses.replace(mag, values=mask_b.values * mag.values)
-    grid = LogFrequencyGrid.for_nyquist(mag.nyquist_hz)
-    logspec = to_log_frequency(apply_a_weighting(vocal_mag), grid)
-    summation = shs(logspec, ShsConfig(n_partials=cfg.n_partials))
-    enhancement = f0_enhancement(mask_b, grid, mag.nyquist_hz, mag.hop_seconds)
-    saliency = combine(summation, enhancement, cfg.alpha)
-    contour = viterbi(saliency)
+    if dump_dir is not None:
+        trace_to_csv(decomposition, dump_dir / "rpca_trace.csv")
+        mask_to_pgm(mask_b, dump_dir / "binary_rpca.pgm")
+    del decomposition
+    if drop_solve:
+        del memo[_rpca_key(mixture_key, cfg, cfg.lambda_f0)]
 
+    vocal_mag = dataclasses.replace(mag, values=mask_b.values * mag.values)
+    sounding = vocal_mag.values.max(axis=1) > 0
+    weighted = apply_a_weighting(vocal_mag)
+    del vocal_mag
+    grid = LogFrequencyGrid.for_nyquist(mag.nyquist_hz)
+    logspec = to_log_frequency(weighted, grid)
+    del weighted
+    summation = shs(logspec, ShsConfig(n_partials=cfg.n_partials))
+    del logspec
+    enhancement = f0_enhancement(mask_b, grid, mag.nyquist_hz, mag.hop_seconds)
+    del mask_b
+    saliency = combine(summation, enhancement, cfg.alpha)
+    del summation, enhancement
     if dump_dir is not None:
         saliency_to_csv(saliency, dump_dir / "saliency.csv")
-        mask_to_pgm(mask_b, dump_dir / "binary_rpca.pgm")
+    contour = viterbi(saliency)
 
-    sounding = vocal_mag.values.max(axis=1) > 0
     if not sounding.all():
         contour = dataclasses.replace(
             contour,
@@ -227,12 +242,13 @@ def _estimate_contour(mag, decomposition, cfg: PipelineConfig, dump_dir=None):
             f0_cents=np.where(sounding, contour.f0_cents, 0.0),
             voiced=sounding,
         )
+    memo[key] = contour
     return contour
 
 
-def _mask_stage(spec, mag, decomposition, contour: F0Contour, cfg: PipelineConfig, dump_dir=None):
-    """Integrate the Wiener and harmonic masks and resynthesize."""
-    soft = wiener_mask(decomposition)
+def _mask_stage(mag, soft, contour: F0Contour, cfg: PipelineConfig, dump_dir=None):
+    """The vocal mask: the Wiener mask times the harmonic mask,
+    binarised in binary mode."""
     harmonic = harmonic_mask(
         contour, mag, HarmonicMaskConfig(n_partials=cfg.n_partials, width_hz=cfg.w)
     )
@@ -243,7 +259,7 @@ def _mask_stage(spec, mag, decomposition, contour: F0Contour, cfg: PipelineConfi
         mask_to_pgm(soft, dump_dir / "wiener.pgm")
         mask_to_pgm(harmonic, dump_dir / "harmonic.pgm")
         mask_to_csv(integrated, dump_dir / "integrated.csv")
-    return separate(spec, integrated)
+    return integrated
 
 
 def estimate_f0(
@@ -254,7 +270,7 @@ def estimate_f0(
     and binary_rpca.pgm there."""
     dump_dir = _dump_dir(dump_dir)
     _, mag = _stft_stage(signal, cfg)
-    return _contour_stage(_mixture_key(signal), mag, cfg, {}, dump_dir)
+    return _contour_stage(_mixture_key(signal), mag, cfg, {}, dump_dir, drop_solve=True)
 
 
 def _log_rpca(stage, result, t0):
@@ -301,7 +317,8 @@ def run(
     """
     if cfg is None:
         cfg = PipelineConfig.for_sample_rate(signal.sample_rate)
-    if memo is None:
+    own_memo = memo is None
+    if own_memo:
         memo = {}
     dump_dir = _dump_dir(dump_dir)
     t_start = time.perf_counter()
@@ -309,7 +326,10 @@ def run(
     spec, mag = _stft_stage(signal, cfg)
 
     if ground_truth_f0 is None:
-        contour = _contour_stage(mixture_key, mag, cfg, memo, dump_dir)
+        # a solve of our own memo that the mask stage does not read goes
+        # as soon as the contour stage is done with it
+        drop_solve = own_memo and cfg.lambda_f0 != cfg.lambda_sep
+        contour = _contour_stage(mixture_key, mag, cfg, memo, dump_dir, drop_solve)
     else:
         if ground_truth_f0.n_frames != mag.n_frames:
             raise ValueError(
@@ -318,8 +338,12 @@ def run(
             )
         contour = ground_truth_f0
 
-    decomposition = _rpca_stage(mixture_key, mag, cfg, cfg.lambda_sep, memo, "rpca[sep]")
-    result = _mask_stage(spec, mag, decomposition, contour, cfg, dump_dir)
+    soft = wiener_mask(_rpca_stage(mixture_key, mag, cfg, cfg.lambda_sep, memo, "rpca[sep]"))
+    if own_memo:
+        memo.clear()  # no later stage reads a solve
+    vocal_mask = _mask_stage(mag, soft, contour, cfg, dump_dir)
+    del soft
+    result = separate(spec, vocal_mask)
     logger.info("pipeline done (%.2fs total)", time.perf_counter() - t_start)
     return result, contour
 

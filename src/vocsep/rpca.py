@@ -160,16 +160,17 @@ def decompose(x, cfg: RpcaConfig = RpcaConfig()) -> RpcaResult:
     residual = np.inf
     converged = False
     iterations = 0
-    low_rank = np.zeros_like(x)
-    # the loop updates y and s in place and works in three buffers made once
-    y_mu, arg, gap = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    # the loop updates y and s in place and works in two buffers made
+    # once; gap holds y / mu until the gap itself is formed
+    arg, gap = np.empty_like(x), np.empty_like(x)
     for iterations in range(1, cfg.max_iterations + 1):
-        np.divide(y, mu, out=y_mu)
+        np.divide(y, mu, out=gap)
         np.subtract(x, s, out=arg)
-        arg += y_mu
+        arg += gap
+        low_rank = None  # drop the last product before the next is made
         low_rank, rank = _svt_with_rank(arg, 1.0 / mu)
         np.subtract(x, low_rank, out=arg)
-        arg += y_mu
+        arg += gap
         # soft_threshold(arg, t) as arg - clip(arg, -t, t): the same
         # values, except that a zero may come out as -0.0
         t = lam_hat / mu

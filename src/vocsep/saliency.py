@@ -79,7 +79,8 @@ def f0_enhancement(
     """Comb-structure saliency from a binary vocal mask.
 
     Each frame's mask row (length F) is DFT'd; grid bin c with center
-    h_c samples the magnitude at lag k = floor(h_top / h_c). Lags past
+    h_c samples the magnitude at lag k = floor(h_top / h_c), read from
+    the real-input half spectrum at min(k, F - k). Lags past
     F-1 (possible when the grid reaches far below h_top/F) clamp to F-1
     with a logged diagnostic.
     """
@@ -89,7 +90,6 @@ def f0_enhancement(
         raise ValueError("h_top_hz must be positive")
     if hop_seconds <= 0:
         raise ValueError("hop_seconds must be positive")
-    spectra = np.abs(np.fft.fft(mask.values, axis=1))
     n_bins = mask.n_bins
     lags = np.floor(h_top_hz / grid.centers_hz).astype(np.intp)
     clamped = int(np.count_nonzero(lags > n_bins - 1))
@@ -99,8 +99,11 @@ def f0_enhancement(
             clamped, n_bins - 1,
         )
         lags = np.minimum(lags, n_bins - 1)
+    # a real row has |X[k]| = |X[F - k]|, so the half spectrum serves
+    # every lag: one past F // 2 reads its mirror
+    spectra = np.abs(np.fft.rfft(mask.values, axis=1))
     return SaliencySpectrogram(
-        values=spectra[:, lags], grid=grid, hop_seconds=hop_seconds
+        values=spectra[:, np.minimum(lags, n_bins - lags)], grid=grid, hop_seconds=hop_seconds
     )
 
 

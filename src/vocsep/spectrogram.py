@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 from scipy.signal import get_window
 
 from .audio import AudioSignal
@@ -36,6 +36,9 @@ __all__ = [
 # Amplitude floor applied before dB conversion: 20*log10(1e-10) = -200 dB.
 DB_FLOOR_AMPLITUDE = 1e-10
 DB_FLOOR = -200.0
+
+# Frames istft inverts per irfft call; this bounds its frame buffer.
+ISTFT_BLOCK_FRAMES = 16
 
 
 def _validate_geometry(window_size: int, hop_size: int) -> None:
@@ -248,14 +251,18 @@ def istft(spec: ComplexSpectrogram) -> AudioSignal:
     pad = window_size // 2
     n_padded = pad + spec.n_samples + pad
     window = get_window("hann", window_size, fftbins=True)
-    frames = np.fft.irfft(spec.values, n=window_size, axis=1)
     total = max(n_padded, (spec.n_frames - 1) * hop + window_size)
     acc = np.zeros(total)
     wsum = np.zeros(total)
-    for t in range(spec.n_frames):
-        start = t * hop
-        acc[start : start + window_size] += frames[t] * window
-        wsum[start : start + window_size] += window * window
+    # irfft a block of frames at a time, so the (frames, window) array of
+    # all frames is never held; irfft rows do not depend on the batch
+    for first in range(0, spec.n_frames, ISTFT_BLOCK_FRAMES):
+        block = spec.values[first : first + ISTFT_BLOCK_FRAMES]
+        frames = np.fft.irfft(block, n=window_size, axis=1)
+        for t, frame in enumerate(frames, start=first):
+            start = t * hop
+            acc[start : start + window_size] += frame * window
+            wsum[start : start + window_size] += window * window
     out = acc[pad : pad + spec.n_samples]
     norm = wsum[pad : pad + spec.n_samples]
     if norm.min() <= 0:
@@ -316,7 +323,56 @@ def to_log_frequency(
             "grid extends to %.2f Hz, beyond Nyquist %.2f Hz"
             % (centers[-1], mag.nyquist_hz)
         )
-    db = 20.0 * np.log10(np.maximum(mag.values, DB_FLOOR_AMPLITUDE))
-    spline = CubicSpline(mag.bin_hz, db, axis=1, bc_type="natural")
-    values = np.maximum(spline(centers), DB_FLOOR)
+    db = np.maximum(mag.values, DB_FLOOR_AMPLITUDE)
+    np.log10(db, out=db)
+    db *= 20.0
+    values = _natural_spline(db, centers / (mag.sample_rate / mag.window_size))
+    np.maximum(values, DB_FLOOR, out=values)
     return LogSpectrogram(values=values, grid=grid, hop_seconds=mag.hop_seconds)
+
+
+def _natural_spline(y: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Natural cubic spline through the rows of y, knots at 0, 1, ...,
+    F-1, evaluated at positions in [0, F-1].
+
+    The knot second derivatives m solve the tridiagonal system
+    m[i-1] + 4 m[i] + m[i+1] = 6 (y[i-1] - 2 y[i] + y[i+1]) with
+    m[0] = m[F-1] = 0. On interval j, with b = p - j, the spline is
+    y[j] + b (y[j+1] - y[j]) + (a^3 - a)/6 m[j] + (b^3 - b)/6 m[j+1],
+    a = 1 - b. Costs two (frames, F) buffers and two (frames, positions)
+    ones, where scipy's CubicSpline holds several full coefficient arrays.
+    """
+    n_knots = y.shape[1]
+    # inner[:, i] holds m[i+1]; filled with the second difference, then
+    # solved in place (its transpose is the Fortran-ordered right-hand side)
+    inner = np.subtract(y[:, 2:], y[:, 1:-1])
+    inner -= y[:, 1:-1]
+    inner += y[:, :-2]
+    inner *= 6.0
+    bands = np.empty((3, n_knots - 2))
+    bands[[0, 2]] = 1.0
+    bands[1] = 4.0
+    inner = solve_banded(
+        (1, 1), bands, inner.T, overwrite_ab=True, overwrite_b=True, check_finite=False
+    ).T
+
+    j = np.minimum(np.floor(positions).astype(np.intp), n_knots - 2)
+    b = positions - j
+    a = 1.0 - b
+    # the end knots carry m = 0, so their terms get weight 0 (and read
+    # a clipped column of inner); mode="clip" also keeps take unbuffered
+    weight_lo = np.where(j > 0, (a * a * a - a) / 6.0, 0.0)
+    weight_hi = np.where(j + 1 < n_knots - 1, (b * b * b - b) / 6.0, 0.0)
+
+    out = y[:, j]
+    term = np.take(y, j + 1, axis=1)
+    term -= out
+    term *= b
+    out += term
+    np.take(inner, j - 1, axis=1, out=term, mode="clip")
+    term *= weight_lo
+    out += term
+    np.take(inner, j, axis=1, out=term, mode="clip")
+    term *= weight_hi
+    out += term
+    return out

@@ -289,31 +289,44 @@ def write_f0_csv(contour: F0Contour, path) -> None:
 def read_f0_csv(path) -> F0Contour:
     """Read a ``time_seconds,f0_hz`` file; 0 (or negative) f0 = unvoiced.
 
-    The frame hop is inferred from the median time step; single-row
-    files fall back to the 10 ms alignment tick.
+    Only the first row may be a header: a later row that does not parse
+    as two numbers is an error naming its line, as is a time that does
+    not increase on the row before. The frame hop is inferred from the
+    median time step; single-row files fall back to the 10 ms alignment
+    tick.
     """
     times = []
     f0s = []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or not row[0].strip():
                 continue
             try:
-                t = float(row[0])
+                t, f0 = float(row[0]), float(row[1])
             except ValueError:
-                continue  # header
-            if len(row) < 2:
-                raise ValueError("%s: expected time_seconds,f0_hz rows" % (path,))
+                if reader.line_num == 1:
+                    continue  # header
+                raise ValueError(
+                    "%s line %d: %r is not a time_seconds,f0_hz row"
+                    % (path, reader.line_num, ",".join(row))
+                ) from None
+            except IndexError:
+                raise ValueError(
+                    "%s line %d: expected time_seconds,f0_hz rows" % (path, reader.line_num)
+                ) from None
+            if times and not t > times[-1]:
+                raise ValueError(
+                    "%s line %d: time %r does not increase on %r"
+                    % (path, reader.line_num, t, times[-1])
+                )
             times.append(t)
-            f0s.append(float(row[1]))
+            f0s.append(f0)
     if not times:
         raise ValueError("%s contains no contour rows" % (path,))
-    times = np.asarray(times)
     f0 = np.maximum(np.asarray(f0s), 0.0)
-    if times.size > 1:
+    if len(times) > 1:
         hop = float(np.median(np.diff(times)))
-        if hop <= 0:
-            raise ValueError("%s: time column must be increasing" % (path,))
     else:
         hop = ALIGNMENT_TICK_SECONDS
     return voiced_contour(f0, hop)

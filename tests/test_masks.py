@@ -1,11 +1,14 @@
 """Mask construction, integration, and masked resynthesis."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import vocsep.spectrogram as spectrogram_mod
 from vocsep.audio import AudioSignal
 from vocsep.masks import (
     HarmonicMaskConfig,
@@ -20,7 +23,7 @@ from vocsep.masks import (
 )
 from vocsep.report import mask_to_csv, mask_to_pgm
 from vocsep.rpca import RpcaResult
-from vocsep.spectrogram import MagnitudeSpectrogram, stft
+from vocsep.spectrogram import MagnitudeSpectrogram, istft, stft
 from vocsep.tracking import voiced_contour
 
 
@@ -64,6 +67,20 @@ def _loop_harmonic_mask(contour, mag, cfg):
             positions = (bin_hz[lo:hi] - (center - half)) / cfg.width_hz
             row[lo:hi] = np.maximum(row[lo:hi], _tukey_taper(positions, cfg.tukey_shape))
     return values
+
+
+def _reference_separate(spec, mask):
+    """Reference resynthesis: the phase as exp(1j * angle), a fresh
+    complex product per source, each inverted in one irfft block."""
+    mixture = np.abs(spec.values)
+    vocal_mag = mask.values * mixture
+    accomp_mag = mixture - vocal_mag
+    vocal_mag = mixture - accomp_mag
+    phase = np.exp(1j * np.angle(spec.values))
+    return [
+        istft(dataclasses.replace(spec, values=part * phase)).samples
+        for part in (vocal_mag, accomp_mag)
+    ]
 
 
 def _random_f0(rng, n_frames, nyquist):
@@ -411,6 +428,18 @@ class TestSeparate:
         result = separate(spec, mask)
         total = result.vocal.samples + result.accompaniment.samples
         assert np.linalg.norm(total - x) / np.linalg.norm(x) < 1e-6
+
+    @pytest.mark.parametrize("sr,window,hop", [(16000, 2048, 160), (44100, 4096, 441)])
+    def test_bitwise_equal_to_whole_array_resynthesis(self, sr, window, hop, rng, monkeypatch):
+        spec = stft(AudioSignal(rng.uniform(-0.5, 0.5, size=sr), sr), window, hop)
+        mask = TimeFrequencyMask(rng.uniform(0, 1, size=spec.values.shape))
+        monkeypatch.setattr(spectrogram_mod, "ISTFT_BLOCK_FRAMES", spec.n_frames)
+        expected = _reference_separate(spec, mask)
+        monkeypatch.setattr(spectrogram_mod, "ISTFT_BLOCK_FRAMES", 7)
+        assert spec.n_frames % 7 != 0
+        result = separate(spec, mask)
+        assert np.array_equal(result.vocal.samples, expected[0])
+        assert np.array_equal(result.accompaniment.samples, expected[1])
 
     def test_shape_mismatch_rejected(self, rng):
         spec = self._spec(rng)

@@ -424,6 +424,19 @@ class TestEvaluate:
         assert "error" in failed
         assert "vocal" in scored
 
+    def test_clip_with_an_unparsable_truth_row_fails(self, demo_corpus, tmp_path):
+        entries = load_corpus(demo_corpus)
+        rows = open(entries[0].f0_path).read().splitlines()
+        rows[3] = rows[3].replace(",", "x,", 1)
+        f0_path = tmp_path / "truth.csv"
+        f0_path.write_text("\n".join(rows) + "\n")
+        broken = dataclasses.replace(entries[0], f0_path=str(f0_path))
+        report = evaluate([broken, entries[1]], PipelineConfig())
+        assert report["n_failed"] == 1
+        failed, scored = report["clips"]
+        assert "line 4" in failed["error"]
+        assert "vocal" in scored
+
     def test_ground_truth_path_scores_perfect_pitch(self, tiny_corpus):
         entries = load_corpus(tiny_corpus)
         report = evaluate(entries, PipelineConfig(), use_ground_truth_f0=True)

@@ -108,7 +108,36 @@ class TestShs:
             ShsConfig(decay=1.2)
 
 
+def _full_fft_enhancement(mask_values, grid, h_top_hz):
+    """Reference comb enhancement on the full DFT of each row: the lags
+    clamped to F-1, and the magnitudes read at them."""
+    n_bins = mask_values.shape[1]
+    lags = np.minimum(np.floor(h_top_hz / grid.centers_hz).astype(np.intp), n_bins - 1)
+    return lags, np.abs(np.fft.fft(mask_values, axis=1))[:, lags]
+
+
 class TestF0Enhancement:
+    @pytest.mark.parametrize("window", [256, 1024])
+    def test_matches_full_fft_past_half_the_row(self, window, rng):
+        n_bins, h_top = window // 2 + 1, 8000.0
+        grid = LogFrequencyGrid.for_nyquist(h_top)
+        mask_values = (rng.uniform(size=(12, n_bins)) > 0.6).astype(float)
+        lags, expected = _full_fft_enhancement(mask_values, grid, h_top)
+        assert lags.max() > n_bins // 2
+        mask = TimeFrequencyMask(mask_values, kind="binary")
+        out = f0_enhancement(mask, grid, h_top_hz=h_top, hop_seconds=0.01).values
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-9)
+        # the row [1, 1, 0, ...] has |X[k]| = 2|cos(pi k / F)|, one value
+        # per min(k, F - k), so each output names the lag it was read at
+        probe = np.zeros((1, n_bins))
+        probe[0, :2] = 1.0
+        read = f0_enhancement(
+            TimeFrequencyMask(probe, kind="binary"), grid, h_top_hz=h_top, hop_seconds=0.01
+        ).values[0]
+        table = np.abs(np.fft.fft(probe[0]))[: n_bins // 2 + 1]
+        read_lags = np.abs(table[None, :] - read[:, None]).argmin(axis=1)
+        assert np.array_equal(read_lags, np.minimum(lags, n_bins - lags))
+
     def test_matches_brute_force_dft(self, rng):
         n_bins = 64
         grid = _grid(40)

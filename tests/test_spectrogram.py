@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 from scipy.signal import get_window
 
+import vocsep.spectrogram as spectrogram_mod
 from vocsep.audio import AudioSignal
 from vocsep.spectrogram import (
     DB_FLOOR,
@@ -29,6 +31,29 @@ GEOMETRIES = [(16000, 2048, 160), (44100, 4096, 441)]
 
 def _rel_l2(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def _whole_array_istft(spec):
+    """Reference istft: one irfft call over every frame, then the same
+    per-frame weighted overlap-add."""
+    window = get_window("hann", spec.window_size, fftbins=True)
+    pad = spec.window_size // 2
+    frames = np.fft.irfft(spec.values, n=spec.window_size, axis=1)
+    total = max(2 * pad + spec.n_samples, (spec.n_frames - 1) * spec.hop_size + spec.window_size)
+    acc = np.zeros(total)
+    wsum = np.zeros(total)
+    for t in range(spec.n_frames):
+        start = t * spec.hop_size
+        acc[start : start + spec.window_size] += frames[t] * window
+        wsum[start : start + spec.window_size] += window * window
+    return acc[pad : pad + spec.n_samples] / wsum[pad : pad + spec.n_samples]
+
+
+def _scipy_log_frequency(mag, grid):
+    """Reference resampling through scipy's natural CubicSpline."""
+    db = 20.0 * np.log10(np.maximum(mag.values, 1e-10))
+    spline = CubicSpline(mag.bin_hz, db, axis=1, bc_type="natural")
+    return np.maximum(spline(grid.centers_hz), DB_FLOOR)
 
 
 class TestStft:
@@ -97,6 +122,15 @@ class TestStft:
             stft(sig, 32, 16)  # too small
         with pytest.raises(ValueError):
             stft(sig, 2048, 4096)  # hop > window
+
+    @pytest.mark.parametrize("sr,window,hop", GEOMETRIES)
+    @pytest.mark.parametrize("block", [1, 7, spectrogram_mod.ISTFT_BLOCK_FRAMES, 1000])
+    def test_istft_blocks_bitwise_equal_to_whole_array(self, sr, window, hop, block, rng, monkeypatch):
+        spec = stft(AudioSignal(rng.uniform(-1, 1, size=sr), sr), window, hop)
+        assert spec.n_frames % 7 != 0
+        expected = _whole_array_istft(spec)
+        monkeypatch.setattr(spectrogram_mod, "ISTFT_BLOCK_FRAMES", block)
+        assert np.array_equal(istft(spec).samples, expected)
 
     def test_istft_rejects_degenerate_overlap(self):
         # hop == window leaves zeros in the squared-window sum
@@ -301,6 +335,17 @@ class TestToLogFrequency:
         log_spec = to_log_frequency(self._mag(values), grid)
         expected = -40.0 + 0.002 * grid.centers_hz
         np.testing.assert_allclose(log_spec.values[0], expected, atol=1e-9)
+
+    @pytest.mark.parametrize("sr,window", [(16000, 256), (16000, 2048), (44100, 4096)])
+    def test_matches_scipy_natural_spline(self, sr, window, rng):
+        # random levels from below the -200 dB floor up to +40 dB
+        values = 10.0 ** (rng.uniform(-220.0, 40.0, size=(6, window // 2 + 1)) / 20.0)
+        mag = self._mag(values, sr=sr, window=window)
+        grid = LogFrequencyGrid.for_nyquist(sr / 2.0)
+        log_spec = to_log_frequency(mag, grid)
+        np.testing.assert_allclose(
+            log_spec.values, _scipy_log_frequency(mag, grid), rtol=0, atol=1e-9
+        )
 
     def test_silence_floors_at_minus_200(self):
         sr, window = 16000, 2048

@@ -353,3 +353,31 @@ class TestF0Csv:
         path.write_text("0.02,100.0\n0.01,100.0\n0.00,100.0\n")
         with pytest.raises(ValueError):
             read_f0_csv(path)
+
+    def test_unparsable_row_after_the_header_names_its_line(self, tmp_path):
+        # skipping the row as a header would put 203 Hz at 0.02 s, a frame early
+        path = tmp_path / "f0.csv"
+        path.write_text("0.00,200\n0.01,201\n0.02x,202\n0.03,203\nabc,300\n0.04,204\n")
+        with pytest.raises(ValueError, match="line 3"):
+            read_f0_csv(path)
+
+    def test_header_allowed_on_the_first_line_only(self, tmp_path):
+        path = tmp_path / "f0.csv"
+        path.write_text("0.00,200\ntime_seconds,f0_hz\n0.01,201\n")
+        with pytest.raises(ValueError, match="line 2"):
+            read_f0_csv(path)
+
+    def test_unparsable_f0_names_its_line(self, tmp_path):
+        path = tmp_path / "f0.csv"
+        path.write_text("time_seconds,f0_hz\n0.00,200\n0.01,n/a\n")
+        with pytest.raises(ValueError, match="line 3"):
+            read_f0_csv(path)
+
+    @pytest.mark.parametrize("bad_time", ["0.015", "0.02"])
+    def test_any_nonincreasing_step_rejected(self, tmp_path, bad_time):
+        # the median step stays 10 ms, so only a per-step check catches these
+        rows = ["0.00", "0.01", "0.02", bad_time, "0.03", "0.04", "0.05"]
+        path = tmp_path / "f0.csv"
+        path.write_text("".join("%s,200\n" % t for t in rows))
+        with pytest.raises(ValueError, match="line 4"):
+            read_f0_csv(path)
