@@ -193,7 +193,8 @@ def separate(spec: ComplexSpectrogram, mask: TimeFrequencyMask) -> SeparationRes
 
     The vocal magnitude is mask * |X|; the accompaniment magnitude is
     the remainder |X| - vocal. Both resynthesize with the mixture
-    phases.
+    phases, taken as the unit phase X / max(|X|, tiny) in one complex
+    buffer: zero bins get phase 0, and their magnitudes are 0 anyway.
     """
     if mask.values.shape != spec.values.shape:
         raise ValueError(
@@ -209,8 +210,10 @@ def separate(spec: ComplexSpectrogram, mask: TimeFrequencyMask) -> SeparationRes
     np.subtract(mixture.values, accomp_mag, out=vocal_mag)
     vocal_spec = dataclasses.replace(mixture, values=vocal_mag)
     accomp_spec = dataclasses.replace(mixture, values=accomp_mag)
+    # the mixture magnitude, clamped in place, divides out the phase
+    np.maximum(mixture.values, np.finfo(np.float64).tiny, out=mixture.values)
+    phase = spec.values / mixture.values
     del mixture
-    phase = _unit_phase(spec.values)
     vocal = istft(dataclasses.replace(spec, values=phase * vocal_mag))
     # the phase buffer becomes the accompaniment spectrum in place
     phase *= accomp_mag
@@ -218,13 +221,3 @@ def separate(spec: ComplexSpectrogram, mask: TimeFrequencyMask) -> SeparationRes
     return SeparationResult(
         vocal=vocal, accompaniment=accompaniment, vocal_spec=vocal_spec, accomp_spec=accomp_spec
     )
-
-
-def _unit_phase(values: np.ndarray) -> np.ndarray:
-    """exp(1j * angle(values)), bitwise, built in one complex buffer."""
-    phase = np.empty_like(values)
-    np.arctan2(values.imag, values.real, out=phase.imag)
-    # the imaginary part of 1j * angle is 0.0 + angle, which maps -0.0 to 0.0
-    phase.imag += 0.0
-    phase.real = 0.0
-    return np.exp(phase, out=phase)

@@ -16,6 +16,17 @@ threshold, and applies the shrinkage as a scaled projector
 short side is the frame count, so each iteration costs one small
 symmetric eigensolve and two thin matrix products. The spectral norm
 that seeds mu comes from the same Gram matrix.
+
+The loop carries the scaled dual ``G = Y / mu`` instead of Y. With
+``arg = X - L' + G`` and the shrinkage ``S' = arg - clip(arg, -t, t)``
+(t = lam_hat / mu), the dual update ``Y' = Y + mu (X - L' - S')`` is
+exactly ``mu * clip(arg, -t, t)``, and the constraint gap
+``X - L' - S'`` is ``clip(arg, -t, t) - G``. So one clip gives the
+sparse part, the gap and the next dual, and an iteration makes nine
+full-array passes (two to form each SVT and shrinkage argument, the
+clip, the shrinkage, the gap, its norm and the rescaled dual) in four
+work buffers: the argument, the sparse part, G, and the low-rank
+product that SVT writes in place.
 """
 
 from __future__ import annotations
@@ -101,7 +112,14 @@ def _short_side(values):
     return (values.T if tall else values), tall
 
 
-def _svt_with_rank(values, threshold):
+def _svt_with_rank(values, threshold, out=None):
+    """SVT of values and the number of singular values kept.
+
+    The product is written into out when given: an array of values'
+    shape whose short-side orientation (see _short_side) is
+    C-contiguous, as decompose allocates it. Either way the result is
+    bitwise that of the allocating product.
+    """
     # With A = U S V^T, A A^T = U S^2 U^T, and the shrunk matrix
     # U (S - t) V^T equals U diag(1 - t/s) U^T A on the directions with
     # s > t, so V is never needed.
@@ -111,8 +129,9 @@ def _svt_with_rank(values, threshold):
     keep = s > threshold
     rank = int(np.count_nonzero(keep))
     u_k = u[:, keep]
-    low_rank = (u_k * (1.0 - threshold / s[keep])) @ (u_k.T @ a)
-    return (low_rank.T if tall else low_rank), rank
+    product = np.empty(a.shape) if out is None else _short_side(out)[0]
+    np.matmul(u_k * (1.0 - threshold / s[keep]), u_k.T @ a, out=product)
+    return (product.T if tall else product), rank
 
 
 def decompose(x, cfg: RpcaConfig = RpcaConfig()) -> RpcaResult:
@@ -148,41 +167,46 @@ def decompose(x, cfg: RpcaConfig = RpcaConfig()) -> RpcaResult:
             lambda_hat=lam_hat,
         )
 
-    a, _ = _short_side(x)
+    a, tall = _short_side(x)
     norm_two = np.sqrt(np.linalg.eigvalsh(a @ a.T)[-1])
     norm_inf = np.abs(x).max()
-    y = x / max(norm_two, norm_inf / lam_hat)
-    s = np.zeros_like(x)
     mu = MU_INITIAL_SCALE / norm_two
     mu_limit = mu * MU_CAP
+    # g holds the dual divided by mu
+    g = x / max(norm_two, norm_inf / lam_hat)
+    g /= mu
+    s = np.zeros_like(x)
+    arg = np.empty_like(x)
+    # laid out so SVT can write its short-side product straight into it
+    low_rank = np.empty(a.shape)
+    if tall:
+        low_rank = low_rank.T
 
     trace = []
     residual = np.inf
     converged = False
     iterations = 0
-    # the loop updates y and s in place and works in two buffers made
-    # once; gap holds y / mu until the gap itself is formed
-    arg, gap = np.empty_like(x), np.empty_like(x)
     for iterations in range(1, cfg.max_iterations + 1):
-        np.divide(y, mu, out=gap)
         np.subtract(x, s, out=arg)
-        arg += gap
-        low_rank = None  # drop the last product before the next is made
-        low_rank, rank = _svt_with_rank(arg, 1.0 / mu)
+        arg += g
+        _, rank = _svt_with_rank(arg, 1.0 / mu, out=low_rank)
         np.subtract(x, low_rank, out=arg)
-        arg += gap
-        # soft_threshold(arg, t) as arg - clip(arg, -t, t): the same
-        # values, except that a zero may come out as -0.0
+        arg += g
+        # soft_threshold(arg, t) as arg - clip(arg, -t, t); a zero comes
+        # out as +0.0, since v - v is +0.0 for every finite v
         t = lam_hat / mu
         np.clip(arg, -t, t, out=s)
-        np.subtract(arg, s, out=s)
-        np.subtract(x, low_rank, out=gap)
-        gap -= s
-        residual = np.linalg.norm(gap) / x_fro
-        gap *= mu
-        y += gap
-        trace.append((iterations, residual, rank, int(np.count_nonzero(s))))
-        mu = min(mu * MU_GROWTH, mu_limit)
+        arg -= s
+        # s holds clip(arg): the gap is clip(arg) - g, and the new dual
+        # is mu * clip(arg), so the new g is (mu / mu_next) * clip(arg)
+        np.subtract(s, g, out=g)
+        residual = np.linalg.norm(g) / x_fro
+        mu_next = min(mu * MU_GROWTH, mu_limit)
+        np.multiply(s, mu / mu_next, out=g)
+        s, arg = arg, s
+        # with no -0.0 in s, a zero bit pattern is exactly a zero value
+        trace.append((iterations, residual, rank, int(np.count_nonzero(s.view(np.int64)))))
+        mu = mu_next
         if residual < cfg.tolerance:
             converged = True
             break

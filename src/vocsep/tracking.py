@@ -217,10 +217,15 @@ def viterbi(s: SaliencySpectrogram, cfg: TrackerConfig = TrackerConfig()) -> F0C
     n_frames = em.shape[0]
 
     offsets = np.arange(n_bins, dtype=np.float64)
-    dist_cents = np.abs(offsets[:, None] - offsets[None, :]) * s.grid.cents_per_bin
     b = cfg.transition_scale_cents
     c0 = -math.log(2.0 * b)
-    log_g = c0 - dist_cents / b
+    # log_g = c0 - |i - j| * cents_per_bin / b, built in one (bins x bins)
+    # buffer with the same operations in the same order
+    log_g = np.subtract.outer(offsets, offsets)
+    np.abs(log_g, out=log_g)
+    log_g *= s.grid.cents_per_bin
+    log_g /= b
+    np.subtract(c0, log_g, out=log_g)
     kj = (s.grid.cents_per_bin / b) * offsets
 
     # best[t, j]: best achievable score over frames t..T-1 starting at j

@@ -69,14 +69,23 @@ def _loop_harmonic_mask(contour, mag, cfg):
     return values
 
 
-def _reference_separate(spec, mask):
-    """Reference resynthesis: the phase as exp(1j * angle), a fresh
-    complex product per source, each inverted in one irfft block."""
+def _divided_phase(values):
+    return values / np.maximum(np.abs(values), np.finfo(np.float64).tiny)
+
+
+def _angle_phase(values):
+    return np.exp(1j * np.angle(values))
+
+
+def _reference_separate(spec, mask, unit_phase=_divided_phase):
+    """Reference resynthesis: a fresh complex product per source, each
+    inverted in one irfft block; the phase as separate builds it, or as
+    exp(1j * angle) with unit_phase=_angle_phase."""
     mixture = np.abs(spec.values)
     vocal_mag = mask.values * mixture
     accomp_mag = mixture - vocal_mag
     vocal_mag = mixture - accomp_mag
-    phase = np.exp(1j * np.angle(spec.values))
+    phase = unit_phase(spec.values)
     return [
         istft(dataclasses.replace(spec, values=part * phase)).samples
         for part in (vocal_mag, accomp_mag)
@@ -440,6 +449,20 @@ class TestSeparate:
         result = separate(spec, mask)
         assert np.array_equal(result.vocal.samples, expected[0])
         assert np.array_equal(result.accompaniment.samples, expected[1])
+
+    @pytest.mark.parametrize("sr,window,hop", [(16000, 2048, 160), (44100, 4096, 441)])
+    def test_close_to_exp_angle_resynthesis(self, sr, window, hop, rng):
+        spec = stft(AudioSignal(rng.uniform(-0.5, 0.5, size=sr), sr), window, hop)
+        # zero bins, whose phase the two constructions define differently
+        values = spec.values.copy()
+        values[:, ::5] = 0.0
+        spec = dataclasses.replace(spec, values=values)
+        mask = TimeFrequencyMask(rng.uniform(0, 1, size=spec.values.shape))
+        result = separate(spec, mask)
+        expected = _reference_separate(spec, mask, unit_phase=_angle_phase)
+        for got, ref in zip((result.vocal.samples, result.accompaniment.samples), expected):
+            assert np.all(np.isfinite(got))
+            assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
 
     def test_shape_mismatch_rejected(self, rng):
         spec = self._spec(rng)

@@ -4,7 +4,7 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -87,6 +87,13 @@ def _clip_magnitude(sample_rate):
     window, hop = (2048, 160) if sample_rate == 16000 else (4096, 441)
     clip = make_clip(duration_seconds=1.0, sample_rate=sample_rate, hop_size=hop, seed=7)
     return magnitude(stft(clip.mixture, window, hop)).values
+
+
+@pytest.fixture(scope="module", params=[16000, 44100])
+def clip_solve(request):
+    """The 1 s seed-7 clip's magnitude and its default solve."""
+    x = _clip_magnitude(request.param)
+    return x, decompose(x)
 
 
 class TestSoftThreshold:
@@ -180,6 +187,20 @@ class TestSvt:
         assert out.shape == x.shape
         err = np.linalg.norm(out - _reference_svt(x, threshold))
         assert err <= 1e-10 * max(np.linalg.norm(x), 1.0)
+
+    @pytest.mark.parametrize("tall", [False, True])
+    def test_preallocated_product_bitwise_equal(self, tall):
+        x = _clip_magnitude(16000)
+        if tall:
+            x = np.ascontiguousarray(x.T)
+        threshold = 1e-3 * np.linalg.norm(x, 2)
+        expected, rank = _svt_with_rank(x, threshold)
+        # laid out as decompose allocates it: C-contiguous on the short side
+        out = np.empty(x.shape[::-1]).T if tall else np.empty(x.shape)
+        got, got_rank = _svt_with_rank(x, threshold, out=out)
+        assert got_rank == rank > 0
+        assert np.shares_memory(got, out)
+        assert np.array_equal(out, expected)
 
 
 class TestDecompose:
@@ -291,6 +312,11 @@ class TestDecompose:
         ],
     )
     def test_bitwise_equal_to_allocating_loop(self, sample_rate, lam, tall, max_iterations):
+        """Against the loop that allocates fresh arrays and carries the
+        dual Y. The solver carries Y / mu and takes the new dual and the
+        gap from the shrinkage's clip: identities that are exact in real
+        arithmetic but round differently, so the two agree to a
+        tolerance, with the same iterations and ranks."""
         x = _clip_magnitude(sample_rate)
         if tall:
             x = np.ascontiguousarray(x.T)
@@ -298,9 +324,35 @@ class TestDecompose:
         result = decompose(x, cfg)
         low_rank, sparse, trace = _allocating_decompose(x, cfg)
         assert result.converged == (max_iterations > 3)
-        assert np.array_equal(result.low_rank, low_rank)
-        assert np.array_equal(result.sparse, sparse)
-        assert result.trace == trace
+        # columns: iteration, residual, rank estimate, nnz
+        got, ref = np.array(result.trace), np.array(trace)
+        assert got.shape == ref.shape
+        assert np.array_equal(got[:, [0, 2]], ref[:, [0, 2]])
+        np.testing.assert_allclose(got[:, 1], ref[:, 1], rtol=1e-3, atol=0)
+        assert np.abs(got[:, 3] - ref[:, 3]).max() <= 10
+        for got, expected in ((result.low_rank, low_rank), (result.sparse, sparse)):
+            assert np.linalg.norm(got - expected) <= 1e-8 * np.linalg.norm(expected)
+
+    def test_sparse_holds_no_negative_zero(self, clip_solve):
+        _, result = clip_solve
+        zeros = result.sparse == 0
+        assert zeros.any()
+        assert not np.signbit(result.sparse[zeros]).any()
+
+    def test_last_trace_nnz_counts_the_sparse_part(self, clip_solve):
+        _, result = clip_solve
+        assert result.trace[-1][3] == np.count_nonzero(result.sparse)
+
+    @settings(max_examples=6, deadline=None)
+    @given(k=st.integers(min_value=-40, max_value=40))
+    @example(k=-40)
+    @example(k=40)
+    def test_power_of_two_scaling_is_exact(self, clip_solve, k):
+        x, result = clip_solve
+        scaled = decompose(2.0**k * x)
+        assert scaled.trace == result.trace
+        assert np.array_equal(scaled.low_rank, 2.0**k * result.low_rank)
+        assert np.array_equal(scaled.sparse, 2.0**k * result.sparse)
 
     def test_solves_share_no_memory(self):
         x = _clip_magnitude(16000)
