@@ -9,7 +9,6 @@ resynthesize with the mixture phases.
 
 from .audio import AudioSignal, read_wav, write_wav
 from .masks import (
-    HarmonicMaskConfig,
     SeparationResult,
     TimeFrequencyMask,
     binary_mask,
@@ -39,8 +38,8 @@ from .pipeline import (
     load_corpus,
     run,
 )
-from .rpca import RpcaConfig, RpcaResult, decompose, soft_threshold, svt
-from .saliency import SaliencySpectrogram, ShsConfig, combine, f0_enhancement, shs
+from .rpca import RpcaResult, decompose, soft_threshold, svt
+from .saliency import SaliencySpectrogram, combine, f0_enhancement, shs
 from .spectrogram import (
     ComplexSpectrogram,
     LogFrequencyGrid,
@@ -55,10 +54,8 @@ from .spectrogram import (
 )
 from .tracking import (
     F0Contour,
-    TrackerConfig,
     contour_accuracy_prep,
     read_f0_csv,
-    transition_cost,
     viterbi,
     voiced_contour,
     write_f0_csv,

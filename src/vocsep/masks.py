@@ -21,7 +21,6 @@ from .tracking import F0Contour
 
 __all__ = [
     "TimeFrequencyMask",
-    "HarmonicMaskConfig",
     "SeparationResult",
     "wiener_mask",
     "binary_mask",
@@ -30,6 +29,10 @@ __all__ = [
     "integrate_binary",
     "separate",
 ]
+
+# Shape parameter of the Tukey taper over each harmonic-mask lobe: the
+# cosine edges take TUKEY_SHAPE / 2 of the lobe width on each side.
+TUKEY_SHAPE = 0.5
 
 
 @dataclass(frozen=True)
@@ -64,24 +67,6 @@ class TimeFrequencyMask:
 
 
 @dataclass(frozen=True)
-class HarmonicMaskConfig:
-    """Harmonic comb geometry: n_partials lobes of width_hz Hz, tapered
-    by a Tukey window with the given shape parameter."""
-
-    n_partials: int = 10
-    width_hz: float = 50.0
-    tukey_shape: float = 0.5
-
-    def __post_init__(self):
-        if self.n_partials < 1:
-            raise ValueError("n_partials must be >= 1")
-        if self.width_hz <= 0:
-            raise ValueError("width_hz must be positive")
-        if not 0 <= self.tukey_shape <= 1:
-            raise ValueError("tukey_shape must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
 class SeparationResult:
     """Separated vocal/accompaniment signals with their magnitude
     spectrograms. vocal_spec + accomp_spec equals the mixture magnitude."""
@@ -113,8 +98,6 @@ def binary_mask(result: RpcaResult, gamma: float = 1.0) -> TimeFrequencyMask:
 def _tukey_taper(positions: np.ndarray, shape: float) -> np.ndarray:
     """Tukey (tapered cosine) window evaluated at positions in [0, 1]."""
     out = np.ones_like(positions)
-    if shape <= 0:
-        return out
     edge = shape / 2.0
     left = positions < edge
     right = positions > 1.0 - edge
@@ -126,17 +109,21 @@ def _tukey_taper(positions: np.ndarray, shape: float) -> np.ndarray:
 
 
 def harmonic_mask(
-    contour: F0Contour, mag: MagnitudeSpectrogram, cfg: HarmonicMaskConfig
+    contour: F0Contour, mag: MagnitudeSpectrogram, n_partials: int, width_hz: float
 ) -> TimeFrequencyMask:
     """Soft mask with a Tukey lobe over each F0 partial.
 
     For voiced frame t and partial n = 1..n_partials, bins whose center
-    frequency falls inside [n*f0 - width/2, n*f0 + width/2] get the
-    Tukey taper value at their position in that interval; overlapping
-    lobes combine by elementwise max. Partials above Nyquist are
-    skipped; unvoiced frames stay all-zero. A voiced f0 at or beyond
-    Nyquist (or <= 0) is an error.
+    frequency falls inside [n*f0 - width_hz/2, n*f0 + width_hz/2] get
+    the Tukey taper value (shape TUKEY_SHAPE) at their position in that
+    interval; overlapping lobes combine by elementwise max. Partials
+    above Nyquist are skipped; unvoiced frames stay all-zero. A voiced
+    f0 at or beyond Nyquist (or <= 0) is an error.
     """
+    if n_partials < 1:
+        raise ValueError("n_partials must be >= 1")
+    if width_hz <= 0:
+        raise ValueError("width_hz must be positive")
     if contour.n_frames != mag.n_frames:
         raise ValueError(
             "contour has %d frames but spectrogram has %d"
@@ -149,10 +136,10 @@ def harmonic_mask(
         raise ValueError("voiced f0 values must lie strictly between 0 and Nyquist")
 
     values = np.zeros((contour.n_frames, bin_hz.size))
-    half = cfg.width_hz / 2.0
+    half = width_hz / 2.0
     frames = np.flatnonzero(contour.voiced)
     f0 = contour.f0_hz[frames]
-    for n in range(1, cfg.n_partials + 1):
+    for n in range(1, n_partials + 1):
         center = n * f0
         inside = center <= nyquist
         if not inside.any():
@@ -166,10 +153,10 @@ def harmonic_mask(
         in_lobe = cols < hi[:, None]
         lobe, _ = np.nonzero(in_lobe)
         cols, rows = cols[in_lobe], rows[lobe]
-        positions = (bin_hz[cols] - left[lobe]) / cfg.width_hz
+        positions = (bin_hz[cols] - left[lobe]) / width_hz
         # (row, col) pairs are distinct within one partial, so the
         # fancy-indexed read-max-write drops no update
-        taper = _tukey_taper(positions, cfg.tukey_shape)
+        taper = _tukey_taper(positions, TUKEY_SHAPE)
         values[rows, cols] = np.maximum(values[rows, cols], taper)
     return TimeFrequencyMask(values=values, kind="soft")
 

@@ -6,10 +6,13 @@ enhancement -> contour tracking -> harmonic mask -> soft mask ->
 mask integration -> masked resynthesis.
 
 run() wires four stage helpers (the STFT, the RPCA solve, the contour
-and the vocal mask) and resynthesizes with separate(). The RPCA solve
-and the contour are stored in a plain dict memo under a key made of a
-digest of the mixture and the config fields the stage reads, so a stage
-whose inputs repeat is computed once. Each run() call has its own memo
+and the vocal mask) and resynthesizes with separate(). The helpers pass
+each stage function the PipelineConfig fields it reads as plain
+arguments (lam, n_partials, width_hz); the settings no caller tunes are
+constants of the stage modules. The RPCA solve and the contour are
+stored in a plain dict memo under a key made of a digest of the mixture
+and the config fields the stage reads, so a stage whose inputs repeat
+is computed once. Each run() call has its own memo
 unless the caller passes one; grid_search passes one memo through
 evaluate() to run() so that consecutive cells with the same RPCA
 settings share their solves and contours.
@@ -31,8 +34,8 @@ import hashlib
 import itertools
 import json
 import logging
+import numbers
 import time
-import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,7 +44,6 @@ import numpy as np
 from . import rpca
 from .audio import AudioSignal, read_wav
 from .masks import (
-    HarmonicMaskConfig,
     SeparationResult,
     binary_mask,
     harmonic_mask,
@@ -61,7 +63,7 @@ from .metrics import (
     voiced_region_mask,
 )
 from .report import mask_to_csv, mask_to_pgm, saliency_to_csv, trace_to_csv
-from .saliency import ShsConfig, combine, f0_enhancement, shs
+from .saliency import combine, f0_enhancement, shs
 from .spectrogram import (
     LogFrequencyGrid,
     apply_a_weighting,
@@ -93,11 +95,17 @@ class PipelineConfig:
 
     lambda_sep and lambda_f0 weight the sparse term for the separation
     and F0-estimation decompositions; gamma sets the binary mask
-    threshold; n_partials, w and alpha control the harmonic mask width,
-    partial count, and enhancement exponent. Everything else (F0 range,
-    log-frequency grid, SHS decay, Tukey shape, tracker transition,
-    solver tolerance and iteration cap) is the default of the stage's
-    own config.
+    threshold; n_partials, w and alpha control the partial count (of
+    both the subharmonic summation and the harmonic mask), the harmonic
+    mask lobe width, and the enhancement exponent. Every other setting
+    is a module constant: the F0 range and transition prior in
+    tracking, the log-frequency grid's defaults in spectrogram, the SHS
+    decay in saliency, the Tukey shape in masks, and the solver
+    tolerance and iteration cap in rpca.
+
+    The int fields take whole numbers only (160.0 is stored as 160) and
+    the other numeric fields take numbers; anything else is a
+    ValueError.
     """
 
     window_size: int = 2048
@@ -111,6 +119,19 @@ class PipelineConfig:
     mask_mode: str = "soft"
 
     def __post_init__(self):
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if field.type == "int":
+                if not number or not (
+                    isinstance(value, numbers.Integral) or float(value).is_integer()
+                ):
+                    raise ValueError(
+                        "%s must be a whole number, got %r" % (field.name, value)
+                    )
+                object.__setattr__(self, field.name, int(value))
+            elif field.type == "float" and not number:
+                raise ValueError("%s must be a number, got %r" % (field.name, value))
         if self.mask_mode not in ("soft", "binary"):
             raise ValueError("mask_mode must be 'soft' or 'binary'")
         if self.lambda_sep <= 0 or self.lambda_f0 <= 0:
@@ -179,7 +200,7 @@ def _rpca_stage(mixture_key, mag, cfg: PipelineConfig, lam: float, memo: dict, s
     key = _rpca_key(mixture_key, cfg, lam)
     if key not in memo:
         t0 = time.perf_counter()
-        memo[key] = rpca.decompose(mag.values, rpca.RpcaConfig(lam=lam))
+        memo[key] = rpca.decompose(mag.values, lam)
         _log_rpca(stage, memo[key], t0)
     return memo[key]
 
@@ -225,7 +246,7 @@ def _contour_stage(
     grid = LogFrequencyGrid.for_nyquist(mag.nyquist_hz)
     logspec = to_log_frequency(weighted, grid)
     del weighted
-    summation = shs(logspec, ShsConfig(n_partials=cfg.n_partials))
+    summation = shs(logspec, cfg.n_partials)
     del logspec
     enhancement = f0_enhancement(mask_b, grid, mag.nyquist_hz, mag.hop_seconds)
     del mask_b
@@ -249,9 +270,7 @@ def _contour_stage(
 def _mask_stage(mag, soft, contour: F0Contour, cfg: PipelineConfig, dump_dir=None):
     """The vocal mask: the Wiener mask times the harmonic mask,
     binarised in binary mode."""
-    harmonic = harmonic_mask(
-        contour, mag, HarmonicMaskConfig(n_partials=cfg.n_partials, width_hz=cfg.w)
-    )
+    harmonic = harmonic_mask(contour, mag, cfg.n_partials, cfg.w)
     integrated = integrate_soft(soft, harmonic)
     if cfg.mask_mode == "binary":
         integrated = integrate_binary(integrated)
@@ -568,7 +587,10 @@ class GridAxis:
             raise ValueError("stop must be >= start")
 
     def values(self) -> list:
-        count = int(round((self.stop - self.start) / self.step)) + 1
+        # floored (int() of a nonnegative ratio), so no value passes
+        # stop; the slack keeps the last point of a range that the step
+        # divides up to rounding
+        count = int((self.stop - self.start) / self.step + 1e-9) + 1
         return [round(self.start + k * self.step, 10) for k in range(count)]
 
 
@@ -589,21 +611,12 @@ class GridSearchSpec:
         object.__setattr__(self, "axes", tuple(self.axes))
 
 
-_INT_FIELDS = frozenset(
-    name for name, kind in typing.get_type_hints(PipelineConfig).items() if kind is int
-)
-
-
 def _apply_axes(cfg: PipelineConfig, names, values) -> PipelineConfig:
     overrides = {}
     for name, value in zip(names, values):
         if name == "lambda":
             overrides["lambda_sep"] = value
             overrides["lambda_f0"] = value
-        elif name in _INT_FIELDS:
-            if not float(value).is_integer():
-                raise ValueError("%s must be a whole number, got %r" % (name, value))
-            overrides[name] = int(value)
         else:
             overrides[name] = value
     return cfg.with_overrides(overrides)

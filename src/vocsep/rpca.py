@@ -38,34 +38,17 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["RpcaConfig", "RpcaResult", "soft_threshold", "svt", "decompose"]
+__all__ = ["RpcaResult", "soft_threshold", "svt", "decompose"]
 
 # Penalty schedule: mu0 = MU_INITIAL_SCALE / ||X||_2, multiplied by
 # MU_GROWTH each iteration and capped at mu0 * MU_CAP.
 MU_INITIAL_SCALE = 1.25
 MU_GROWTH = 1.5
 MU_CAP = 1e7
-
-
-@dataclass(frozen=True)
-class RpcaConfig:
-    """Solver settings.
-
-    lam is the sparsity weight before the 1/sqrt(max(T, F)) size
-    scaling.
-    """
-
-    lam: float = 1.0
-    tolerance: float = 1e-7
-    max_iterations: int = 1000
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lam must be positive, got %r" % (self.lam,))
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+# The solve stops once the relative constraint gap falls below TOLERANCE,
+# or after MAX_ITERATIONS iterations without converging.
+TOLERANCE = 1e-7
+MAX_ITERATIONS = 1000
 
 
 @dataclass(frozen=True)
@@ -134,28 +117,32 @@ def _svt_with_rank(values, threshold, out=None):
     return (product.T if tall else product), rank
 
 
-def decompose(x, cfg: RpcaConfig = RpcaConfig()) -> RpcaResult:
+def decompose(x, lam: float = 1.0) -> RpcaResult:
     """Split a matrix into low-rank and sparse parts.
 
     Parameters
     ----------
     x : np.ndarray or object with a ``values`` array
         Real (frames, bins) matrix; NaN or Inf entries are rejected.
-    cfg : RpcaConfig
+    lam : float
+        Positive sparsity weight before the 1/sqrt(max(T, F)) size
+        scaling.
 
     Returns
     -------
     RpcaResult
-        Hitting max_iterations sets converged=False (with a logged
+        Hitting MAX_ITERATIONS sets converged=False (with a logged
         warning) rather than raising.
     """
+    if lam <= 0:
+        raise ValueError("lam must be positive, got %r" % (lam,))
     x = np.asarray(getattr(x, "values", x), dtype=np.float64)
     if x.ndim != 2 or x.size == 0:
         raise ValueError("input must be a non-empty 2-d matrix, got shape %s" % (x.shape,))
     if not np.all(np.isfinite(x)):
         raise ValueError("input contains NaN or Inf")
 
-    lam_hat = cfg.lam / np.sqrt(max(x.shape))
+    lam_hat = lam / np.sqrt(max(x.shape))
     x_fro = np.linalg.norm(x)
     if x_fro == 0.0:
         return RpcaResult(
@@ -186,7 +173,7 @@ def decompose(x, cfg: RpcaConfig = RpcaConfig()) -> RpcaResult:
     residual = np.inf
     converged = False
     iterations = 0
-    for iterations in range(1, cfg.max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         np.subtract(x, s, out=arg)
         arg += g
         _, rank = _svt_with_rank(arg, 1.0 / mu, out=low_rank)
@@ -207,14 +194,14 @@ def decompose(x, cfg: RpcaConfig = RpcaConfig()) -> RpcaResult:
         # with no -0.0 in s, a zero bit pattern is exactly a zero value
         trace.append((iterations, residual, rank, int(np.count_nonzero(s.view(np.int64)))))
         mu = mu_next
-        if residual < cfg.tolerance:
+        if residual < TOLERANCE:
             converged = True
             break
 
     if not converged:
         logger.warning(
             "low-rank/sparse solver stopped at %d iterations with residual %.3e "
-            "(tolerance %.1e)", iterations, residual, cfg.tolerance
+            "(tolerance %.1e)", iterations, residual, TOLERANCE
         )
     return RpcaResult(
         low_rank=low_rank,

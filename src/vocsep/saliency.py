@@ -22,7 +22,10 @@ from .spectrogram import LogFrequencyGrid, LogSpectrogram, _GridFrames
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["SaliencySpectrogram", "ShsConfig", "shs", "f0_enhancement", "combine"]
+__all__ = ["SaliencySpectrogram", "shs", "f0_enhancement", "combine"]
+
+# The n-th subharmonic summation term is weighted SHS_DECAY**(n - 1).
+SHS_DECAY = 0.86
 
 
 @dataclass(frozen=True)
@@ -35,36 +38,25 @@ class SaliencySpectrogram(_GridFrames):
             raise ValueError("saliency values must be nonnegative")
 
 
-@dataclass(frozen=True)
-class ShsConfig:
-    """Subharmonic summation: n_partials terms weighted decay**(n-1)."""
-
-    n_partials: int = 10
-    decay: float = 0.86
-
-    def __post_init__(self):
-        if self.n_partials < 1:
-            raise ValueError("n_partials must be >= 1")
-        if not 0 < self.decay <= 1:
-            raise ValueError("decay must lie in (0, 1]")
-
-
-def shs(logspec: LogSpectrogram, cfg: ShsConfig = ShsConfig()) -> SaliencySpectrogram:
-    """Subharmonic summation over a log-frequency dB spectrogram.
+def shs(logspec: LogSpectrogram, n_partials: int = 10) -> SaliencySpectrogram:
+    """Subharmonic summation of n_partials terms over a log-frequency
+    dB spectrogram.
 
     Input dB values are clamped below at 0 before summing, so silence
     (at the -200 dB floor) contributes nothing. The n-th partial of bin
-    c sits floor(1200*log2(n)/cents_per_bin) bins above c; shifts past
-    the top of the grid are dropped.
+    c sits floor(1200*log2(n)/cents_per_bin) bins above c and weighs
+    SHS_DECAY**(n - 1); shifts past the top of the grid are dropped.
     """
+    if n_partials < 1:
+        raise ValueError("n_partials must be >= 1")
     clamped = np.maximum(logspec.values, 0.0)
     n_bins = clamped.shape[1]
     out = np.zeros_like(clamped)
-    for n in range(1, cfg.n_partials + 1):
+    for n in range(1, n_partials + 1):
         shift = int(np.floor(1200.0 * np.log2(n) / logspec.grid.cents_per_bin))
         if shift >= n_bins:
             break
-        out[:, : n_bins - shift] += cfg.decay ** (n - 1) * clamped[:, shift:]
+        out[:, : n_bins - shift] += SHS_DECAY ** (n - 1) * clamped[:, shift:]
     return SaliencySpectrogram(
         values=out, grid=logspec.grid, hop_seconds=logspec.hop_seconds
     )

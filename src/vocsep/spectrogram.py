@@ -153,24 +153,6 @@ class LogFrequencyGrid:
         c = np.arange(self.n_bins, dtype=np.float64)
         return self.h_low_hz * 2.0 ** (c * self.cents_per_bin / 1200.0)
 
-    def bin_number(self, hz: float) -> int:
-        """1-based bin number containing frequency hz.
-
-        Computed as floor(1200*log2(hz/h_low)/cents_per_bin + 1).
-        Queries below h_low_hz are rejected.
-        """
-        if hz < self.h_low_hz:
-            raise ValueError(
-                "frequency %r Hz is below the grid origin %r Hz" % (hz, self.h_low_hz)
-            )
-        return int(
-            math.floor(1200.0 * math.log2(hz / self.h_low_hz) / self.cents_per_bin + 1.0)
-        )
-
-    def cents_of_bin(self, bin_number: int) -> float:
-        """Cents above h_low of a 1-based bin number."""
-        return (bin_number - 1) * self.cents_per_bin
-
 
 @dataclass(frozen=True)
 class _GridFrames:

@@ -26,8 +26,6 @@ if TYPE_CHECKING:  # import would be circular at runtime (saliency -> masks -> h
 
 __all__ = [
     "F0Contour",
-    "TrackerConfig",
-    "transition_cost",
     "viterbi",
     "align_contour",
     "contour_accuracy_prep",
@@ -35,6 +33,10 @@ __all__ = [
     "read_f0_csv",
     "CENTS_REFERENCE_HZ",
     "ALIGNMENT_TICK_SECONDS",
+    "F0_MIN_HZ",
+    "F0_MAX_HZ",
+    "TRANSITION_SCALE_CENTS",
+    "SALIENCY_FLOOR",
 ]
 
 # Reference for the informational f0_cents field; comparisons between
@@ -43,6 +45,17 @@ CENTS_REFERENCE_HZ = 30.0
 
 # Contours are compared on a common 10 ms clock.
 ALIGNMENT_TICK_SECONDS = 0.01
+
+# The tracker's search range: grid bins centered in [F0_MIN_HZ, F0_MAX_HZ].
+F0_MIN_HZ = 80.0
+F0_MAX_HZ = 720.0
+# Laplacian scale b of the transition weight G(d) = exp(-|d|/b) / (2b),
+# which makes the standard deviation of the frame-to-frame pitch move
+# 150 cents.
+TRANSITION_SCALE_CENTS = math.sqrt(150.0**2 / 2.0)
+# Added to the saliency before each frame is normalised, so a silent
+# frame has finite log emissions.
+SALIENCY_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -114,37 +127,6 @@ def voiced_contour(f0_hz, hop_seconds: float) -> F0Contour:
     )
 
 
-@dataclass(frozen=True)
-class TrackerConfig:
-    """Search range and transition model for the contour tracker.
-
-    transition_scale_cents is the Laplacian scale b in
-    G(d) = exp(-|d|/b) / (2b); the default makes the standard deviation
-    of the frame-to-frame pitch move 150 cents.
-    """
-
-    f0_min_hz: float = 80.0
-    f0_max_hz: float = 720.0
-    transition_scale_cents: float = math.sqrt(150.0**2 / 2.0)
-    saliency_floor: float = 1e-12
-
-    def __post_init__(self):
-        if not 0 < self.f0_min_hz < self.f0_max_hz:
-            raise ValueError("need 0 < f0_min_hz < f0_max_hz")
-        if self.transition_scale_cents <= 0:
-            raise ValueError("transition_scale_cents must be positive")
-        if self.saliency_floor <= 0:
-            raise ValueError("saliency_floor must be positive")
-
-
-def transition_cost(delta_cents, scale_cents: float) -> np.ndarray:
-    """Laplacian transition weight G(d) = exp(-|d|/b) / (2b)."""
-    if scale_cents <= 0:
-        raise ValueError("scale_cents must be positive")
-    d = np.abs(np.asarray(delta_cents, dtype=np.float64))
-    return np.exp(-d / scale_cents) / (2.0 * scale_cents)
-
-
 def _emissions(values, floor):
     shifted = values + floor
     return np.log(shifted) - np.log(shifted.sum(axis=1, keepdims=True))
@@ -190,13 +172,15 @@ def _best_transition(following, log_g, kj, c0):
     return score
 
 
-def viterbi(s: SaliencySpectrogram, cfg: TrackerConfig = TrackerConfig()) -> F0Contour:
+def viterbi(s: SaliencySpectrogram) -> F0Contour:
     """Pick the best contour through a saliency spectrogram.
 
-    Only grid bins whose center lies in [f0_min_hz, f0_max_hz] are
+    Only grid bins whose center lies in [F0_MIN_HZ, F0_MAX_HZ] are
     candidates. Per-frame emissions are log((S+floor)/sum(S+floor)) with
-    the sum over the candidate bins, so scaling the saliency by any
-    positive constant leaves the path unchanged apart from the floor.
+    floor SALIENCY_FLOOR and the sum over the candidate bins, so scaling
+    the saliency by any positive constant leaves the path unchanged
+    apart from the floor. Transitions are weighted by the Laplacian of
+    scale TRANSITION_SCALE_CENTS on the cents distance.
 
     Returns
     -------
@@ -204,20 +188,16 @@ def viterbi(s: SaliencySpectrogram, cfg: TrackerConfig = TrackerConfig()) -> F0C
         One voiced estimate per frame.
     """
     centers = s.grid.centers_hz
-    candidates = np.flatnonzero(
-        (centers >= cfg.f0_min_hz) & (centers <= cfg.f0_max_hz)
-    )
+    candidates = np.flatnonzero((centers >= F0_MIN_HZ) & (centers <= F0_MAX_HZ))
     if candidates.size == 0:
-        raise ValueError(
-            "no grid bins between %g and %g Hz" % (cfg.f0_min_hz, cfg.f0_max_hz)
-        )
+        raise ValueError("no grid bins between %g and %g Hz" % (F0_MIN_HZ, F0_MAX_HZ))
     lo = int(candidates[0])
     n_bins = int(candidates[-1]) - lo + 1
-    em = _emissions(s.values[:, lo : lo + n_bins], cfg.saliency_floor)
+    em = _emissions(s.values[:, lo : lo + n_bins], SALIENCY_FLOOR)
     n_frames = em.shape[0]
 
     offsets = np.arange(n_bins, dtype=np.float64)
-    b = cfg.transition_scale_cents
+    b = TRANSITION_SCALE_CENTS
     c0 = -math.log(2.0 * b)
     # log_g = c0 - |i - j| * cents_per_bin / b, built in one (bins x bins)
     # buffer with the same operations in the same order

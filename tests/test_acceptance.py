@@ -18,7 +18,6 @@ from vocsep.audio import write_wav
 from vocsep.cli import main
 from vocsep.audio import AudioSignal
 from vocsep.masks import (
-    HarmonicMaskConfig,
     TimeFrequencyMask,
     binary_mask,
     harmonic_mask,
@@ -47,7 +46,14 @@ from vocsep.spectrogram import (
     to_log_frequency,
 )
 from vocsep.synth import make_clip, write_demo_corpus
-from vocsep.tracking import TrackerConfig, viterbi, voiced_contour
+from vocsep.tracking import (
+    F0_MAX_HZ,
+    F0_MIN_HZ,
+    SALIENCY_FLOOR,
+    TRANSITION_SCALE_CENTS,
+    viterbi,
+    voiced_contour,
+)
 
 
 def _check(num: int, slug: str, ok: bool, detail: str) -> None:
@@ -85,17 +91,17 @@ def test_criterion_1_rpca_planted_recovery():
     )
 
 
-def _enumerate_best_path(values, grid, cfg):
+def _enumerate_best_path(values, grid):
     """Exhaustive path search over the in-range bins, scored exactly as
     the tracker scores them; first maximum wins, which is the
     lexicographically smallest optimal path."""
     centers = grid.centers_hz
-    cand = np.flatnonzero((centers >= cfg.f0_min_hz) & (centers <= cfg.f0_max_hz))
+    cand = np.flatnonzero((centers >= F0_MIN_HZ) & (centers <= F0_MAX_HZ))
     lo, hi = int(cand[0]), int(cand[-1])
-    window = values[:, lo : hi + 1] + cfg.saliency_floor
+    window = values[:, lo : hi + 1] + SALIENCY_FLOOR
     em = np.log(window) - np.log(window.sum(axis=1, keepdims=True))
     n_frames, n_bins = em.shape
-    b = cfg.transition_scale_cents
+    b = TRANSITION_SCALE_CENTS
     paths = np.array(list(itertools.product(range(n_bins), repeat=n_frames)))
     scores = em[0][paths[:, 0]].astype(np.float64)
     for t in range(1, n_frames):
@@ -106,7 +112,6 @@ def _enumerate_best_path(values, grid, cfg):
 
 def test_criterion_2_tracker_matches_enumeration():
     rng = np.random.default_rng(7)
-    cfg = TrackerConfig()
     mismatches = 0
     solver_time = 0.0
     for _ in range(200):
@@ -117,9 +122,9 @@ def test_criterion_2_tracker_matches_enumeration():
         values[rng.random(values.shape) < 0.2] = 0.0
         s = SaliencySpectrogram(values=values, grid=grid, hop_seconds=0.01)
         t0 = time.perf_counter()
-        contour = viterbi(s, cfg)
+        contour = viterbi(s)
         solver_time += time.perf_counter() - t0
-        expected = grid.centers_hz[_enumerate_best_path(values, grid, cfg)]
+        expected = grid.centers_hz[_enumerate_best_path(values, grid)]
         if not np.array_equal(contour.f0_hz, expected):
             mismatches += 1
     ok = mismatches == 0 and solver_time < 1.0
@@ -148,7 +153,7 @@ def test_criterion_3_mask_algebra():
         )
         soft = wiener_mask(fake)
         contour = voiced_contour(rng.uniform(100.0, 400.0, mag.n_frames), 160 / 16000)
-        harmonic = harmonic_mask(contour, mag, HarmonicMaskConfig())
+        harmonic = harmonic_mask(contour, mag, 10, 50.0)
         integrated = integrate_soft(soft, harmonic)
 
         ok = np.all((soft.values >= 0) & (soft.values <= 1))

@@ -137,6 +137,20 @@ class TestSeparate:
         ])
         assert code == EXIT_INVALID_INPUT
 
+    @pytest.mark.parametrize(
+        "overrides", [{"hop_size": 160.5}, {"n_partials": "10"}], ids=["fraction", "string"]
+    )
+    def test_wrong_config_type_is_invalid_input(self, mix_wav, tmp_path, overrides):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(overrides))
+        vocal, accomp = tmp_path / "v.wav", tmp_path / "a.wav"
+        code = main([
+            "separate", mix_wav, "--vocal", str(vocal), "--accomp", str(accomp),
+            "--config", str(cfg),
+        ])
+        assert code == EXIT_INVALID_INPUT
+        assert not vocal.exists() and not accomp.exists()
+
 
 class TestEstimateF0:
     def test_writes_contour(self, mix_wav, tmp_path):

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import vocsep.masks as masks_mod
 import vocsep.spectrogram as spectrogram_mod
 from vocsep.audio import AudioSignal
 from vocsep.masks import (
-    HarmonicMaskConfig,
     TimeFrequencyMask,
     _tukey_taper,
     binary_mask,
@@ -47,16 +47,16 @@ def _mag(values, sample_rate=44100, window_size=2048, hop_size=441):
     )
 
 
-def _loop_harmonic_mask(contour, mag, cfg):
+def _loop_harmonic_mask(contour, mag, n_partials, width_hz, tukey_shape):
     """The harmonic mask as a loop over voiced frames and partials, as
     it was before the partial loop was vectorized over frames."""
     bin_hz = mag.bin_hz
     values = np.zeros((contour.n_frames, bin_hz.size))
-    half = cfg.width_hz / 2.0
+    half = width_hz / 2.0
     for t in np.flatnonzero(contour.voiced):
         f0 = contour.f0_hz[t]
         row = values[t]
-        for n in range(1, cfg.n_partials + 1):
+        for n in range(1, n_partials + 1):
             center = n * f0
             if center > mag.nyquist_hz:
                 break
@@ -64,8 +64,8 @@ def _loop_harmonic_mask(contour, mag, cfg):
             hi = np.searchsorted(bin_hz, center + half, side="right")
             if hi <= lo:
                 continue
-            positions = (bin_hz[lo:hi] - (center - half)) / cfg.width_hz
-            row[lo:hi] = np.maximum(row[lo:hi], _tukey_taper(positions, cfg.tukey_shape))
+            positions = (bin_hz[lo:hi] - (center - half)) / width_hz
+            row[lo:hi] = np.maximum(row[lo:hi], _tukey_taper(positions, tukey_shape))
     return values
 
 
@@ -216,8 +216,7 @@ class TestHarmonicMask:
         sr, window = 44100, 2048
         mag = _mag(np.ones((1, window // 2 + 1)), sr, window)
         contour = voiced_contour([200.0], 0.01)
-        cfg = HarmonicMaskConfig(n_partials=1, width_hz=50.0, tukey_shape=0.5)
-        mask = harmonic_mask(contour, mag, cfg)
+        mask = harmonic_mask(contour, mag, 1, 50.0)
         row = mask.values[0]
         assert set(np.flatnonzero(row)) == {9, 10}
         bin_hz = np.arange(window // 2 + 1) * sr / window
@@ -232,8 +231,7 @@ class TestHarmonicMask:
         sr, window = 16000, 2048
         mag = _mag(np.ones((1, window // 2 + 1)), sr, window, 160)
         contour = voiced_contour([400.0], 0.01)
-        cfg = HarmonicMaskConfig(n_partials=3, width_hz=50.0, tukey_shape=0.5)
-        row = harmonic_mask(contour, mag, cfg).values[0]
+        row = harmonic_mask(contour, mag, 3, 50.0).values[0]
         bin_hz = np.arange(window // 2 + 1) * sr / window
         nonzero_hz = bin_hz[row > 0]
         for center in (400.0, 800.0, 1200.0):
@@ -246,8 +244,7 @@ class TestHarmonicMask:
         sr, window = 16000, 2048
         mag = _mag(np.ones((1, window // 2 + 1)), sr, window, 160)
         contour = voiced_contour([3000.0], 0.01)
-        cfg = HarmonicMaskConfig(n_partials=10, width_hz=50.0, tukey_shape=0.5)
-        row = harmonic_mask(contour, mag, cfg).values[0]
+        row = harmonic_mask(contour, mag, 10, 50.0).values[0]
         bin_hz = np.arange(window // 2 + 1) * sr / window
         nonzero_hz = bin_hz[row > 0]
         assert nonzero_hz.max() <= 6000.0 + 25.0
@@ -257,7 +254,7 @@ class TestHarmonicMask:
         sr, window = 16000, 2048
         mag = _mag(np.ones((2, window // 2 + 1)), sr, window, 160)
         contour = voiced_contour([200.0, 0.0], 0.01)
-        mask = harmonic_mask(contour, mag, HarmonicMaskConfig())
+        mask = harmonic_mask(contour, mag, 10, 50.0)
         assert mask.values[1].max() == 0.0
         assert mask.values[0].max() > 0.0
 
@@ -265,28 +262,22 @@ class TestHarmonicMask:
         sr, window = 16000, 2048
         mag = _mag(np.ones((1, window // 2 + 1)), sr, window, 160)
         contour = voiced_contour([40.0], 0.01)
-        cfg = HarmonicMaskConfig(n_partials=10, width_hz=100.0, tukey_shape=0.5)
-        row = harmonic_mask(contour, mag, cfg).values[0]
+        row = harmonic_mask(contour, mag, 10, 100.0).values[0]
         assert row.max() <= 1.0
 
     def test_more_partials_only_add(self):
         sr, window = 16000, 2048
         mag = _mag(np.ones((1, window // 2 + 1)), sr, window, 160)
         contour = voiced_contour([300.0], 0.01)
-        one = harmonic_mask(
-            contour, mag, HarmonicMaskConfig(n_partials=1, width_hz=50.0)
-        ).values[0]
-        many = harmonic_mask(
-            contour, mag, HarmonicMaskConfig(n_partials=8, width_hz=50.0)
-        ).values[0]
+        one = harmonic_mask(contour, mag, 1, 50.0).values[0]
+        many = harmonic_mask(contour, mag, 8, 50.0).values[0]
         assert np.all(many >= one - 1e-15)
 
     def test_twenty_partials_fit_at_44k(self):
         sr, window = 44100, 4096
         mag = _mag(np.ones((1, window // 2 + 1)), sr, window, 441)
         contour = voiced_contour([700.0], 0.01)
-        cfg = HarmonicMaskConfig(n_partials=20, width_hz=70.0, tukey_shape=0.5)
-        row = harmonic_mask(contour, mag, cfg).values[0]
+        row = harmonic_mask(contour, mag, 20, 70.0).values[0]
         bin_hz = np.arange(window // 2 + 1) * sr / window
         assert np.any(row[np.abs(bin_hz - 14000.0) <= 35.0] > 0)
 
@@ -296,13 +287,15 @@ class TestHarmonicMask:
     )
     @pytest.mark.parametrize("tukey_shape", [0.0, 0.5, 1.0])
     def test_matches_frame_loop_on_random_contours(
-        self, rng, sr, window, hop, n_partials, width_hz, tukey_shape
+        self, rng, sr, window, hop, n_partials, width_hz, tukey_shape, monkeypatch
     ):
+        # shapes other than TUKEY_SHAPE change which of two overlapping
+        # lobes wins the max: all-flat at 0, no flat top at 1
+        monkeypatch.setattr(masks_mod, "TUKEY_SHAPE", tukey_shape)
         mag = _mag(np.ones((101, window // 2 + 1)), sr, window, hop)
         contour = voiced_contour(_random_f0(rng, 101, sr / 2.0), hop / sr)
-        cfg = HarmonicMaskConfig(n_partials=n_partials, width_hz=width_hz, tukey_shape=tukey_shape)
-        expected = _loop_harmonic_mask(contour, mag, cfg)
-        assert np.array_equal(harmonic_mask(contour, mag, cfg).values, expected)
+        expected = _loop_harmonic_mask(contour, mag, n_partials, width_hz, tukey_shape)
+        assert np.array_equal(harmonic_mask(contour, mag, n_partials, width_hz).values, expected)
 
     @pytest.mark.parametrize(
         "f0, width_hz",
@@ -316,33 +309,36 @@ class TestHarmonicMask:
         ],
     )
     @pytest.mark.parametrize("tukey_shape", [0.0, 0.5, 1.0])
-    def test_matches_frame_loop_on_edge_cases(self, f0, width_hz, tukey_shape):
+    def test_matches_frame_loop_on_edge_cases(self, f0, width_hz, tukey_shape, monkeypatch):
+        monkeypatch.setattr(masks_mod, "TUKEY_SHAPE", tukey_shape)
         mag = _mag(np.ones((len(f0), 1025)), 16000, 2048, 160)
         contour = voiced_contour(f0, 0.01)
-        cfg = HarmonicMaskConfig(n_partials=10, width_hz=width_hz, tukey_shape=tukey_shape)
-        expected = _loop_harmonic_mask(contour, mag, cfg)
-        assert np.array_equal(harmonic_mask(contour, mag, cfg).values, expected)
+        expected = _loop_harmonic_mask(contour, mag, 10, width_hz, tukey_shape)
+        assert np.array_equal(harmonic_mask(contour, mag, 10, width_hz).values, expected)
 
     def test_frame_count_mismatch_rejected(self):
         mag = _mag(np.ones((3, 1025)))
         contour = voiced_contour([200.0, 210.0], 0.01)
         with pytest.raises(ValueError):
-            harmonic_mask(contour, mag, HarmonicMaskConfig())
+            harmonic_mask(contour, mag, 10, 50.0)
 
     def test_voiced_f0_at_nyquist_rejected(self):
         sr, window = 16000, 2048
         mag = _mag(np.ones((1, window // 2 + 1)), sr, window, 160)
         contour = voiced_contour([8000.0], 0.01)
         with pytest.raises(ValueError):
-            harmonic_mask(contour, mag, HarmonicMaskConfig())
+            harmonic_mask(contour, mag, 10, 50.0)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            HarmonicMaskConfig(n_partials=0)
-        with pytest.raises(ValueError):
-            HarmonicMaskConfig(width_hz=0.0)
-        with pytest.raises(ValueError):
-            HarmonicMaskConfig(tukey_shape=1.5)
+        mag = _mag(np.ones((1, 1025)))
+        contour = voiced_contour([200.0], 0.01)
+        with pytest.raises(ValueError, match="n_partials must be >= 1"):
+            harmonic_mask(contour, mag, 0, 50.0)
+        with pytest.raises(ValueError, match="width_hz must be positive"):
+            harmonic_mask(contour, mag, 10, 0.0)
+
+    def test_tukey_shape_constant(self):
+        assert masks_mod.TUKEY_SHAPE == 0.5
 
 
 class TestIntegration:

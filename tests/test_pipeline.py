@@ -43,9 +43,9 @@ def solves(monkeypatch):
     calls = []
     original = rpca_mod.decompose
 
-    def counting(x, cfg=rpca_mod.RpcaConfig()):
-        calls.append(cfg.lam)
-        return original(x, cfg)
+    def counting(x, lam=1.0):
+        calls.append(lam)
+        return original(x, lam)
 
     monkeypatch.setattr(rpca_mod, "decompose", counting)
     return calls
@@ -111,6 +111,29 @@ class TestPipelineConfig:
         assert cfg.alpha == 1.4
         assert cfg.mask_mode == "binary"
         assert cfg.window_size == 2048
+
+    @pytest.mark.parametrize("name", ["window_size", "hop_size", "n_partials"])
+    def test_int_fields_store_whole_numbers_as_int(self, name):
+        cfg = PipelineConfig(**{name: 320.0})
+        assert getattr(cfg, name) == 320
+        assert isinstance(getattr(cfg, name), int)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"hop_size": 160.5}, "hop_size must be a whole number"),
+            ({"n_partials": "10"}, "n_partials must be a whole number"),
+            ({"window_size": True}, "window_size must be a whole number"),
+            ({"n_partials": float("inf")}, "n_partials must be a whole number"),
+            ({"alpha": "0.6"}, "alpha must be a number"),
+            ({"lambda_sep": None}, "lambda_sep must be a number"),
+            ({"w": [50.0]}, "w must be a number"),
+        ],
+        ids=["fraction", "string-int", "bool", "inf", "string-float", "none", "list"],
+    )
+    def test_wrong_types_rejected(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            PipelineConfig().with_overrides(overrides)
 
     def test_from_json_with_sample_rate(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -486,6 +509,19 @@ class TestGridAxis:
 
     def test_single_point(self):
         assert GridAxis("alpha", 0.6, 0.6, 0.1).values() == [0.6]
+
+    @pytest.mark.parametrize(
+        "axis, expected",
+        [
+            (GridAxis("alpha", 0.0, 1.0, 0.6), [0.0, 0.6]),
+            (GridAxis("w", 20.0, 90.0, 40.0), [20.0, 60.0]),
+            (GridAxis("lambda", 0.6, 1.27, 0.1), [0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2]),
+        ],
+        ids=["alpha", "w", "lambda"],
+    )
+    def test_step_that_does_not_divide_stops_before_stop(self, axis, expected):
+        np.testing.assert_allclose(axis.values(), expected)
+        assert max(axis.values()) <= axis.stop
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Low-rank + sparse matrix decomposition by inexact augmented Lagrangian."""
 
 import logging
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import vocsep.rpca as rpca_mod
 from vocsep.report import trace_to_csv
-from vocsep.rpca import RpcaConfig, _svt_with_rank, decompose, soft_threshold, svt
+from vocsep.rpca import _svt_with_rank, decompose, soft_threshold, svt
 from vocsep.spectrogram import magnitude, stft
 from vocsep.synth import make_clip
 
@@ -33,35 +35,36 @@ def _reference_svt(values, threshold):
     return (u * shrunk) @ vt
 
 
-def _reference_decompose(x, cfg=RpcaConfig()):
+def _reference_decompose(x, lam=1.0):
     """The inexact ALM iteration with a full SVD at every step and the
     spectral norm from np.linalg.norm; returns (low_rank, iterations).
-    The mu schedule (1.25 / ||X||_2, growth 1.5, cap 1e7) is written out
-    here rather than read from the solver module."""
-    lam_hat = cfg.lam / np.sqrt(max(x.shape))
+    The mu schedule (1.25 / ||X||_2, growth 1.5, cap 1e7), tolerance
+    (1e-7) and iteration cap (1000) are written out here rather than
+    read from the solver module."""
+    lam_hat = lam / np.sqrt(max(x.shape))
     x_fro = np.linalg.norm(x)
     norm_two = np.linalg.norm(x, 2)
     y = x / max(norm_two, np.abs(x).max() / lam_hat)
     s = np.zeros_like(x)
     mu = 1.25 / norm_two
     mu_limit = mu * 1e7
-    for iterations in range(1, cfg.max_iterations + 1):
+    for iterations in range(1, 1001):
         low_rank = _reference_svt(x - s + y / mu, 1.0 / mu)
         s = soft_threshold(x - low_rank + y / mu, lam_hat / mu)
         gap = x - low_rank - s
         y = y + mu * gap
         mu = min(mu * 1.5, mu_limit)
-        if np.linalg.norm(gap) / x_fro < cfg.tolerance:
+        if np.linalg.norm(gap) / x_fro < 1e-7:
             break
     return low_rank, iterations
 
 
-def _allocating_decompose(x, cfg=RpcaConfig()):
+def _allocating_decompose(x, lam, max_iterations):
     """The solver loop as it was before it worked in preallocated
     buffers: fresh arrays every iteration, y/mu computed twice and
-    soft_threshold for the shrinkage. Same SVT and mu schedule as the
-    solver; returns (low_rank, sparse, trace)."""
-    lam_hat = cfg.lam / np.sqrt(max(x.shape))
+    soft_threshold for the shrinkage. Same SVT, mu schedule and
+    tolerance as the solver; returns (low_rank, sparse, trace)."""
+    lam_hat = lam / np.sqrt(max(x.shape))
     x_fro = np.linalg.norm(x)
     a = x.T if x.shape[0] > x.shape[1] else x
     norm_two = np.sqrt(np.linalg.eigvalsh(a @ a.T)[-1])
@@ -70,7 +73,7 @@ def _allocating_decompose(x, cfg=RpcaConfig()):
     mu = 1.25 / norm_two
     mu_limit = mu * 1e7
     trace = []
-    for iterations in range(1, cfg.max_iterations + 1):
+    for iterations in range(1, max_iterations + 1):
         low_rank, rank = _svt_with_rank(x - s + y / mu, 1.0 / mu)
         s = soft_threshold(x - low_rank + y / mu, lam_hat / mu)
         gap = x - low_rank - s
@@ -78,7 +81,7 @@ def _allocating_decompose(x, cfg=RpcaConfig()):
         residual = np.linalg.norm(gap) / x_fro
         trace.append((iterations, residual, rank, int(np.count_nonzero(s))))
         mu = min(mu * 1.5, mu_limit)
-        if residual < cfg.tolerance:
+        if residual < 1e-7:
             break
     return low_rank, s, tuple(trace)
 
@@ -94,6 +97,13 @@ def clip_solve(request):
     """The 1 s seed-7 clip's magnitude and its default solve."""
     x = _clip_magnitude(request.param)
     return x, decompose(x)
+
+
+@pytest.fixture(scope="module")
+def planted_solve():
+    """A planted low-rank plus sparse matrix and its uncapped solve."""
+    low, sparse = _planted(np.random.default_rng(5))
+    return low + sparse, decompose(low + sparse)
 
 
 class TestSoftThreshold:
@@ -206,7 +216,7 @@ class TestSvt:
 class TestDecompose:
     def test_planted_recovery(self, rng):
         low, sparse = _planted(rng)
-        result = decompose(low + sparse, RpcaConfig(lam=1.0))
+        result = decompose(low + sparse, 1.0)
         assert result.converged
         rel = np.linalg.norm(result.low_rank - low) / np.linalg.norm(low)
         assert rel < 1e-5
@@ -219,9 +229,10 @@ class TestDecompose:
         gap = np.linalg.norm(x - result.low_rank - result.sparse)
         assert gap <= 1e-7 * np.linalg.norm(x)
 
-    def test_lambda_hat_scaling(self, rng):
+    def test_lambda_hat_scaling(self, rng, monkeypatch):
+        monkeypatch.setattr(rpca_mod, "MAX_ITERATIONS", 5)
         x = rng.standard_normal((4, 1025))
-        result = decompose(x, RpcaConfig(lam=0.8, max_iterations=5))
+        result = decompose(x, 0.8)
         assert result.lambda_hat == pytest.approx(0.8 / np.sqrt(1025))
         assert result.lambda_hat == pytest.approx(0.02499, abs=5e-6)
 
@@ -233,14 +244,15 @@ class TestDecompose:
         assert np.all(result.sparse == 0)
         assert result.final_residual == 0.0
 
-    def test_accepts_values_attribute(self, rng):
+    def test_accepts_values_attribute(self, rng, monkeypatch):
         class Holder:
             def __init__(self, values):
                 self.values = values
 
+        monkeypatch.setattr(rpca_mod, "MAX_ITERATIONS", 10)
         x = rng.standard_normal((10, 10))
-        a = decompose(Holder(x), RpcaConfig(max_iterations=10))
-        b = decompose(x, RpcaConfig(max_iterations=10))
+        a = decompose(Holder(x))
+        b = decompose(x)
         np.testing.assert_array_equal(a.low_rank, b.low_rank)
 
     def test_rejects_1d(self):
@@ -257,17 +269,34 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose(x)
 
-    def test_nonconvergence_warns(self, rng, caplog):
+    def test_nonconvergence_warns(self, rng, caplog, monkeypatch):
+        monkeypatch.setattr(rpca_mod, "MAX_ITERATIONS", 1)
         low, sparse = _planted(rng)
         with caplog.at_level(logging.WARNING, logger="vocsep.rpca"):
-            result = decompose(low + sparse, RpcaConfig(max_iterations=1))
+            result = decompose(low + sparse)
         assert not result.converged
         assert result.iterations == 1
         assert any(r.levelno >= logging.WARNING for r in caplog.records)
 
-    def test_trace_rows(self, rng):
+    # the planted solve converges at iteration 20, so every cap drawn
+    # here stops it early
+    @settings(max_examples=8, deadline=None)
+    @given(cap=st.integers(min_value=1, max_value=19))
+    @example(cap=1)
+    @example(cap=19)
+    def test_iteration_cap_is_read_at_call_time(self, planted_solve, cap):
+        x, full = planted_solve
+        assert full.converged and full.iterations > cap
+        with mock.patch.object(rpca_mod, "MAX_ITERATIONS", cap):
+            capped = decompose(x)
+        assert capped.iterations == cap
+        assert not capped.converged
+        assert capped.trace == full.trace[:cap]
+
+    def test_trace_rows(self, rng, monkeypatch):
+        monkeypatch.setattr(rpca_mod, "MAX_ITERATIONS", 20)
         low, sparse = _planted(rng)
-        result = decompose(low + sparse, RpcaConfig(max_iterations=20))
+        result = decompose(low + sparse)
         assert len(result.trace) == result.iterations
         iters, residuals, ranks, nnzs = zip(*result.trace)
         assert list(iters) == list(range(1, result.iterations + 1))
@@ -285,8 +314,8 @@ class TestDecompose:
     def test_larger_lambda_means_sparser(self, rng):
         low, sparse = _planted(rng)
         x = low + sparse
-        loose = decompose(x, RpcaConfig(lam=0.6))
-        tight = decompose(x, RpcaConfig(lam=1.2))
+        loose = decompose(x, 0.6)
+        tight = decompose(x, 1.2)
         nnz = lambda r: int(np.sum(np.abs(r.sparse) > 1e-8))
         assert nnz(tight) <= nnz(loose)
 
@@ -311,7 +340,9 @@ class TestDecompose:
             (16000, 1.0, False, 3),  # cut off before it converges
         ],
     )
-    def test_bitwise_equal_to_allocating_loop(self, sample_rate, lam, tall, max_iterations):
+    def test_bitwise_equal_to_allocating_loop(
+        self, sample_rate, lam, tall, max_iterations, monkeypatch
+    ):
         """Against the loop that allocates fresh arrays and carries the
         dual Y. The solver carries Y / mu and takes the new dual and the
         gap from the shrinkage's clip: identities that are exact in real
@@ -320,9 +351,9 @@ class TestDecompose:
         x = _clip_magnitude(sample_rate)
         if tall:
             x = np.ascontiguousarray(x.T)
-        cfg = RpcaConfig(lam=lam, max_iterations=max_iterations)
-        result = decompose(x, cfg)
-        low_rank, sparse, trace = _allocating_decompose(x, cfg)
+        monkeypatch.setattr(rpca_mod, "MAX_ITERATIONS", max_iterations)
+        result = decompose(x, lam)
+        low_rank, sparse, trace = _allocating_decompose(x, lam, max_iterations)
         assert result.converged == (max_iterations > 3)
         # columns: iteration, residual, rank estimate, nnz
         got, ref = np.array(result.trace), np.array(trace)
@@ -370,9 +401,10 @@ class TestDecompose:
 
 
 class TestTraceCsv:
-    def test_header_and_rows(self, rng, tmp_path):
+    def test_header_and_rows(self, rng, tmp_path, monkeypatch):
+        monkeypatch.setattr(rpca_mod, "MAX_ITERATIONS", 15)
         low, sparse = _planted(rng)
-        result = decompose(low + sparse, RpcaConfig(max_iterations=15))
+        result = decompose(low + sparse)
         path = tmp_path / "trace.csv"
         trace_to_csv(result, path)
         lines = path.read_text().strip().splitlines()
@@ -381,21 +413,16 @@ class TestTraceCsv:
 
 
 class TestRpcaConfig:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"lam": 0.0},
-            {"lam": -1.0},
-            {"tolerance": 0.0},
-            {"max_iterations": 0},
-        ],
-    )
+    """The solver's settings: the lam argument and the module constants."""
+
+    @pytest.mark.parametrize("kwargs", [{"lam": 0.0}, {"lam": -1.0}])
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
-            RpcaConfig(**kwargs)
+        with pytest.raises(ValueError, match="lam must be positive"):
+            decompose(np.ones((4, 4)), **kwargs)
 
     def test_defaults(self):
-        cfg = RpcaConfig()
-        assert cfg.lam == 1.0
-        assert cfg.tolerance == 1e-7
-        assert cfg.max_iterations == 1000
+        assert rpca_mod.TOLERANCE == 1e-7
+        assert rpca_mod.MAX_ITERATIONS == 1000
+        assert (rpca_mod.MU_INITIAL_SCALE, rpca_mod.MU_GROWTH, rpca_mod.MU_CAP) == (1.25, 1.5, 1e7)
+        result = decompose(np.eye(3))
+        assert result.lambda_hat == 1.0 / np.sqrt(3)

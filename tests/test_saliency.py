@@ -10,8 +10,8 @@ from hypothesis.extra import numpy as hnp
 
 from vocsep.masks import TimeFrequencyMask
 from vocsep.saliency import (
+    SHS_DECAY,
     SaliencySpectrogram,
-    ShsConfig,
     combine,
     f0_enhancement,
     shs,
@@ -39,7 +39,7 @@ class TestShs:
         grid = _grid(200)
         values = np.zeros((1, 200))
         values[0, 150] = 5.0
-        out = shs(_logspec(values, grid), ShsConfig(n_partials=2, decay=0.86)).values[0]
+        out = shs(_logspec(values, grid), 2).values[0]
         assert out[150] == pytest.approx(5.0)
         assert out[30] == pytest.approx(0.86 * 5.0)
         remaining = np.delete(out, [30, 150])
@@ -50,19 +50,19 @@ class TestShs:
         grid = _grid(400)
         values = np.zeros((1, 400))
         values[0, 300] = 1.0
-        out = shs(_logspec(values, grid), ShsConfig(n_partials=3, decay=0.5)).values[0]
-        assert out[300 - 190] == pytest.approx(0.25)
+        out = shs(_logspec(values, grid), 3).values[0]
+        assert out[300 - 190] == pytest.approx(0.86**2)
 
     def test_single_partial_is_identity_on_nonneg(self, rng):
         grid = _grid(50)
         values = rng.uniform(0, 40, size=(3, 50))
-        out = shs(_logspec(values, grid), ShsConfig(n_partials=1)).values
+        out = shs(_logspec(values, grid), 1).values
         np.testing.assert_array_equal(out, values)
 
     def test_negative_db_clamped_to_zero(self):
         grid = _grid(50)
         values = np.full((2, 50), -200.0)
-        out = shs(_logspec(values, grid), ShsConfig()).values
+        out = shs(_logspec(values, grid)).values
         assert np.all(out == 0.0)
 
     def test_shifts_past_grid_top_dropped(self):
@@ -70,18 +70,17 @@ class TestShs:
         # so every n >= 2 term falls off the top
         grid = _grid(10)
         values = np.arange(10, dtype=np.float64)[None, :]
-        out = shs(_logspec(values, grid), ShsConfig(n_partials=10)).values
+        out = shs(_logspec(values, grid), 10).values
         np.testing.assert_array_equal(out, values)
 
     def test_linear_over_nonneg_inputs(self, rng):
         grid = _grid(150)
         a = rng.uniform(0, 30, size=(2, 150))
         b = rng.uniform(0, 30, size=(2, 150))
-        cfg = ShsConfig(n_partials=5)
-        out_sum = shs(_logspec(a + b, grid), cfg).values
+        out_sum = shs(_logspec(a + b, grid), 5).values
         np.testing.assert_allclose(
             out_sum,
-            shs(_logspec(a, grid), cfg).values + shs(_logspec(b, grid), cfg).values,
+            shs(_logspec(a, grid), 5).values + shs(_logspec(b, grid), 5).values,
             atol=1e-12,
         )
 
@@ -92,20 +91,18 @@ class TestShs:
     )
     def test_property_monotone_in_input(self, values, bump):
         grid = _grid(140)
-        cfg = ShsConfig(n_partials=4)
-        base = shs(_logspec(values, grid), cfg).values
+        base = shs(_logspec(values, grid), 4).values
         raised = values.copy()
         raised[0, bump] += 10.0
-        out = shs(_logspec(raised, grid), cfg).values
+        out = shs(_logspec(raised, grid), 4).values
         assert np.all(out >= base - 1e-12)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ShsConfig(n_partials=0)
-        with pytest.raises(ValueError):
-            ShsConfig(decay=0.0)
-        with pytest.raises(ValueError):
-            ShsConfig(decay=1.2)
+        with pytest.raises(ValueError, match="n_partials must be >= 1"):
+            shs(_logspec(np.zeros((1, 10)), _grid(10)), 0)
+
+    def test_decay_constant(self):
+        assert SHS_DECAY == 0.86
 
 
 def _full_fft_enhancement(mask_values, grid, h_top_hz):

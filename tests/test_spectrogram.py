@@ -275,32 +275,6 @@ class TestLogFrequencyGrid:
         one_up = 30.0 * 2.0 ** (grid.n_bins * 10.0 / 1200.0)
         assert one_up > 8000.0
 
-    def test_bin_number_at_origin(self):
-        grid = LogFrequencyGrid(h_low_hz=30.0, cents_per_bin=10.0, n_bins=10)
-        assert grid.bin_number(30.0) == 1
-
-    def test_bin_number_octave_at_100_cents(self):
-        # one octave = 1200 cents; at 100 cents per bin that lands on
-        # floor(1200/100 + 1) = 13
-        grid = LogFrequencyGrid(h_low_hz=30.0, cents_per_bin=100.0, n_bins=20)
-        assert grid.bin_number(60.0) == 13
-
-    def test_bin_number_monotone(self):
-        grid = LogFrequencyGrid(h_low_hz=30.0, cents_per_bin=10.0, n_bins=10)
-        freqs = np.linspace(30.0, 8000.0, 500)
-        bins = [grid.bin_number(f) for f in freqs]
-        assert all(b2 >= b1 for b1, b2 in zip(bins, bins[1:]))
-
-    def test_bin_number_rejects_below_origin(self):
-        grid = LogFrequencyGrid(h_low_hz=30.0, cents_per_bin=10.0, n_bins=10)
-        with pytest.raises(ValueError):
-            grid.bin_number(29.9)
-
-    def test_cents_of_bin(self):
-        grid = LogFrequencyGrid(h_low_hz=30.0, cents_per_bin=10.0, n_bins=10)
-        assert grid.cents_of_bin(1) == 0.0
-        assert grid.cents_of_bin(7) == 60.0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             LogFrequencyGrid(h_low_hz=0.0, cents_per_bin=10.0, n_bins=5)

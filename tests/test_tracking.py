@@ -1,4 +1,4 @@
-"""Contour container, transition model, path search, and contour IO."""
+"""Contour container, path search, and contour IO."""
 
 import itertools
 import math
@@ -11,12 +11,14 @@ from vocsep.spectrogram import LogFrequencyGrid
 from vocsep.tracking import (
     ALIGNMENT_TICK_SECONDS,
     CENTS_REFERENCE_HZ,
+    F0_MAX_HZ,
+    F0_MIN_HZ,
+    SALIENCY_FLOOR,
+    TRANSITION_SCALE_CENTS,
     F0Contour,
-    TrackerConfig,
     _best_transition,
     contour_accuracy_prep,
     read_f0_csv,
-    transition_cost,
     viterbi,
     voiced_contour,
     write_f0_csv,
@@ -34,12 +36,12 @@ def _saliency(values, grid, hop=0.01):
     )
 
 
-def _brute_force_bins(values, cents_per_bin, cfg):
+def _brute_force_bins(values, cents_per_bin):
     """Exhaustive best path, lexicographically smallest among ties."""
-    shifted = values + cfg.saliency_floor
+    shifted = values + SALIENCY_FLOOR
     em = np.log(shifted) - np.log(shifted.sum(axis=1, keepdims=True))
     n_frames, n_bins = em.shape
-    b = cfg.transition_scale_cents
+    b = TRANSITION_SCALE_CENTS
     log_norm = -math.log(2.0 * b)
     best_score, best_path = -np.inf, None
     for path in itertools.product(range(n_bins), repeat=n_frames):
@@ -52,20 +54,21 @@ def _brute_force_bins(values, cents_per_bin, cfg):
     return np.asarray(best_path)
 
 
-def _quadratic_viterbi_f0(s, cfg=TrackerConfig()):
+def _quadratic_viterbi_f0(s, scale_cents=TRANSITION_SCALE_CENTS):
     """The tracker with its backward pass written as the O(bins^2) max
-    over every transition, as it was before the distance transform.
-    Returns the f0 path, the backward scores and the log transitions."""
+    over every transition, as it was before the distance transform, at
+    transition scale scale_cents. Returns the f0 path, the backward
+    scores and the log transitions."""
     centers = s.grid.centers_hz
-    candidates = np.flatnonzero((centers >= cfg.f0_min_hz) & (centers <= cfg.f0_max_hz))
+    candidates = np.flatnonzero((centers >= F0_MIN_HZ) & (centers <= F0_MAX_HZ))
     lo = int(candidates[0])
     n_bins = int(candidates[-1]) - lo + 1
-    shifted = s.values[:, lo : lo + n_bins] + cfg.saliency_floor
+    shifted = s.values[:, lo : lo + n_bins] + SALIENCY_FLOOR
     em = np.log(shifted) - np.log(shifted.sum(axis=1, keepdims=True))
     n_frames = em.shape[0]
     offsets = np.arange(n_bins, dtype=np.float64)
     dist_cents = np.abs(offsets[:, None] - offsets[None, :]) * s.grid.cents_per_bin
-    b = cfg.transition_scale_cents
+    b = scale_cents
     log_g = -math.log(2.0 * b) - dist_cents / b
     best = np.empty_like(em)
     best[-1] = em[-1]
@@ -96,9 +99,10 @@ def _saliency_case(kind, n_frames, n_bins, rng):
 
 
 SALIENCY_KINDS = ["random", "quantised", "zero_frames", "one_hot"]
-# (cents_per_bin, transition_scale_cents): the defaults, then other grids and scales
+# (cents_per_bin, transition scale in cents): the defaults, then other
+# grids and scales
 TRACKER_GEOMETRIES = [
-    (10.0, TrackerConfig().transition_scale_cents),
+    (10.0, TRANSITION_SCALE_CENTS),
     (7.5, 106.0),
     (100.0, 40.0),
     (10.0, 300.0),
@@ -156,42 +160,15 @@ class TestF0Contour:
         np.testing.assert_allclose(contour.f0_cents, [0.0, 1200.0, 0.0], atol=1e-9)
 
 
-class TestTransitionCost:
-    def test_peak_value(self):
-        b = math.sqrt(150.0**2 / 2.0)
-        assert transition_cost(0.0, b) == pytest.approx(1.0 / (2.0 * b))
-        assert transition_cost(0.0, b) == pytest.approx(4.714e-3, abs=1e-6)
-
-    def test_one_scale_down(self):
-        b = 106.066
-        assert transition_cost(b, b) == pytest.approx(math.exp(-1.0) / (2.0 * b))
-
-    def test_symmetric(self):
-        np.testing.assert_allclose(
-            transition_cost(np.array([-75.0, 75.0]), 106.0),
-            np.full(2, transition_cost(75.0, 106.0)),
-        )
-
-    def test_integrates_to_one(self):
-        d = np.linspace(-5000, 5000, 200001)
-        total = np.trapezoid(transition_cost(d, 106.066), d)
-        assert total == pytest.approx(1.0, abs=1e-4)
-
-    def test_rejects_nonpositive_scale(self):
-        with pytest.raises(ValueError):
-            transition_cost(0.0, 0.0)
-
-
 class TestViterbi:
     def test_matches_exhaustive_enumeration(self):
-        cfg = TrackerConfig()
         grid = _in_range_grid(n_bins=6)
         rng = np.random.default_rng(42)
         for _ in range(50):
             n_frames = int(rng.integers(1, 6))
             values = rng.uniform(0.0, 50.0, size=(n_frames, 6))
-            contour = viterbi(_saliency(values, grid), cfg)
-            expected = _brute_force_bins(values, grid.cents_per_bin, cfg)
+            contour = viterbi(_saliency(values, grid))
+            expected = _brute_force_bins(values, grid.cents_per_bin)
             np.testing.assert_allclose(
                 contour.f0_hz, grid.centers_hz[expected], rtol=1e-12
             )
@@ -231,14 +208,13 @@ class TestViterbi:
         np.testing.assert_allclose(contour.f0_hz, np.full(3, grid.centers_hz[0]))
 
     def test_candidates_restricted_to_search_range(self):
-        # centers span 100..951 Hz; bins above f0_max never win even
+        # centers span 100..951 Hz; bins above F0_MAX_HZ never win even
         # with dominant saliency
         grid = LogFrequencyGrid(h_low_hz=100.0, cents_per_bin=300.0, n_bins=14)
         values = np.ones((5, 14))
         values[:, -1] = 1e6
-        cfg = TrackerConfig(f0_min_hz=80.0, f0_max_hz=720.0)
-        contour = viterbi(_saliency(values, grid), cfg)
-        assert np.all(contour.f0_hz <= 720.0)
+        contour = viterbi(_saliency(values, grid))
+        assert np.all(contour.f0_hz <= F0_MAX_HZ)
 
     def test_no_candidate_bins_is_an_error(self):
         grid = LogFrequencyGrid(h_low_hz=1000.0, cents_per_bin=100.0, n_bins=5)
@@ -248,14 +224,17 @@ class TestViterbi:
     @pytest.mark.parametrize("kind", SALIENCY_KINDS)
     @pytest.mark.parametrize("cents_per_bin, scale_cents", TRACKER_GEOMETRIES)
     def test_matches_quadratic_backward_pass(self, kind, cents_per_bin, scale_cents):
-        # the full 80-720 Hz search range of a 16 kHz grid
+        # the full 80-720 Hz search range of a 16 kHz grid; the tracker
+        # runs at TRANSITION_SCALE_CENTS, and _best_transition is
+        # checked at every scale
         grid = LogFrequencyGrid.for_nyquist(8000.0, cents_per_bin=cents_per_bin)
-        cfg = TrackerConfig(transition_scale_cents=scale_cents)
         rng = np.random.default_rng(int(cents_per_bin * 10 + scale_cents))
         for _ in range(3):
-            values = _saliency_case(kind, 100, grid.n_bins, rng)
-            expected, best, log_g = _quadratic_viterbi_f0(_saliency(values, grid), cfg)
-            np.testing.assert_array_equal(viterbi(_saliency(values, grid), cfg).f0_hz, expected)
+            s = _saliency(_saliency_case(kind, 100, grid.n_bins, rng), grid)
+            expected, best, log_g = _quadratic_viterbi_f0(s)
+            np.testing.assert_array_equal(viterbi(s).f0_hz, expected)
+            if scale_cents != TRANSITION_SCALE_CENTS:
+                _, best, log_g = _quadratic_viterbi_f0(s, scale_cents)
             # the scores behind the path match too, bit for bit
             c0 = -math.log(2.0 * scale_cents)
             kj = (cents_per_bin / scale_cents) * np.arange(best.shape[1], dtype=np.float64)
@@ -266,14 +245,10 @@ class TestViterbi:
                 )
 
     def test_tracker_config_validation(self):
-        with pytest.raises(ValueError):
-            TrackerConfig(f0_min_hz=0.0)
-        with pytest.raises(ValueError):
-            TrackerConfig(f0_min_hz=500.0, f0_max_hz=100.0)
-        with pytest.raises(ValueError):
-            TrackerConfig(transition_scale_cents=0.0)
-        with pytest.raises(ValueError):
-            TrackerConfig(saliency_floor=0.0)
+        # the tracker's settings are module constants
+        assert (F0_MIN_HZ, F0_MAX_HZ) == (80.0, 720.0)
+        assert TRANSITION_SCALE_CENTS == math.sqrt(150.0**2 / 2.0)
+        assert SALIENCY_FLOOR == 1e-12
 
 
 class TestContourAccuracyPrep:
