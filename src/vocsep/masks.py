@@ -3,8 +3,9 @@
 Three mask families: soft (Wiener-style ratio of the sparse RPCA part
 to sparse+low-rank), binary (sparse magnitude exceeding gamma times the
 low-rank magnitude), and harmonic (Tukey lobes around each partial of a
-tracked F0 contour). Masks integrate by elementwise product; a masked
-spectrogram resynthesizes with the mixture phases.
+tracked F0 contour). Masks integrate by elementwise product. separate()
+resynthesizes the masked vocal with the mixture phases in one ISTFT and
+takes the accompaniment as the mixture minus the vocal.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .audio import AudioSignal
 from .rpca import RpcaResult
-from .spectrogram import ComplexSpectrogram, MagnitudeSpectrogram, istft, magnitude
+from .spectrogram import ComplexSpectrogram, MagnitudeSpectrogram, istft
 from .tracking import F0Contour
 
 __all__ = [
@@ -175,36 +176,46 @@ def integrate_binary(mask: TimeFrequencyMask) -> TimeFrequencyMask:
     return TimeFrequencyMask(values=(mask.values > 0.5).astype(np.float64), kind="binary")
 
 
-def separate(spec: ComplexSpectrogram, mask: TimeFrequencyMask) -> SeparationResult:
-    """Split a mixture STFT into vocal and accompaniment signals.
+def separate(
+    mixture: AudioSignal,
+    mag: MagnitudeSpectrogram,
+    phase: ComplexSpectrogram,
+    mask: TimeFrequencyMask,
+) -> SeparationResult:
+    """Split a mixture into vocal and accompaniment signals.
 
-    The vocal magnitude is mask * |X|; the accompaniment magnitude is
-    the remainder |X| - vocal. Both resynthesize with the mixture
-    phases, taken as the unit phase X / max(|X|, tiny) in one complex
-    buffer: zero bins get phase 0, and their magnitudes are 0 anyway.
+    mag is the mixture's STFT magnitude |X| and phase its unit phase
+    X / max(|X|, tiny) (zero bins get phase 0), on one STFT grid. The
+    vocal magnitude is mask * |X|; the accompaniment magnitude is the
+    remainder |X| - vocal. The vocal resynthesizes with the mixture
+    phases, and the accompaniment is mixture - vocal in the time domain:
+    the ISTFT is linear and inverts the STFT to rounding, so that equals
+    resynthesizing the remainder, and the two signals sum back to the
+    mixture to one rounding. None of the inputs is written to, so mag
+    and phase may be reused across calls.
     """
-    if mask.values.shape != spec.values.shape:
+    if mask.values.shape != mag.values.shape or phase.values.shape != mag.values.shape:
         raise ValueError(
-            "mask shape %s does not match spectrogram %s"
-            % (mask.values.shape, spec.values.shape)
+            "mask %s, magnitude %s and phase %s shapes differ"
+            % (mask.values.shape, mag.values.shape, phase.values.shape)
         )
-    mixture = magnitude(spec)
-    vocal_mag = mask.values * mixture.values
-    accomp_mag = mixture.values - vocal_mag
+    if phase.n_samples != mixture.samples.size or phase.sample_rate != mixture.sample_rate:
+        raise ValueError(
+            "phase was taken from %d samples at %d Hz, mixture has %d at %d Hz"
+            % (phase.n_samples, phase.sample_rate, mixture.samples.size, mixture.sample_rate)
+        )
+    vocal_mag = mask.values * mag.values
+    accomp_mag = mag.values - vocal_mag
     # re-deriving the vocal part from the rounded remainder makes
     # vocal + accomp == mixture bitwise (one of the two subtractions is
     # always exact by Sterbenz); shifts the vocal by at most one ulp
-    np.subtract(mixture.values, accomp_mag, out=vocal_mag)
-    vocal_spec = dataclasses.replace(mixture, values=vocal_mag)
-    accomp_spec = dataclasses.replace(mixture, values=accomp_mag)
-    # the mixture magnitude, clamped in place, divides out the phase
-    np.maximum(mixture.values, np.finfo(np.float64).tiny, out=mixture.values)
-    phase = spec.values / mixture.values
-    del mixture
-    vocal = istft(dataclasses.replace(spec, values=phase * vocal_mag))
-    # the phase buffer becomes the accompaniment spectrum in place
-    phase *= accomp_mag
-    accompaniment = istft(dataclasses.replace(spec, values=phase))
+    np.subtract(mag.values, accomp_mag, out=vocal_mag)
+    vocal_spec = dataclasses.replace(mag, values=vocal_mag)
+    accomp_spec = dataclasses.replace(mag, values=accomp_mag)
+    vocal = istft(dataclasses.replace(phase, values=phase.values * vocal_mag))
+    accompaniment = AudioSignal(
+        samples=mixture.samples - vocal.samples, sample_rate=mixture.sample_rate
+    )
     return SeparationResult(
         vocal=vocal, accompaniment=accompaniment, vocal_spec=vocal_spec, accomp_spec=accomp_spec
     )

@@ -9,13 +9,16 @@ run() wires four stage helpers (the STFT, the RPCA solve, the contour
 and the vocal mask) and resynthesizes with separate(). The helpers pass
 each stage function the PipelineConfig fields it reads as plain
 arguments (lam, n_partials, width_hz); the settings no caller tunes are
-constants of the stage modules. The RPCA solve and the contour are
-stored in a plain dict memo under a key made of a digest of the mixture
-and the config fields the stage reads, so a stage whose inputs repeat
-is computed once. Each run() call has its own memo
-unless the caller passes one; grid_search passes one memo through
-evaluate() to run() so that consecutive cells with the same RPCA
-settings share their solves and contours.
+constants of the stage modules. The mixture's |X| and unit phase, the
+RPCA solve and the contour are stored in a plain dict memo under a key
+made of a digest of the mixture and the config fields the stage reads,
+so a stage whose inputs repeat is computed once. Each run() call has its
+own memo unless the caller passes one; grid_search passes one memo
+through evaluate() to run() so that consecutive cells with the same RPCA
+settings share their analysis, solves and contours. A cell that changes
+only the harmonic mask then costs the Wiener and harmonic masks, their
+product, one ISTFT and one subtraction. No stage writes into an array it
+got from the memo.
 
 Every stage releases its intermediates after their last use, and a solve
 in a memo that run() or estimate_f0() made itself leaves it once no
@@ -104,8 +107,9 @@ class PipelineConfig:
     tolerance and iteration cap in rpca.
 
     The int fields take whole numbers only (160.0 is stored as 160) and
-    the other numeric fields take numbers; anything else is a
-    ValueError.
+    the other numeric fields take finite numbers. The lambdas and w must
+    be positive, gamma and alpha nonnegative and n_partials at least 1.
+    Anything else is a ValueError, raised before any stage runs.
     """
 
     window_size: int = 2048
@@ -130,12 +134,25 @@ class PipelineConfig:
                         "%s must be a whole number, got %r" % (field.name, value)
                     )
                 object.__setattr__(self, field.name, int(value))
-            elif field.type == "float" and not number:
-                raise ValueError("%s must be a number, got %r" % (field.name, value))
+            elif field.type == "float":
+                if not number:
+                    raise ValueError("%s must be a number, got %r" % (field.name, value))
+                if not np.isfinite(value):
+                    raise ValueError("%s must be finite, got %r" % (field.name, value))
         if self.mask_mode not in ("soft", "binary"):
             raise ValueError("mask_mode must be 'soft' or 'binary'")
+        # the stages check these too, for callers outside the pipeline;
+        # checking here fails a run before its first solve
         if self.lambda_sep <= 0 or self.lambda_f0 <= 0:
             raise ValueError("lambda weights must be positive")
+        if self.w <= 0:
+            raise ValueError("w must be positive")
+        if self.n_partials < 1:
+            raise ValueError("n_partials must be >= 1")
+        if self.gamma < 0:
+            raise ValueError("gamma must be nonnegative")
+        if self.alpha < 0:
+            raise ValueError("alpha must be nonnegative")
 
     @classmethod
     def for_sample_rate(cls, sample_rate: int, **overrides) -> "PipelineConfig":
@@ -188,11 +205,20 @@ def _rpca_key(mixture_key: tuple, cfg: PipelineConfig, lam: float) -> tuple:
     return ("rpca", mixture_key, lam, cfg.window_size, cfg.hop_size)
 
 
-def _stft_stage(signal: AudioSignal, cfg: PipelineConfig):
-    spec = stft(signal, cfg.window_size, cfg.hop_size)
-    mag = magnitude(spec)
-    logger.info("stft: %d frames x %d bins", mag.n_frames, mag.n_bins)
-    return spec, mag
+def _stft_stage(mixture_key, signal: AudioSignal, cfg: PipelineConfig, memo: dict):
+    """The mixture's STFT magnitude |X| and unit phase X / max(|X|, tiny),
+    computed once per mixture and geometry. Zero bins get phase 0."""
+    key = ("stft", mixture_key, cfg.window_size, cfg.hop_size)
+    if key not in memo:
+        spec = stft(signal, cfg.window_size, cfg.hop_size)
+        mag = magnitude(spec)
+        logger.info("stft: %d frames x %d bins", mag.n_frames, mag.n_bins)
+        # the STFT's own buffer becomes the phase
+        np.divide(
+            spec.values, np.maximum(mag.values, np.finfo(np.float64).tiny), out=spec.values
+        )
+        memo[key] = mag, spec
+    return memo[key]
 
 
 def _rpca_stage(mixture_key, mag, cfg: PipelineConfig, lam: float, memo: dict, stage: str):
@@ -288,7 +314,8 @@ def estimate_f0(
     stages of run()). With dump_dir, writes rpca_trace.csv, saliency.csv
     and binary_rpca.pgm there."""
     dump_dir = _dump_dir(dump_dir)
-    _, mag = _stft_stage(signal, cfg)
+    mag = magnitude(stft(signal, cfg.window_size, cfg.hop_size))
+    logger.info("stft: %d frames x %d bins", mag.n_frames, mag.n_bins)
     return _contour_stage(_mixture_key(signal), mag, cfg, {}, dump_dir, drop_solve=True)
 
 
@@ -325,10 +352,11 @@ def run(
         binary_rpca.pgm from the contour stage; wiener.pgm,
         harmonic.pgm and integrated.csv from the mask stage.
     memo : dict, optional
-        Stage results (RPCA solves, contours) to reuse and add to; a
-        fresh one is used when omitted, so equal lambda_sep and
-        lambda_f0 still solve once. Stages taken from the memo write no
-        debug artifacts.
+        Stage results (the mixture's |X| and unit phase, RPCA solves,
+        contours) to reuse and add to; a fresh one is used when omitted,
+        so equal lambda_sep and lambda_f0 still solve once. Stages taken
+        from the memo write no debug artifacts, and nothing in it is
+        written to.
 
     Returns
     -------
@@ -342,7 +370,7 @@ def run(
     dump_dir = _dump_dir(dump_dir)
     t_start = time.perf_counter()
     mixture_key = _mixture_key(signal)
-    spec, mag = _stft_stage(signal, cfg)
+    mag, phase = _stft_stage(mixture_key, signal, cfg, memo)
 
     if ground_truth_f0 is None:
         # a solve of our own memo that the mask stage does not read goes
@@ -362,7 +390,7 @@ def run(
         memo.clear()  # no later stage reads a solve
     vocal_mask = _mask_stage(mag, soft, contour, cfg, dump_dir)
     del soft
-    result = separate(spec, vocal_mask)
+    result = separate(signal, mag, phase, vocal_mask)
     logger.info("pipeline done (%.2fs total)", time.perf_counter() - t_start)
     return result, contour
 
@@ -635,9 +663,10 @@ def grid_search(
     if every clip failed), and the per-cell failure count. A failing
     cell never aborts the sweep.
 
-    Consecutive cells with the same RPCA settings share their solves
-    and contours through one memo, which is emptied whenever the
-    settings change; put the lambda axes first to make those runs long.
+    Consecutive cells with the same RPCA settings share each clip's
+    |X| and unit phase, solves and contours through one memo, which is
+    emptied whenever the settings change; put the lambda axes first to
+    make those runs long.
     """
     _check_workers(workers)
     names = [axis.name for axis in spec.axes]

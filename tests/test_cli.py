@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import vocsep.rpca as rpca_mod
 from vocsep.audio import read_wav, write_wav
 from vocsep.cli import EXIT_INVALID_INPUT, EXIT_OK, EXIT_PARTIAL_FAILURE, main
 from vocsep.synth import make_clip, write_demo_corpus
@@ -150,6 +151,38 @@ class TestSeparate:
         ])
         assert code == EXIT_INVALID_INPUT
         assert not vocal.exists() and not accomp.exists()
+
+
+    @pytest.mark.parametrize(
+        "config, flags",
+        [
+            ('{"lambda_sep": NaN}', []),
+            ('{"lambda_f0": Infinity}', []),
+            ('{"alpha": NaN}', []),
+            (None, ["--w", "-5"]),
+            (None, ["--n-partials", "0"]),
+            (None, ["--gamma", "-1"]),
+            (None, ["--alpha", "-0.5"]),
+        ],
+        ids=["nan-lambda-sep", "inf-lambda-f0", "nan-alpha", "w", "n-partials", "gamma", "alpha"],
+    )
+    def test_bad_config_value_fails_before_any_solve(
+        self, mix_wav, tmp_path, monkeypatch, config, flags
+    ):
+        solves = []
+        monkeypatch.setattr(rpca_mod, "decompose", lambda *args: solves.append(args))
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(config)
+            flags = ["--config", str(path)]
+        vocal, accomp, f0 = tmp_path / "v.wav", tmp_path / "a.wav", tmp_path / "f0.csv"
+        code = main([
+            "separate", mix_wav, "--vocal", str(vocal), "--accomp", str(accomp),
+            "--f0-csv", str(f0),
+        ] + flags)
+        assert code == EXIT_INVALID_INPUT
+        assert not vocal.exists() and not accomp.exists() and not f0.exists()
+        assert solves == []
 
 
 class TestEstimateF0:

@@ -1,6 +1,7 @@
 """Mask construction, integration, and masked resynthesis."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -21,9 +22,10 @@ from vocsep.masks import (
     separate,
     wiener_mask,
 )
+from vocsep.pipeline import PipelineConfig, _stft_stage
 from vocsep.report import mask_to_csv, mask_to_pgm
 from vocsep.rpca import RpcaResult
-from vocsep.spectrogram import MagnitudeSpectrogram, istft, stft
+from vocsep.spectrogram import MagnitudeSpectrogram, istft, magnitude, stft
 from vocsep.tracking import voiced_contour
 
 
@@ -383,15 +385,22 @@ class TestIntegration:
         assert np.all(out <= b + 1e-15)
 
 
+def _analysis(signal, window_size=2048, hop_size=160):
+    """|X| and unit phase of a signal, built as run() builds them."""
+    cfg = PipelineConfig(window_size=window_size, hop_size=hop_size)
+    return _stft_stage(None, signal, cfg, {})
+
+
 class TestSeparate:
-    def _spec(self, rng, n=4000, sr=16000):
-        return stft(AudioSignal(rng.uniform(-0.5, 0.5, size=n), sr), 2048, 160)
+    def _inputs(self, rng, n=4000, sr=16000):
+        signal = AudioSignal(rng.uniform(-0.5, 0.5, size=n), sr)
+        return (signal, *_analysis(signal))
 
     def test_magnitudes_complementary_exactly(self, rng):
-        spec = self._spec(rng)
-        mask = TimeFrequencyMask(rng.uniform(0, 1, size=spec.values.shape))
-        result = separate(spec, mask)
-        mix = np.abs(spec.values)
+        signal, mag, phase = self._inputs(rng)
+        mask = TimeFrequencyMask(rng.uniform(0, 1, size=mag.values.shape))
+        result = separate(signal, mag, phase, mask)
+        mix = np.abs(stft(signal, 2048, 160).values)
         np.testing.assert_array_equal(
             result.vocal_spec.values + result.accomp_spec.values, mix
         )
@@ -400,70 +409,105 @@ class TestSeparate:
     def test_complementarity_survives_many_seeds(self):
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            spec = self._spec(rng, n=2500)
-            mask = TimeFrequencyMask(rng.uniform(0, 1, size=spec.values.shape))
-            result = separate(spec, mask)
-            mix = np.abs(spec.values)
+            signal, mag, phase = self._inputs(rng, n=2500)
+            mask = TimeFrequencyMask(rng.uniform(0, 1, size=mag.values.shape))
+            result = separate(signal, mag, phase, mask)
+            mix = np.abs(stft(signal, 2048, 160).values)
             assert np.array_equal(
                 result.vocal_spec.values + result.accomp_spec.values, mix
             )
 
     def test_all_pass_mask_returns_round_trip(self, rng):
-        spec = self._spec(rng)
-        mask = TimeFrequencyMask(np.ones(spec.values.shape))
-        result = separate(spec, mask)
+        signal, mag, phase = self._inputs(rng)
+        mask = TimeFrequencyMask(np.ones(mag.values.shape))
+        result = separate(signal, mag, phase, mask)
         assert np.all(result.accomp_spec.values == 0)
         assert np.max(np.abs(result.accompaniment.samples)) < 1e-10
-        x = rng  # noqa: F841  (rng already consumed for the signal)
         np.testing.assert_allclose(
             result.vocal.samples + result.accompaniment.samples,
             result.vocal.samples,
         )
 
     def test_all_reject_mask_silences_vocal(self, rng):
-        spec = self._spec(rng)
-        mask = TimeFrequencyMask(np.zeros(spec.values.shape))
-        result = separate(spec, mask)
+        signal, mag, phase = self._inputs(rng)
+        mask = TimeFrequencyMask(np.zeros(mag.values.shape))
+        result = separate(signal, mag, phase, mask)
         assert np.max(np.abs(result.vocal.samples)) == 0.0
+        assert np.array_equal(result.accompaniment.samples, signal.samples)
 
     def test_parts_sum_back_to_mixture(self, rng):
-        x = rng.uniform(-0.5, 0.5, size=4000)
-        spec = stft(AudioSignal(x, 16000), 2048, 160)
-        mask = TimeFrequencyMask(rng.uniform(0, 1, size=spec.values.shape))
-        result = separate(spec, mask)
+        signal, mag, phase = self._inputs(rng)
+        x = signal.samples
+        mask = TimeFrequencyMask(rng.uniform(0, 1, size=mag.values.shape))
+        result = separate(signal, mag, phase, mask)
         total = result.vocal.samples + result.accompaniment.samples
-        assert np.linalg.norm(total - x) / np.linalg.norm(x) < 1e-6
+        assert np.linalg.norm(total - x) / np.linalg.norm(x) < np.finfo(np.float64).eps
+
+    @pytest.mark.parametrize("sr,window,hop", [(16000, 2048, 160), (44100, 4096, 441)])
+    def test_parts_sum_to_mixture_within_one_rounding(self, sr, window, hop, rng):
+        # accompaniment = mixture - vocal, so the sum is the mixture up to
+        # the rounding of that subtraction and of the sum; resynthesizing
+        # both parts leaves the ISTFT round-trip error (about 3 eps here)
+        signal = AudioSignal(rng.uniform(-0.5, 0.5, size=sr), sr)
+        mag, phase = _analysis(signal, window, hop)
+        mask = TimeFrequencyMask(rng.uniform(0, 1, size=mag.values.shape))
+        result = separate(signal, mag, phase, mask)
+        x = signal.samples
+        error = np.max(np.abs(result.vocal.samples + result.accompaniment.samples - x))
+        assert error <= 2 * np.finfo(np.float64).eps * np.max(np.abs(x))
 
     @pytest.mark.parametrize("sr,window,hop", [(16000, 2048, 160), (44100, 4096, 441)])
     def test_bitwise_equal_to_whole_array_resynthesis(self, sr, window, hop, rng, monkeypatch):
-        spec = stft(AudioSignal(rng.uniform(-0.5, 0.5, size=sr), sr), window, hop)
+        signal = AudioSignal(rng.uniform(-0.5, 0.5, size=sr), sr)
+        spec = stft(signal, window, hop)
         mask = TimeFrequencyMask(rng.uniform(0, 1, size=spec.values.shape))
         monkeypatch.setattr(spectrogram_mod, "ISTFT_BLOCK_FRAMES", spec.n_frames)
         expected = _reference_separate(spec, mask)
         monkeypatch.setattr(spectrogram_mod, "ISTFT_BLOCK_FRAMES", 7)
         assert spec.n_frames % 7 != 0
-        result = separate(spec, mask)
+        result = separate(signal, *_analysis(signal, window, hop), mask)
         assert np.array_equal(result.vocal.samples, expected[0])
-        assert np.array_equal(result.accompaniment.samples, expected[1])
+        # the accompaniment is mixture - vocal, not a second resynthesis
+        got = result.accompaniment.samples
+        assert np.linalg.norm(got - expected[1]) <= 1e-13 * np.linalg.norm(expected[1])
 
     @pytest.mark.parametrize("sr,window,hop", [(16000, 2048, 160), (44100, 4096, 441)])
     def test_close_to_exp_angle_resynthesis(self, sr, window, hop, rng):
         spec = stft(AudioSignal(rng.uniform(-0.5, 0.5, size=sr), sr), window, hop)
-        # zero bins, whose phase the two constructions define differently
+        # zero bins, whose phase the two constructions define differently;
+        # the mixture is then the resynthesis of the zeroed spectrum
         values = spec.values.copy()
         values[:, ::5] = 0.0
         spec = dataclasses.replace(spec, values=values)
+        mixture = istft(spec)
+        phase = dataclasses.replace(spec, values=_divided_phase(spec.values))
         mask = TimeFrequencyMask(rng.uniform(0, 1, size=spec.values.shape))
-        result = separate(spec, mask)
+        result = separate(mixture, magnitude(spec), phase, mask)
         expected = _reference_separate(spec, mask, unit_phase=_angle_phase)
         for got, ref in zip((result.vocal.samples, result.accompaniment.samples), expected):
             assert np.all(np.isfinite(got))
             assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
 
+    def test_leaves_its_inputs_unchanged(self, rng):
+        signal, mag, phase = self._inputs(rng)
+        mag.values[:, ::7] = 0.0  # zero bins, which a clamp would touch
+        mask = TimeFrequencyMask(rng.uniform(0, 1, size=mag.values.shape))
+        arrays = (signal.samples, mag.values, phase.values, mask.values)
+        before = [hashlib.sha256(a.tobytes()).hexdigest() for a in arrays]
+        separate(signal, mag, phase, mask)
+        assert [hashlib.sha256(a.tobytes()).hexdigest() for a in arrays] == before
+
     def test_shape_mismatch_rejected(self, rng):
-        spec = self._spec(rng)
-        with pytest.raises(ValueError):
-            separate(spec, TimeFrequencyMask(np.zeros((2, 2))))
+        signal, mag, phase = self._inputs(rng)
+        with pytest.raises(ValueError, match="shapes differ"):
+            separate(signal, mag, phase, TimeFrequencyMask(np.zeros((2, 2))))
+        mask = TimeFrequencyMask(np.zeros(mag.values.shape))
+        with pytest.raises(ValueError, match="shapes differ"):
+            separate(signal, mag, dataclasses.replace(phase, values=phase.values[:-1]), mask)
+        with pytest.raises(ValueError, match="phase was taken"):
+            separate(AudioSignal(signal.samples[:-1], 16000), mag, phase, mask)
+        with pytest.raises(ValueError, match="phase was taken"):
+            separate(AudioSignal(signal.samples, 8000), mag, phase, mask)
 
 
 class TestMaskWriters:

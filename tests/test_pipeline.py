@@ -1,11 +1,15 @@
 """End-to-end pipeline, corpus evaluation, and parameter sweeps."""
 
+import collections
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+import vocsep.masks as masks_mod
+import vocsep.pipeline as pipeline_mod
 import vocsep.rpca as rpca_mod
 from vocsep.audio import AudioSignal
 from vocsep.spectrogram import magnitude, stft
@@ -49,6 +53,18 @@ def solves(monkeypatch):
 
     monkeypatch.setattr(rpca_mod, "decompose", counting)
     return calls
+
+
+def _memo_digests(memo):
+    """SHA-256 of every array the memo's entries hold, by key and field."""
+    digests = {}
+    for key, value in memo.items():
+        for i, item in enumerate(value if isinstance(value, tuple) else (value,)):
+            for field in dataclasses.fields(item):
+                array = getattr(item, field.name)
+                if isinstance(array, np.ndarray):
+                    digests[key, i, field.name] = hashlib.sha256(array.tobytes()).hexdigest()
+    return digests
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +151,31 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match=message):
             PipelineConfig().with_overrides(overrides)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["lambda_sep", "lambda_f0", "gamma", "w", "alpha"])
+    def test_non_finite_floats_rejected(self, name, value):
+        with pytest.raises(ValueError, match="%s must be finite" % name):
+            PipelineConfig(**{name: value})
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"w": -5.0}, "w must be positive"),
+            ({"w": 0.0}, "w must be positive"),
+            ({"n_partials": 0}, "n_partials must be >= 1"),
+            ({"gamma": -1.0}, "gamma must be nonnegative"),
+            ({"alpha": -0.5}, "alpha must be nonnegative"),
+        ],
+        ids=["w-negative", "w-zero", "n_partials", "gamma", "alpha"],
+    )
+    def test_stage_values_checked_at_construction(self, overrides, message):
+        # the CLI tests check that such a run makes no solve
+        for sample_rate in (16000, 44100):
+            with pytest.raises(ValueError, match=message):
+                PipelineConfig.for_sample_rate(sample_rate, **overrides)
+        with pytest.raises(ValueError, match=message):
+            PipelineConfig().with_overrides(overrides)
+
     def test_from_json_with_sample_rate(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"alpha": 0.2}))
@@ -203,6 +244,45 @@ class TestRun:
         for sep in (reused, fresh):
             np.testing.assert_array_equal(sep.vocal_spec.values, first.vocal_spec.values)
             np.testing.assert_array_equal(sep.vocal.samples, first.vocal.samples)
+
+    def test_memo_hit_runs_one_istft_and_no_analysis(self, tiny_clip, monkeypatch):
+        memo = {}
+        run(tiny_clip.mixture, PipelineConfig(), memo=memo)
+        calls = collections.Counter()
+        for module, name in ((pipeline_mod, "stft"), (pipeline_mod, "magnitude"), (masks_mod, "istft")):
+            original = getattr(module, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        cfg = PipelineConfig(w=70.0)
+        hit, hit_contour = run(tiny_clip.mixture, cfg, memo=memo)
+        assert calls == {"istft": 1}
+        fresh, fresh_contour = run(tiny_clip.mixture, cfg)
+        assert calls == {"istft": 2, "stft": 1, "magnitude": 1}
+        for part in ("vocal", "accompaniment"):
+            assert np.array_equal(getattr(hit, part).samples, getattr(fresh, part).samples)
+        for part in ("vocal_spec", "accomp_spec"):
+            assert np.array_equal(getattr(hit, part).values, getattr(fresh, part).values)
+        assert np.array_equal(hit_contour.f0_hz, fresh_contour.f0_hz)
+
+    def test_runs_leave_the_memo_arrays_unchanged(self, tiny_clip, solves):
+        # leading silence gives all-zero STFT bins, which a clamp of |X|
+        # would change
+        sr = tiny_clip.mixture.sample_rate
+        mixture = AudioSignal(np.concatenate([np.zeros(sr // 2), tiny_clip.mixture.samples]), sr)
+        memo = {}
+        run(mixture, PipelineConfig(), memo=memo)
+        assert sorted(key[0] for key in memo) == ["contour", "rpca", "stft"]
+        mag, _ = next(value for key, value in memo.items() if key[0] == "stft")
+        assert np.any(mag.values == 0)
+        before = _memo_digests(memo)
+        for cfg in (PipelineConfig(w=70.0), PipelineConfig(mask_mode="binary")):
+            run(mixture, cfg, memo=memo)
+        assert solves == [0.8]
+        assert _memo_digests(memo) == before
 
     def test_memo_is_keyed_by_samples_not_by_object(self, tiny_clip, solves):
         memo = {}
@@ -551,6 +631,16 @@ class TestGridSearch:
     def test_fractional_int_axis_value_rejected(self):
         with pytest.raises(ValueError, match="whole number"):
             _apply_axes(PipelineConfig(), ["n_partials"], [1.5])
+
+    def test_invalid_width_cell_fails_without_a_solve(self, tiny_corpus, solves):
+        entries = load_corpus(tiny_corpus)
+        spec = GridSearchSpec(axes=(GridAxis("w", -10.0, -10.0, 1.0),))
+        cells = grid_search(entries, spec, PipelineConfig())
+        assert len(cells) == 1
+        assert cells[0]["value"] is None
+        assert cells[0]["n_failed"] == len(entries)
+        assert "w must be positive" in cells[0]["error"]
+        assert solves == []
 
     def test_hop_size_axis_scores_every_cell(self, tiny_corpus):
         entries = load_corpus(tiny_corpus)
