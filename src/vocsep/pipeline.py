@@ -5,20 +5,21 @@ log-frequency vocal spectrogram -> subharmonic summation + comb
 enhancement -> contour tracking -> harmonic mask -> soft mask ->
 mask integration -> masked resynthesis.
 
-run() wires four stage helpers (the STFT, the RPCA solve, the contour
-and the vocal mask) and resynthesizes with separate(). The helpers pass
+run() wires five stage helpers (the STFT, the RPCA solve, the contour,
+the Wiener mask and the vocal mask) and resynthesizes with separate(). The helpers pass
 each stage function the PipelineConfig fields it reads as plain
 arguments (lam, n_partials, width_hz); the settings no caller tunes are
 constants of the stage modules. The mixture's |X| and unit phase, the
-RPCA solve and the contour are stored in a plain dict memo under a key
-made of a digest of the mixture and the config fields the stage reads,
-so a stage whose inputs repeat is computed once. Each run() call has its
-own memo unless the caller passes one; grid_search passes one memo
-through evaluate() to run() so that consecutive cells with the same RPCA
-settings share their analysis, solves and contours. A cell that changes
-only the harmonic mask then costs the Wiener and harmonic masks, their
-product, one ISTFT and one subtraction. No stage writes into an array it
-got from the memo.
+RPCA solves, the Wiener mask of the lambda_sep solve and the contour
+are stored in a plain dict memo under a key made of a digest of the
+mixture and the config fields the stage reads, so a stage whose inputs
+repeat is computed once. Each run() call has its own memo unless the
+caller passes one; grid_search passes one memo through evaluate() to
+run() so that consecutive cells with the same RPCA settings share their
+analysis, solves, Wiener masks and contours. A cell that changes only
+the harmonic mask then costs the harmonic mask, its product with the
+Wiener mask, one ISTFT and one subtraction. No stage writes into an
+array it got from the memo.
 
 Every stage releases its intermediates after their last use, and a solve
 in a memo that run() or estimate_f0() made itself leaves it once no
@@ -231,6 +232,15 @@ def _rpca_stage(mixture_key, mag, cfg: PipelineConfig, lam: float, memo: dict, s
     return memo[key]
 
 
+def _soft_stage(mixture_key, mag, cfg: PipelineConfig, memo: dict):
+    """The Wiener mask of the lambda_sep split, stored next to it."""
+    key = ("wiener", _rpca_key(mixture_key, cfg, cfg.lambda_sep))
+    if key not in memo:
+        decomposition = _rpca_stage(mixture_key, mag, cfg, cfg.lambda_sep, memo, "rpca[sep]")
+        memo[key] = wiener_mask(decomposition)
+    return memo[key]
+
+
 def _dump_dir(path) -> Path | None:
     """The debug dump directory, created if missing; None for no dumps."""
     if path is not None:
@@ -353,10 +363,10 @@ def run(
         harmonic.pgm and integrated.csv from the mask stage.
     memo : dict, optional
         Stage results (the mixture's |X| and unit phase, RPCA solves,
-        contours) to reuse and add to; a fresh one is used when omitted,
-        so equal lambda_sep and lambda_f0 still solve once. Stages taken
-        from the memo write no debug artifacts, and nothing in it is
-        written to.
+        the Wiener mask, contours) to reuse and add to; a fresh one is
+        used when omitted, so equal lambda_sep and lambda_f0 still solve
+        once. Stages taken from the memo write no debug artifacts, and
+        nothing in it is written to.
 
     Returns
     -------
@@ -385,7 +395,7 @@ def run(
             )
         contour = ground_truth_f0
 
-    soft = wiener_mask(_rpca_stage(mixture_key, mag, cfg, cfg.lambda_sep, memo, "rpca[sep]"))
+    soft = _soft_stage(mixture_key, mag, cfg, memo)
     if own_memo:
         memo.clear()  # no later stage reads a solve
     vocal_mask = _mask_stage(mag, soft, contour, cfg, dump_dir)
@@ -664,9 +674,9 @@ def grid_search(
     cell never aborts the sweep.
 
     Consecutive cells with the same RPCA settings share each clip's
-    |X| and unit phase, solves and contours through one memo, which is
-    emptied whenever the settings change; put the lambda axes first to
-    make those runs long.
+    |X| and unit phase, solves, Wiener mask and contours through one
+    memo, which is emptied whenever the settings change; put the lambda
+    axes first to make those runs long.
     """
     _check_workers(workers)
     names = [axis.name for axis in spec.axes]

@@ -268,6 +268,38 @@ class TestRun:
             assert np.array_equal(getattr(hit, part).values, getattr(fresh, part).values)
         assert np.array_equal(hit_contour.f0_hz, fresh_contour.f0_hz)
 
+    def test_memo_hit_reuses_the_wiener_mask(self, tiny_clip, solves, monkeypatch):
+        calls = []
+        original = pipeline_mod.wiener_mask
+
+        def counting(result):
+            calls.append(result)
+            return original(result)
+
+        monkeypatch.setattr(pipeline_mod, "wiener_mask", counting)
+        memo = {}
+        run(tiny_clip.mixture, PipelineConfig(lambda_f0=1.0), memo=memo)
+        assert len(calls) == 1
+        for cfg in (
+            PipelineConfig(lambda_f0=1.0, w=70.0),
+            PipelineConfig(lambda_f0=1.0, mask_mode="binary"),
+            PipelineConfig(lambda_f0=1.0, alpha=0.0),
+        ):
+            hit, hit_contour = run(tiny_clip.mixture, cfg, memo=memo)
+            assert len(calls) == 1
+            fresh, fresh_contour = run(tiny_clip.mixture, cfg)
+            assert len(calls) == 2
+            del calls[1:]
+            for part in ("vocal", "accompaniment"):
+                assert np.array_equal(getattr(hit, part).samples, getattr(fresh, part).samples)
+            for part in ("vocal_spec", "accomp_spec"):
+                assert np.array_equal(getattr(hit, part).values, getattr(fresh, part).values)
+            assert np.array_equal(hit_contour.f0_hz, fresh_contour.f0_hz)
+        # a new lambda_sep is a new solve and a new mask
+        run(tiny_clip.mixture, PipelineConfig(lambda_f0=1.0, lambda_sep=0.9), memo=memo)
+        assert len(calls) == 2
+        assert solves.count(0.8) == 4 and solves.count(0.9) == 1
+
     def test_runs_leave_the_memo_arrays_unchanged(self, tiny_clip, solves):
         # leading silence gives all-zero STFT bins, which a clamp of |X|
         # would change
@@ -275,7 +307,7 @@ class TestRun:
         mixture = AudioSignal(np.concatenate([np.zeros(sr // 2), tiny_clip.mixture.samples]), sr)
         memo = {}
         run(mixture, PipelineConfig(), memo=memo)
-        assert sorted(key[0] for key in memo) == ["contour", "rpca", "stft"]
+        assert sorted(key[0] for key in memo) == ["contour", "rpca", "stft", "wiener"]
         mag, _ = next(value for key, value in memo.items() if key[0] == "stft")
         assert np.any(mag.values == 0)
         before = _memo_digests(memo)

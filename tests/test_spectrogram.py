@@ -57,6 +57,10 @@ def _scipy_log_frequency(mag, grid):
 
 
 class TestStft:
+    @pytest.mark.parametrize("n", [2**k for k in range(6, 16)])
+    def test_window_bitwise_equal_to_scipy_hann(self, n):
+        assert np.array_equal(spectrogram_mod._hann(n), get_window("hann", n, fftbins=True))
+
     @pytest.mark.parametrize("sr,window,hop", GEOMETRIES)
     def test_frame_count(self, sr, window, hop, rng):
         n = sr  # one second
@@ -123,7 +127,7 @@ class TestStft:
         with pytest.raises(ValueError):
             stft(sig, 2048, 4096)  # hop > window
 
-    @pytest.mark.parametrize("sr,window,hop", GEOMETRIES)
+    @pytest.mark.parametrize("sr,window,hop", GEOMETRIES + [(16000, 256, 96)])
     @pytest.mark.parametrize("block", [1, 7, spectrogram_mod.ISTFT_BLOCK_FRAMES, 1000])
     def test_istft_blocks_bitwise_equal_to_whole_array(self, sr, window, hop, block, rng, monkeypatch):
         spec = stft(AudioSignal(rng.uniform(-1, 1, size=sr), sr), window, hop)
