@@ -38,7 +38,7 @@ from .pipeline import (
     load_corpus,
     run,
 )
-from .rpca import RpcaResult, decompose, soft_threshold, svt
+from .rpca import RpcaResult, decompose
 from .saliency import SaliencySpectrogram, combine, f0_enhancement, shs
 from .spectrogram import (
     ComplexSpectrogram,

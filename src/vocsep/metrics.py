@@ -158,6 +158,14 @@ def gnsdr(scores_and_lengths) -> float:
     return total / weight
 
 
+def check_tolerance_cents(tolerance_cents: float) -> None:
+    """A pitch tolerance must be positive and finite."""
+    if not (np.isfinite(tolerance_cents) and tolerance_cents > 0):
+        raise ValueError(
+            "tolerance_cents must be positive and finite, got %r" % (tolerance_cents,)
+        )
+
+
 def raw_pitch_accuracy(
     estimate: F0Contour, truth: F0Contour, tolerance_cents: float = 50.0
 ) -> float:
@@ -165,10 +173,10 @@ def raw_pitch_accuracy(
     tolerance_cents of the true pitch.
 
     Estimated unvoiced frames (f0 = 0) at voiced truth ticks count as
-    misses. A truth contour with no voiced frames is an error.
+    misses. A truth contour with no voiced frames is an error, as is a
+    tolerance that is not positive and finite.
     """
-    if tolerance_cents <= 0:
-        raise ValueError("tolerance_cents must be positive")
+    check_tolerance_cents(tolerance_cents)
     est_hz, truth_hz = contour_accuracy_prep(estimate, truth)
     if truth_hz.size == 0:
         raise ValueError("ground truth has no voiced frames")

@@ -58,6 +58,7 @@ from .masks import (
 )
 from .metrics import (
     SeparationScore,
+    check_tolerance_cents,
     decompose_estimate,
     gnsdr,
     nsdr,
@@ -75,7 +76,7 @@ from .spectrogram import (
     stft,
     to_log_frequency,
 )
-from .tracking import F0Contour, align_contour, read_f0_csv, viterbi
+from .tracking import F0Contour, align_contour, read_f0_csv, viterbi, voiced_contour
 
 logger = logging.getLogger(__name__)
 
@@ -182,15 +183,14 @@ class PipelineConfig:
         return dataclasses.asdict(self)
 
     @classmethod
-    def from_json(cls, path, sample_rate: int | None = None) -> "PipelineConfig":
-        """Load overrides from a JSON object whose keys mirror the
-        PipelineConfig field names."""
+    def from_json(cls, path, sample_rate: int) -> "PipelineConfig":
+        """The for_sample_rate() defaults with overrides from a JSON
+        object whose keys mirror the PipelineConfig field names."""
         with open(path) as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError("config JSON must be an object of field overrides")
-        base = cls() if sample_rate is None else cls.for_sample_rate(sample_rate)
-        return base.with_overrides(data)
+        return cls.for_sample_rate(sample_rate).with_overrides(data)
 
 
 def _mixture_key(signal: AudioSignal) -> tuple:
@@ -293,12 +293,7 @@ def _contour_stage(
     contour = viterbi(saliency)
 
     if not sounding.all():
-        contour = dataclasses.replace(
-            contour,
-            f0_hz=np.where(sounding, contour.f0_hz, 0.0),
-            f0_cents=np.where(sounding, contour.f0_cents, 0.0),
-            voiced=sounding,
-        )
+        contour = voiced_contour(np.where(sounding, contour.f0_hz, 0.0), contour.hop_seconds)
     memo[key] = contour
     return contour
 
@@ -545,9 +540,11 @@ def _aggregate(clips: list) -> dict:
     return section
 
 
-def _check_workers(workers: int) -> None:
+def _check_scoring(workers: int, tolerance_cents: float) -> None:
+    """Reject arguments that would fail every clip, before any clip runs."""
     if workers < 1:
         raise ValueError("workers must be >= 1, got %r" % (workers,))
+    check_tolerance_cents(tolerance_cents)
 
 
 def evaluate(
@@ -572,7 +569,7 @@ def evaluate(
     """
     if not entries:
         raise ValueError("empty corpus")
-    _check_workers(workers)
+    _check_scoring(workers, tolerance_cents)
     snrs = list(snr_list) if snr_list is not None else [None]
     jobs = [
         (e, cfg, snr_db, tolerance_cents, use_ground_truth_f0)
@@ -610,7 +607,7 @@ class GridAxis:
     name may be any numeric PipelineConfig field, or "lambda" to sweep
     lambda_sep and lambda_f0 together. The integer fields (window_size,
     hop_size, n_partials) take only whole values; a fractional one makes
-    its cell fail.
+    its cell fail. start, stop and step must be finite.
     """
 
     name: str
@@ -619,6 +616,10 @@ class GridAxis:
     step: float
 
     def __post_init__(self):
+        for name in ("start", "stop", "step"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError("%s must be finite, got %r" % (name, value))
         if self.step <= 0:
             raise ValueError("step must be positive")
         if self.stop < self.start:
@@ -678,7 +679,7 @@ def grid_search(
     memo, which is emptied whenever the settings change; put the lambda
     axes first to make those runs long.
     """
-    _check_workers(workers)
+    _check_scoring(workers, tolerance_cents)
     names = [axis.name for axis in spec.axes]
     cells = []
     combos = list(itertools.product(*(axis.values() for axis in spec.axes)))

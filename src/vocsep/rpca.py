@@ -38,7 +38,7 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["RpcaResult", "soft_threshold", "svt", "decompose"]
+__all__ = ["RpcaResult", "decompose"]
 
 # Penalty schedule: mu0 = MU_INITIAL_SCALE / ||X||_2, multiplied by
 # MU_GROWTH each iteration and capped at mu0 * MU_CAP.
@@ -68,24 +68,7 @@ class RpcaResult:
     iterations: int
     converged: bool
     final_residual: float
-    lambda_hat: float
     trace: tuple = ()
-
-
-def soft_threshold(values: np.ndarray, threshold: float) -> np.ndarray:
-    """Entrywise shrinkage: sign(v) * max(|v| - threshold, 0)."""
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
-    v = np.asarray(values, dtype=np.float64)
-    return np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)
-
-
-def svt(values: np.ndarray, threshold: float) -> np.ndarray:
-    """Singular value thresholding: soft-shrink the spectrum by threshold."""
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
-    low_rank, _ = _svt_with_rank(np.asarray(values, dtype=np.float64), threshold)
-    return low_rank
 
 
 def _short_side(values):
@@ -122,7 +105,7 @@ def decompose(x, lam: float = 1.0) -> RpcaResult:
 
     Parameters
     ----------
-    x : np.ndarray or object with a ``values`` array
+    x : np.ndarray
         Real (frames, bins) matrix; NaN or Inf entries are rejected.
     lam : float
         Positive sparsity weight before the 1/sqrt(max(T, F)) size
@@ -136,7 +119,7 @@ def decompose(x, lam: float = 1.0) -> RpcaResult:
     """
     if lam <= 0:
         raise ValueError("lam must be positive, got %r" % (lam,))
-    x = np.asarray(getattr(x, "values", x), dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.size == 0:
         raise ValueError("input must be a non-empty 2-d matrix, got shape %s" % (x.shape,))
     if not np.all(np.isfinite(x)):
@@ -151,7 +134,6 @@ def decompose(x, lam: float = 1.0) -> RpcaResult:
             iterations=0,
             converged=True,
             final_residual=0.0,
-            lambda_hat=lam_hat,
         )
 
     a, tall = _short_side(x)
@@ -179,8 +161,8 @@ def decompose(x, lam: float = 1.0) -> RpcaResult:
         _, rank = _svt_with_rank(arg, 1.0 / mu, out=low_rank)
         np.subtract(x, low_rank, out=arg)
         arg += g
-        # soft_threshold(arg, t) as arg - clip(arg, -t, t); a zero comes
-        # out as +0.0, since v - v is +0.0 for every finite v
+        # the shrinkage sign(v) max(|v| - t, 0) as arg - clip(arg, -t, t);
+        # a zero comes out as +0.0, since v - v is +0.0 for every finite v
         t = lam_hat / mu
         np.clip(arg, -t, t, out=s)
         arg -= s
@@ -209,6 +191,5 @@ def decompose(x, lam: float = 1.0) -> RpcaResult:
         iterations=iterations,
         converged=converged,
         final_residual=float(residual),
-        lambda_hat=float(lam_hat),
         trace=tuple(trace),
     )

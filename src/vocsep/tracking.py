@@ -64,7 +64,8 @@ class F0Contour:
 
     f0_hz is strictly positive at voiced frames and exactly 0 at
     unvoiced ones. f0_cents mirrors f0_hz in cents above
-    CENTS_REFERENCE_HZ (0 where unvoiced).
+    CENTS_REFERENCE_HZ (0 where unvoiced). voiced_contour() builds one
+    from f0_hz alone.
     """
 
     f0_hz: np.ndarray
@@ -107,24 +108,18 @@ class F0Contour:
         return np.arange(self.n_frames) * self.hop_seconds
 
 
-def cents_above_reference(f0_hz) -> np.ndarray:
-    """Cents above CENTS_REFERENCE_HZ, 0 where f0 is 0 (unvoiced)."""
-    f0 = np.asarray(f0_hz, dtype=np.float64)
-    out = np.zeros_like(f0)
-    pos = f0 > 0
-    out[pos] = 1200.0 * np.log2(f0[pos] / CENTS_REFERENCE_HZ)
-    return out
-
-
 def voiced_contour(f0_hz, hop_seconds: float) -> F0Contour:
-    """Build a contour from f0 values where 0 marks unvoiced frames."""
+    """Build a contour from f0 values where 0 marks unvoiced frames.
+
+    Every contour the package makes comes from here: voiced is f0 > 0,
+    and f0_cents is the cents above CENTS_REFERENCE_HZ (0 where
+    unvoiced).
+    """
     f0 = np.asarray(f0_hz, dtype=np.float64)
-    return F0Contour(
-        f0_hz=f0,
-        f0_cents=cents_above_reference(f0),
-        voiced=f0 > 0,
-        hop_seconds=hop_seconds,
-    )
+    voiced = f0 > 0
+    cents = np.zeros_like(f0)
+    cents[voiced] = 1200.0 * np.log2(f0[voiced] / CENTS_REFERENCE_HZ)
+    return F0Contour(f0_hz=f0, f0_cents=cents, voiced=voiced, hop_seconds=hop_seconds)
 
 
 def _emissions(values, floor):
@@ -219,14 +214,8 @@ def viterbi(s: SaliencySpectrogram) -> F0Contour:
     for t in range(1, n_frames):
         path[t] = np.argmax(log_g[path[t - 1]] + best[t])
 
-    bins = path + lo
-    f0 = centers[bins]
-    return F0Contour(
-        f0_hz=f0,
-        f0_cents=cents_above_reference(f0),
-        voiced=np.ones(n_frames, dtype=bool),
-        hop_seconds=s.hop_seconds,
-    )
+    # every center is at least F0_MIN_HZ, so every frame is voiced
+    return voiced_contour(centers[path + lo], s.hop_seconds)
 
 
 def align_contour(contour: F0Contour, n_frames: int, hop_seconds: float) -> F0Contour:
@@ -236,12 +225,7 @@ def align_contour(contour: F0Contour, n_frames: int, hop_seconds: float) -> F0Co
     idx = np.minimum(
         np.rint(times / contour.hop_seconds).astype(np.intp), contour.n_frames - 1
     )
-    return F0Contour(
-        f0_hz=contour.f0_hz[idx],
-        f0_cents=contour.f0_cents[idx],
-        voiced=contour.voiced[idx],
-        hop_seconds=hop_seconds,
-    )
+    return voiced_contour(contour.f0_hz[idx], hop_seconds)
 
 
 def contour_accuracy_prep(estimate: F0Contour, truth: F0Contour):

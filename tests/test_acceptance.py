@@ -150,7 +150,6 @@ def test_criterion_3_mask_algebra():
             iterations=1,
             converged=True,
             final_residual=0.0,
-            lambda_hat=1.0,
         )
         soft = wiener_mask(fake)
         contour = voiced_contour(rng.uniform(100.0, 400.0, mag.n_frames), 160 / 16000)

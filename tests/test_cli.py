@@ -254,6 +254,23 @@ class TestEvaluate:
         assert code == EXIT_INVALID_INPUT
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command", [["evaluate"], ["grid-search", "--axis", "alpha:0.6:0.6:0.2"]]
+    )
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-5"])
+    def test_bad_tolerance_is_invalid_input(
+        self, cli_corpus, tmp_path, monkeypatch, command, tolerance
+    ):
+        solves = []
+        monkeypatch.setattr(rpca_mod, "decompose", lambda *args: solves.append(args))
+        out = tmp_path / "out"
+        code = main(
+            command + ["--corpus", cli_corpus, "--out", str(out), "--tolerance-cents", tolerance]
+        )
+        assert code == EXIT_INVALID_INPUT
+        assert not out.exists()
+        assert solves == []
+
     def test_malformed_manifest_is_invalid_input(self, tmp_path):
         manifest = tmp_path / "manifest.json"
         manifest.write_text("{}")
@@ -281,6 +298,15 @@ class TestGridSearch:
             "--axis", "alpha:0.6:0.6",
         ])
         assert code == EXIT_INVALID_INPUT
+
+    @pytest.mark.parametrize(
+        "axis", ["lambda:0.8:inf:0.1", "lambda:nan:1.0:0.1", "alpha:0.6:0.6:nan"]
+    )
+    def test_non_finite_axis_is_invalid_input(self, cli_corpus, tmp_path, axis):
+        out = tmp_path / "grid.csv"
+        code = main(["grid-search", "--corpus", cli_corpus, "--out", str(out), "--axis", axis])
+        assert code == EXIT_INVALID_INPUT
+        assert not out.exists()
 
     @pytest.mark.parametrize("with_config", [False, True], ids=["flags", "config"])
     def test_zero_sample_rate_is_invalid_input(self, cli_corpus, tmp_path, with_config):

@@ -36,7 +36,6 @@ def _rpca_result(low, sparse):
         iterations=1,
         converged=True,
         final_residual=0.0,
-        lambda_hat=1.0,
     )
 
 

@@ -216,6 +216,12 @@ class TestRawPitchAccuracy:
         with pytest.raises(ValueError):
             raw_pitch_accuracy(truth, truth, tolerance_cents=0.0)
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_tolerance_rejected(self, tolerance):
+        truth = voiced_contour([200.0], 0.01)
+        with pytest.raises(ValueError, match="positive and finite"):
+            raw_pitch_accuracy(truth, truth, tolerance_cents=tolerance)
+
     def test_all_unvoiced_truth_rejected(self):
         truth = voiced_contour([0.0, 0.0], 0.01)
         est = voiced_contour([100.0, 100.0], 0.01)

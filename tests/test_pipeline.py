@@ -27,7 +27,7 @@ from vocsep.pipeline import (
 )
 from vocsep.report import report_failures, write_grid_csv, write_report_csv
 from vocsep.synth import make_clip, write_demo_corpus
-from vocsep.tracking import voiced_contour
+from vocsep.tracking import CENTS_REFERENCE_HZ, read_f0_csv, voiced_contour, write_f0_csv
 
 
 @pytest.fixture(scope="module")
@@ -123,7 +123,7 @@ class TestPipelineConfig:
     def test_from_json(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"alpha": 1.4, "mask_mode": "binary"}))
-        cfg = PipelineConfig.from_json(path)
+        cfg = PipelineConfig.from_json(path, sample_rate=16000)
         assert cfg.alpha == 1.4
         assert cfg.mask_mode == "binary"
         assert cfg.window_size == 2048
@@ -193,7 +193,7 @@ class TestPipelineConfig:
         path = tmp_path / "cfg.json"
         path.write_text("[1, 2]")
         with pytest.raises(ValueError):
-            PipelineConfig.from_json(path)
+            PipelineConfig.from_json(path, sample_rate=16000)
 
     def test_to_dict_round_trips(self):
         cfg = PipelineConfig(alpha=0.9)
@@ -219,6 +219,44 @@ class TestAlignContour:
         contour = voiced_contour([100.0, 0.0, 120.0, 0.0], 0.01)
         aligned = align_contour(contour, 4, 0.01)
         np.testing.assert_array_equal(aligned.voiced, contour.voiced)
+
+
+class TestContourFields:
+    """Every contour the package builds derives voiced and f0_cents from
+    f0_hz alone, the way voiced_contour() does."""
+
+    @staticmethod
+    def _assert_derived_from_f0(contour):
+        f0 = contour.f0_hz
+        voiced = f0 > 0
+        ratio = np.where(voiced, f0, CENTS_REFERENCE_HZ) / CENTS_REFERENCE_HZ
+        cents = np.where(voiced, 1200.0 * np.log2(ratio), 0.0)
+        assert np.array_equal(contour.voiced, voiced)
+        assert contour.f0_cents.tobytes() == cents.tobytes()
+
+    def test_tracked_aligned_read_and_run_contours(self, tiny_clip, monkeypatch, tmp_path):
+        tracked = []
+        original = pipeline_mod.viterbi
+
+        def recording(saliency):
+            tracked.append(original(saliency))
+            return tracked[-1]
+
+        monkeypatch.setattr(pipeline_mod, "viterbi", recording)
+        sr = tiny_clip.mixture.sample_rate
+        padded = np.concatenate([np.zeros(sr // 2), tiny_clip.mixture.samples])
+        _, contour = run(AudioSignal(padded, sr), PipelineConfig())
+        # the leading silence comes back unvoiced, the clip voiced
+        assert 0 < np.count_nonzero(contour.voiced) < contour.n_frames
+        assert len(tracked) == 1 and tracked[0].voiced.all()
+        write_f0_csv(contour, tmp_path / "f0.csv")
+        for built in (
+            tracked[0],
+            contour,
+            align_contour(contour, 77, 0.013),
+            read_f0_csv(tmp_path / "f0.csv"),
+        ):
+            self._assert_derived_from_f0(built)
 
 
 class TestRun:
@@ -591,6 +629,18 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate([], PipelineConfig())
 
+    @pytest.mark.parametrize("tolerance", [0.0, -10.0, float("nan"), float("inf")])
+    def test_bad_tolerance_rejected_before_any_clip(self, tiny_corpus, monkeypatch, tolerance):
+        runs = []
+        monkeypatch.setattr(pipeline_mod, "run", lambda *args, **kwargs: runs.append(args))
+        entries = load_corpus(tiny_corpus)
+        with pytest.raises(ValueError, match="tolerance_cents"):
+            evaluate(entries, PipelineConfig(), tolerance_cents=tolerance)
+        spec = GridSearchSpec(axes=(GridAxis("alpha", 0.6, 0.6, 0.2),))
+        with pytest.raises(ValueError, match="tolerance_cents"):
+            grid_search(entries, spec, PipelineConfig(), tolerance_cents=tolerance)
+        assert runs == []
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_fewer_than_one_worker_rejected(self, tiny_corpus, workers):
         entries = load_corpus(tiny_corpus)
@@ -640,6 +690,14 @@ class TestGridAxis:
             GridAxis("alpha", 0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             GridAxis("alpha", 1.0, 0.0, 0.1)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["start", "stop", "step"])
+    def test_non_finite_bound_rejected(self, field, value):
+        bounds = dict(start=0.6, stop=1.0, step=0.2)
+        bounds[field] = value
+        with pytest.raises(ValueError, match="%s must be finite" % field):
+            GridAxis("lambda", **bounds)
 
 
 class TestGridSearch:
