@@ -10,6 +10,11 @@ imported: it alone costs about 45 MB and 1 s of import. The inverse
 applies weighted overlap-add with the same window and divides by the
 accumulated squared window, which makes istft(stft(x)) exact to
 rounding error for any hop <= window.
+
+The log-frequency resampling fits a natural cubic spline across each
+frame's bins. Its tridiagonal system is solved by cyclic reduction in
+numpy, which needs no scipy.linalg and is faster than its solve_banded
+on these sizes.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import solve_banded
 
 from .audio import AudioSignal
 
@@ -336,20 +340,17 @@ def _natural_spline(y: np.ndarray, positions: np.ndarray) -> np.ndarray:
     y[j] + b (y[j+1] - y[j]) + (a^3 - a)/6 m[j] + (b^3 - b)/6 m[j+1],
     a = 1 - b. Costs two (frames, F) buffers and two (frames, positions)
     ones, where scipy's CubicSpline holds several full coefficient arrays.
+    The knots are the bins of a power-of-two window, so F - 2 is always
+    2**k - 1, the size _solve_spline_system needs.
     """
     n_knots = y.shape[1]
     # inner[:, i] holds m[i+1]; filled with the second difference, then
-    # solved in place (its transpose is the Fortran-ordered right-hand side)
+    # solved in place
     inner = np.subtract(y[:, 2:], y[:, 1:-1])
     inner -= y[:, 1:-1]
     inner += y[:, :-2]
     inner *= 6.0
-    bands = np.empty((3, n_knots - 2))
-    bands[[0, 2]] = 1.0
-    bands[1] = 4.0
-    inner = solve_banded(
-        (1, 1), bands, inner.T, overwrite_ab=True, overwrite_b=True, check_finite=False
-    ).T
+    _solve_spline_system(inner)
 
     j = np.minimum(np.floor(positions).astype(np.intp), n_knots - 2)
     b = positions - j
@@ -371,3 +372,41 @@ def _natural_spline(y: np.ndarray, positions: np.ndarray) -> np.ndarray:
     term *= weight_hi
     out += term
     return out
+
+
+def _solve_spline_system(rhs: np.ndarray) -> np.ndarray:
+    """Solve m[i-1] + 4 m[i] + m[i+1] = rhs[:, i] along each row of rhs,
+    with m = 0 beyond both ends, in place by cyclic reduction.
+
+    The row length must be 2**k - 1. Each level eliminates the even
+    unknowns (0-based) from the odd equations, which leaves a system of
+    half the size with the same shape: off-diagonal a' = -a**2/b and
+    diagonal b' = b - 2 a**2/b. At size 1 the system is m = r/b; going
+    back up, each even unknown is (r - a (left + right)) / b from its
+    solved odd neighbours. The matrix is diagonally dominant, so the
+    reduction is stable, and a/b shrinks about quadratically per level.
+    """
+    n = rhs.shape[1]
+    if n < 1 or (n + 1) & n:
+        raise ValueError("system size must be 2**k - 1, got %d" % (n,))
+    levels = []
+    a, b = 1.0, 4.0
+    r = rhs
+    while r.shape[1] > 1:
+        levels.append((r, a, b))
+        ratio = a / b
+        reduced = np.add(r[:, :-2:2], r[:, 2::2])
+        reduced *= -ratio
+        reduced += r[:, 1::2]
+        a, b = -a * ratio, b - 2.0 * a * ratio
+        r = reduced
+    r /= b
+    for full, a, b in reversed(levels):
+        full[:, 1::2] = r
+        r *= a
+        even = full[:, ::2]
+        even[:, 1:] -= r
+        even[:, :-1] -= r
+        even /= b
+        r = full
+    return r

@@ -183,11 +183,12 @@ def write_demo_corpus(
 ) -> str:
     """Write clips + references + truth CSVs and a corpus manifest.
 
-    Returns the manifest path.
+    The manifest holds absolute paths, so it can be used from any
+    working directory. Returns the manifest path.
     """
     from pathlib import Path
 
-    directory = Path(directory)
+    directory = Path(directory).resolve()
     directory.mkdir(parents=True, exist_ok=True)
     entries = []
     for i in range(n_clips):

@@ -290,6 +290,44 @@ class TestLogFrequencyGrid:
             LogFrequencyGrid.for_nyquist(20.0, h_low_hz=30.0)
 
 
+def _dense_spline_matrix(n):
+    """tridiag(1, 4, 1) of size n as a dense array."""
+    a = np.zeros((n, n))
+    a.flat[:: n + 1] = 4.0
+    a.flat[1 :: n + 1] = 1.0
+    a.flat[n :: n + 1] = 1.0
+    return a
+
+
+class TestSplineSystem:
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_matches_dense_solve(self, k, rng):
+        n = 2**k - 1
+        rhs = rng.uniform(-600.0, 600.0, size=(3, n))
+        expected = np.linalg.solve(_dense_spline_matrix(n), rhs.T).T
+        solved = spectrogram_mod._solve_spline_system(rhs.copy())
+        np.testing.assert_allclose(solved, expected, rtol=1e-13, atol=1e-12)
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_zero_right_hand_side(self, k):
+        rhs = np.zeros((2, 2**k - 1))
+        solved = spectrogram_mod._solve_spline_system(rhs)
+        assert solved is rhs
+        assert not np.any(solved)
+
+    def test_solves_in_place(self, rng):
+        rhs = rng.standard_normal((4, 63))
+        before = rhs.copy()
+        solved = spectrogram_mod._solve_spline_system(rhs)
+        assert solved is rhs
+        np.testing.assert_allclose(solved @ _dense_spline_matrix(63), before, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [0, 2, 6, 1022])
+    def test_rejects_sizes_not_one_below_a_power_of_two(self, n):
+        with pytest.raises(ValueError, match="2\\*\\*k - 1"):
+            spectrogram_mod._solve_spline_system(np.zeros((1, n)))
+
+
 class TestToLogFrequency:
     def _mag(self, values, sr=16000, window=2048):
         spec = stft(AudioSignal(np.zeros(window * 2), sr), window, 160)

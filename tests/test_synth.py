@@ -1,11 +1,13 @@
 """Synthetic clip generator used by the end-to-end tests."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vocsep.audio import read_wav
+from vocsep.pipeline import PipelineConfig, evaluate, load_corpus
 from vocsep.synth import (
     harmonic_tone,
     loop_accompaniment,
@@ -123,6 +125,20 @@ class TestMakeClip:
 
 
 class TestWriteDemoCorpus:
+    def test_relative_directory_evaluates_from_elsewhere(self, tmp_path, monkeypatch):
+        (tmp_path / "build").mkdir()
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "build")
+        manifest = write_demo_corpus("corpus", n_clips=1, duration_seconds=1.0)
+        with open(manifest) as fh:
+            entry = json.load(fh)[0]
+        assert all(Path(entry[key]).is_absolute() for key in entry if key.endswith("_path"))
+        manifest = Path(manifest).resolve()
+
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        report = evaluate(load_corpus(manifest), PipelineConfig.for_sample_rate(16000))
+        assert report["n_failed"] == 0
+
     def test_manifest_and_files(self, demo_corpus):
         with open(demo_corpus) as fh:
             entries = json.load(fh)
