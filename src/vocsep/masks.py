@@ -17,7 +17,7 @@ import numpy as np
 
 from .audio import AudioSignal
 from .rpca import RpcaResult
-from .spectrogram import ComplexSpectrogram, MagnitudeSpectrogram, istft
+from .spectrogram import ComplexSpectrogram, MagnitudeSpectrogram, istft, row_blocks
 from .tracking import F0Contour
 
 __all__ = [
@@ -79,20 +79,27 @@ class SeparationResult:
 
 
 def wiener_mask(result: RpcaResult) -> TimeFrequencyMask:
-    """Soft mask |X_S| / (|X_S| + |X_L|), with 0/0 mapped to 0."""
-    s = np.abs(result.sparse)
-    total = np.abs(result.low_rank)
-    total += s
-    values = np.divide(s, total, out=np.zeros_like(s), where=total > 0)
-    # guard against rounding pushing the ratio epsilon above 1
-    return TimeFrequencyMask(values=np.minimum(values, 1.0, out=values), kind="soft")
+    """Soft mask |X_S| / (|X_S| + |X_L|), with 0/0 mapped to 0, built a
+    block of frames at a time."""
+    values = np.zeros(result.sparse.shape)
+    for rows in row_blocks(values.shape[0]):
+        s = np.abs(result.sparse[rows])
+        total = np.abs(result.low_rank[rows])
+        total += s
+        # no clamp to 1 needed: rounding is monotone, so the rounded
+        # total is >= |X_S|, and a correctly rounded |X_S| / total <= 1
+        np.divide(s, total, out=values[rows], where=total > 0)
+    return TimeFrequencyMask(values=values, kind="soft")
 
 
 def binary_mask(result: RpcaResult, gamma: float = 1.0) -> TimeFrequencyMask:
-    """Binary mask keeping cells where |X_S| > gamma * |X_L|."""
+    """Binary mask keeping cells where |X_S| > gamma * |X_L|, built a
+    block of frames at a time."""
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    values = (np.abs(result.sparse) > gamma * np.abs(result.low_rank)).astype(np.float64)
+    values = np.empty(result.sparse.shape)
+    for rows in row_blocks(values.shape[0]):
+        values[rows] = np.abs(result.sparse[rows]) > gamma * np.abs(result.low_rank[rows])
     return TimeFrequencyMask(values=values, kind="binary")
 
 
@@ -188,7 +195,9 @@ def separate(
     X / max(|X|, tiny) (zero bins get phase 0), on one STFT grid. The
     vocal magnitude is mask * |X|; the accompaniment magnitude is the
     remainder |X| - vocal. The vocal resynthesizes with the mixture
-    phases, and the accompaniment is mixture - vocal in the time domain:
+    phases: istft forms the phase * vocal product a block of frames at a
+    time, so the complex spectrogram of the vocal is never held whole.
+    The accompaniment is mixture - vocal in the time domain:
     the ISTFT is linear and inverts the STFT to rounding, so that equals
     resynthesizing the remainder, and the two signals sum back to the
     mixture to one rounding. None of the inputs is written to, so mag
@@ -212,7 +221,7 @@ def separate(
     np.subtract(mag.values, accomp_mag, out=vocal_mag)
     vocal_spec = dataclasses.replace(mag, values=vocal_mag)
     accomp_spec = dataclasses.replace(mag, values=accomp_mag)
-    vocal = istft(dataclasses.replace(phase, values=phase.values * vocal_mag))
+    vocal = istft(phase, vocal_mag)
     accompaniment = AudioSignal(
         samples=mixture.samples - vocal.samples, sample_rate=mixture.sample_rate
     )

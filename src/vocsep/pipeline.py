@@ -23,8 +23,12 @@ array it got from the memo.
 
 Every stage releases its intermediates after their last use, and a solve
 in a memo that run() or estimate_f0() made itself leaves it once no
-later stage reads it. That keeps the peak of run() near 12 times the
-float64 magnitude spectrogram (tests/test_memory.py bounds it at 13).
+later stage reads it: with equal lambdas, run() builds the Wiener mask
+first and drops the shared solve once the contour stage has its binary
+mask. The log-frequency resampling, the subharmonic summation, the
+Wiener and binary masks and the resynthesis product work a block of
+frames at a time. That keeps the peak of run() under 8 times the
+float64 magnitude spectrogram (tests/test_memory.py bounds it at 8.5).
 
 Also hosts corpus evaluation (with optional SNR remixing from the
 references) and grid search over pipeline parameters.
@@ -376,20 +380,20 @@ def run(
     t_start = time.perf_counter()
     mixture_key = _mixture_key(signal)
     mag, phase = _stft_stage(mixture_key, signal, cfg, memo)
+    if ground_truth_f0 is not None and ground_truth_f0.n_frames != mag.n_frames:
+        raise ValueError(
+            "ground-truth contour has %d frames, expected %d; align it "
+            "with align_contour()" % (ground_truth_f0.n_frames, mag.n_frames)
+        )
 
-    if ground_truth_f0 is None:
-        # a solve of our own memo that the mask stage does not read goes
-        # as soon as the contour stage is done with it
-        drop_solve = own_memo and cfg.lambda_f0 != cfg.lambda_sep
-        contour = _contour_stage(mixture_key, mag, cfg, memo, dump_dir, drop_solve)
-    else:
-        if ground_truth_f0.n_frames != mag.n_frames:
-            raise ValueError(
-                "ground-truth contour has %d frames, expected %d; align it "
-                "with align_contour()" % (ground_truth_f0.n_frames, mag.n_frames)
-            )
-        contour = ground_truth_f0
-
+    if own_memo and cfg.lambda_f0 == cfg.lambda_sep:
+        # the Wiener mask first, so that the contour stage can drop the
+        # shared solve as soon as its binary mask is built
+        _soft_stage(mixture_key, mag, cfg, memo)
+    contour = ground_truth_f0
+    if contour is None:
+        # in our own memo, no later stage reads the lambda_f0 solve
+        contour = _contour_stage(mixture_key, mag, cfg, memo, dump_dir, drop_solve=own_memo)
     soft = _soft_stage(mixture_key, mag, cfg, memo)
     if own_memo:
         memo.clear()  # no later stage reads a solve

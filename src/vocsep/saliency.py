@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .masks import TimeFrequencyMask
-from .spectrogram import LogFrequencyGrid, LogSpectrogram, _GridFrames
+from .spectrogram import LogFrequencyGrid, LogSpectrogram, _GridFrames, row_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -46,17 +46,23 @@ def shs(logspec: LogSpectrogram, n_partials: int = 10) -> SaliencySpectrogram:
     (at the -200 dB floor) contributes nothing. The n-th partial of bin
     c sits floor(1200*log2(n)/cents_per_bin) bins above c and weighs
     SHS_DECAY**(n - 1); shifts past the top of the grid are dropped.
+    The sum runs a block of frames at a time.
     """
     if n_partials < 1:
         raise ValueError("n_partials must be >= 1")
-    clamped = np.maximum(logspec.values, 0.0)
-    n_bins = clamped.shape[1]
-    out = np.zeros_like(clamped)
+    n_bins = logspec.grid.n_bins
+    terms = []
     for n in range(1, n_partials + 1):
         shift = int(np.floor(1200.0 * np.log2(n) / logspec.grid.cents_per_bin))
         if shift >= n_bins:
             break
-        out[:, : n_bins - shift] += SHS_DECAY ** (n - 1) * clamped[:, shift:]
+        terms.append((SHS_DECAY ** (n - 1), shift))
+    out = np.zeros_like(logspec.values)
+    for rows in row_blocks(logspec.n_frames):
+        clamped = np.maximum(logspec.values[rows], 0.0)
+        block = out[rows]
+        for weight, shift in terms:
+            block[:, : n_bins - shift] += weight * clamped[:, shift:]
     return SaliencySpectrogram(
         values=out, grid=logspec.grid, hop_seconds=logspec.hop_seconds
     )

@@ -45,8 +45,17 @@ __all__ = [
 DB_FLOOR_AMPLITUDE = 1e-10
 DB_FLOOR = -200.0
 
-# Frames istft inverts per irfft call; this bounds its frame buffer.
-ISTFT_BLOCK_FRAMES = 16
+# Frames per block in the stages that work a block of frames at a time
+# (istft, to_log_frequency, saliency.shs and the Wiener and binary
+# masks). Every one of them is elementwise or row-wise, so the block size
+# bounds their buffers without changing a bit of their output.
+BLOCK_FRAMES = 16
+
+
+def row_blocks(n_rows: int):
+    """Slices of BLOCK_FRAMES consecutive rows that cover n_rows rows."""
+    for first in range(0, n_rows, BLOCK_FRAMES):
+        yield slice(first, first + BLOCK_FRAMES)
 
 
 def _hann(n: int) -> np.ndarray:
@@ -236,12 +245,20 @@ def stft(
     )
 
 
-def istft(spec: ComplexSpectrogram) -> AudioSignal:
+def istft(spec: ComplexSpectrogram, magnitudes: np.ndarray | None = None) -> AudioSignal:
     """Invert a ComplexSpectrogram by weighted overlap-add.
 
     Uses the analysis Hann window for synthesis and normalizes by the
-    accumulated squared window, then trims the centered padding.
+    accumulated squared window, then trims the centered padding. With
+    magnitudes, an array of spec.values' shape, inverts the product
+    spec.values * magnitudes, formed a block of frames at a time so that
+    the whole product is never held.
     """
+    if magnitudes is not None and magnitudes.shape != spec.values.shape:
+        raise ValueError(
+            "magnitudes %s and spectrogram %s shapes differ"
+            % (magnitudes.shape, spec.values.shape)
+        )
     window_size = spec.window_size
     hop = spec.hop_size
     pad = window_size // 2
@@ -254,11 +271,13 @@ def istft(spec: ComplexSpectrogram) -> AudioSignal:
     # irfft a block of frames at a time, so the (frames, window) array of
     # all frames is never held; irfft rows do not depend on the batch.
     # The overlap-add stays in frame order, which fixes its roundings.
-    for first in range(0, spec.n_frames, ISTFT_BLOCK_FRAMES):
-        block = spec.values[first : first + ISTFT_BLOCK_FRAMES]
+    for rows in row_blocks(spec.n_frames):
+        block = spec.values[rows]
+        if magnitudes is not None:
+            block = block * magnitudes[rows]
         frames = np.fft.irfft(block, n=window_size, axis=1)
         frames *= window
-        for t, frame in enumerate(frames, start=first):
+        for t, frame in enumerate(frames, start=rows.start):
             start = t * hop
             acc[start : start + window_size] += frame
             wsum[start : start + window_size] += window_sq
@@ -314,7 +333,8 @@ def to_log_frequency(
 
     Magnitudes are floored at 1e-10 (-200 dB), converted to dB, and
     interpolated across frequency with a natural cubic spline evaluated
-    at the grid centers. The grid must not extend past Nyquist.
+    at the grid centers, a block of frames at a time. The grid must not
+    extend past Nyquist.
     """
     centers = grid.centers_hz
     if centers[-1] > mag.nyquist_hz * (1 + 1e-12):
@@ -322,11 +342,13 @@ def to_log_frequency(
             "grid extends to %.2f Hz, beyond Nyquist %.2f Hz"
             % (centers[-1], mag.nyquist_hz)
         )
-    db = np.maximum(mag.values, DB_FLOOR_AMPLITUDE)
-    np.log10(db, out=db)
-    db *= 20.0
-    values = _natural_spline(db, centers / (mag.sample_rate / mag.window_size))
-    np.maximum(values, DB_FLOOR, out=values)
+    positions = centers / (mag.sample_rate / mag.window_size)
+    values = np.empty((mag.n_frames, grid.n_bins))
+    for rows in row_blocks(mag.n_frames):
+        db = np.maximum(mag.values[rows], DB_FLOOR_AMPLITUDE)
+        np.log10(db, out=db)
+        db *= 20.0
+        np.maximum(_natural_spline(db, positions), DB_FLOOR, out=values[rows])
     return LogSpectrogram(values=values, grid=grid, hop_seconds=mag.hop_seconds)
 
 

@@ -39,6 +39,36 @@ def _rpca_result(low, sparse):
     )
 
 
+def _whole_array_wiener_mask(result):
+    """Reference wiener_mask: every frame at once, with the clamp to 1
+    that the block-wise mask leaves out."""
+    s = np.abs(result.sparse)
+    total = np.abs(result.low_rank)
+    total += s
+    values = np.divide(s, total, out=np.zeros_like(s), where=total > 0)
+    return np.minimum(values, 1.0, out=values)
+
+
+def _whole_array_binary_mask(result, gamma):
+    """Reference binary_mask: every frame at once."""
+    return (np.abs(result.sparse) > gamma * np.abs(result.low_rank)).astype(np.float64)
+
+
+def _random_split(rng, n_frames, n_bins=129):
+    """An RpcaResult of signed parts over a wide range of magnitudes,
+    with zeros in each part (0/0 in some cells) and cells where the
+    parts tie in magnitude. The low-rank part is column-major, as
+    decompose lays it out for a tall input."""
+    shape = (n_frames, n_bins)
+    low = rng.standard_normal(shape) * 10.0 ** rng.uniform(-300.0, 300.0, size=shape)
+    sparse = rng.standard_normal(shape) * 10.0 ** rng.uniform(-300.0, 300.0, size=shape)
+    low[rng.random(shape) < 0.2] = 0.0
+    sparse[rng.random(shape) < 0.2] = 0.0
+    tie = rng.random(shape) < 0.1
+    sparse[tie] = -low[tie]
+    return _rpca_result(np.asfortranarray(low), sparse)
+
+
 def _mag(values, sample_rate=44100, window_size=2048, hop_size=441):
     return MagnitudeSpectrogram(
         values=np.asarray(values, dtype=np.float64),
@@ -146,6 +176,29 @@ class TestWienerMask:
         b = wiener_mask(_rpca_result(-low, -sparse))
         np.testing.assert_array_equal(a.values, b.values)
 
+    def test_blocks_bitwise_equal_to_whole_array(self, block_test_frames, block_frames, rng):
+        result = _random_split(rng, block_test_frames)
+        expected = _whole_array_wiener_mask(result)
+        assert np.array_equal(wiener_mask(result).values, expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        parts=hnp.arrays(
+            np.float64,
+            (2, 64),
+            elements=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+        ),
+    )
+    def test_property_unclamped_ratio_at_most_one(self, parts):
+        # fl(|S| + |L|) >= |S| because rounding is monotone, so the
+        # rounded quotient cannot pass 1, subnormals and overflow to
+        # infinity included; wiener_mask relies on this instead of a clamp
+        s, low = parts
+        with np.errstate(over="ignore"):
+            total = s + low
+        ratio = np.divide(s, total, out=np.zeros_like(s), where=total > 0)
+        assert ratio.max() <= 1.0
+
     @settings(max_examples=50, deadline=None)
     @given(
         low=hnp.arrays(
@@ -166,6 +219,12 @@ class TestWienerMask:
 
 
 class TestBinaryMask:
+    @pytest.mark.parametrize("gamma", [1.0, 0.5])
+    def test_blocks_bitwise_equal_to_whole_array(self, gamma, block_test_frames, block_frames, rng):
+        result = _random_split(rng, block_test_frames)
+        expected = _whole_array_binary_mask(result, gamma)
+        assert np.array_equal(binary_mask(result, gamma).values, expected)
+
     def test_strictly_greater(self):
         result = _rpca_result(low=[[1.0, 1.0]], sparse=[[1.0, 1.001]])
         np.testing.assert_array_equal(binary_mask(result).values, [[0.0, 1.0]])
@@ -460,9 +519,9 @@ class TestSeparate:
         signal = AudioSignal(rng.uniform(-0.5, 0.5, size=sr), sr)
         spec = stft(signal, window, hop)
         mask = TimeFrequencyMask(rng.uniform(0, 1, size=spec.values.shape))
-        monkeypatch.setattr(spectrogram_mod, "ISTFT_BLOCK_FRAMES", spec.n_frames)
+        monkeypatch.setattr(spectrogram_mod, "BLOCK_FRAMES", spec.n_frames)
         expected = _reference_separate(spec, mask)
-        monkeypatch.setattr(spectrogram_mod, "ISTFT_BLOCK_FRAMES", 7)
+        monkeypatch.setattr(spectrogram_mod, "BLOCK_FRAMES", 7)
         assert spec.n_frames % 7 != 0
         result = separate(signal, *_analysis(signal, window, hop), mask)
         assert np.array_equal(result.vocal.samples, expected[0])

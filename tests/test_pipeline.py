@@ -290,9 +290,9 @@ class TestRun:
         for module, name in ((pipeline_mod, "stft"), (pipeline_mod, "magnitude"), (masks_mod, "istft")):
             original = getattr(module, name)
 
-            def counting(*args, _name=name, _original=original):
+            def counting(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
-                return _original(*args)
+                return _original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counting)
         cfg = PipelineConfig(w=70.0)

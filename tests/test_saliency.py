@@ -32,7 +32,28 @@ def _saliency(values, grid):
     return SaliencySpectrogram(values=np.asarray(values, dtype=np.float64), grid=grid, hop_seconds=0.01)
 
 
+def _whole_array_shs(logspec, n_partials):
+    """Reference shs: the clamped copy and each shifted term over every
+    frame at once."""
+    clamped = np.maximum(logspec.values, 0.0)
+    n_bins = clamped.shape[1]
+    out = np.zeros_like(clamped)
+    for n in range(1, n_partials + 1):
+        shift = int(np.floor(1200.0 * np.log2(n) / logspec.grid.cents_per_bin))
+        if shift >= n_bins:
+            break
+        out[:, : n_bins - shift] += SHS_DECAY ** (n - 1) * clamped[:, shift:]
+    return out
+
+
 class TestShs:
+    def test_blocks_bitwise_equal_to_whole_array(self, block_test_frames, block_frames, rng):
+        # 400 bins of 10 cents: partials 11 to 20 shift past the top
+        grid = _grid(400)
+        logspec = _logspec(rng.uniform(-200.0, 100.0, size=(block_test_frames, 400)), grid)
+        expected = _whole_array_shs(logspec, 20)
+        assert np.array_equal(shs(logspec, 20).values, expected)
+
     def test_single_spike_folds_one_octave_down(self):
         # one nonzero bin at j: the n=2 term lands 1200 cents lower,
         # which is 120 bins on a 10-cent grid, weighted by the decay

@@ -14,6 +14,7 @@ import vocsep.spectrogram as spectrogram_mod
 from vocsep.audio import AudioSignal
 from vocsep.spectrogram import (
     DB_FLOOR,
+    DB_FLOOR_AMPLITUDE,
     ComplexSpectrogram,
     LogFrequencyGrid,
     LogSpectrogram,
@@ -47,6 +48,31 @@ def _whole_array_istft(spec):
         acc[start : start + spec.window_size] += frames[t] * window
         wsum[start : start + spec.window_size] += window * window
     return acc[pad : pad + spec.n_samples] / wsum[pad : pad + spec.n_samples]
+
+
+def _whole_array_log_frequency(mag, grid):
+    """Reference to_log_frequency: the dB copy and the spline of every
+    frame at once."""
+    db = np.maximum(mag.values, DB_FLOOR_AMPLITUDE)
+    np.log10(db, out=db)
+    db *= 20.0
+    positions = grid.centers_hz / (mag.sample_rate / mag.window_size)
+    return np.maximum(spectrogram_mod._natural_spline(db, positions), DB_FLOOR)
+
+
+def _random_spec(rng, n_frames, window_size=256, hop_size=64):
+    """A ComplexSpectrogram of random unit-phase bins, some of them zero,
+    with the sample count stft would give for n_frames frames."""
+    shape = (n_frames, window_size // 2 + 1)
+    values = np.exp(1j * rng.uniform(-np.pi, np.pi, size=shape))
+    values[rng.random(shape) < 0.1] = 0.0
+    return ComplexSpectrogram(
+        values=values,
+        window_size=window_size,
+        hop_size=hop_size,
+        sample_rate=16000,
+        n_samples=(n_frames - 1) * hop_size + 1,
+    )
 
 
 def _scipy_log_frequency(mag, grid):
@@ -128,13 +154,25 @@ class TestStft:
             stft(sig, 2048, 4096)  # hop > window
 
     @pytest.mark.parametrize("sr,window,hop", GEOMETRIES + [(16000, 256, 96)])
-    @pytest.mark.parametrize("block", [1, 7, spectrogram_mod.ISTFT_BLOCK_FRAMES, 1000])
+    @pytest.mark.parametrize("block", [1, 7, spectrogram_mod.BLOCK_FRAMES, 1000])
     def test_istft_blocks_bitwise_equal_to_whole_array(self, sr, window, hop, block, rng, monkeypatch):
         spec = stft(AudioSignal(rng.uniform(-1, 1, size=sr), sr), window, hop)
         assert spec.n_frames % 7 != 0
         expected = _whole_array_istft(spec)
-        monkeypatch.setattr(spectrogram_mod, "ISTFT_BLOCK_FRAMES", block)
+        monkeypatch.setattr(spectrogram_mod, "BLOCK_FRAMES", block)
         assert np.array_equal(istft(spec).samples, expected)
+
+    def test_istft_of_product_bitwise_equal_to_whole_product(self, block_test_frames, block_frames, rng):
+        spec = _random_spec(rng, block_test_frames)
+        mags = rng.uniform(0.0, 2.0, size=spec.values.shape)
+        mags[rng.random(mags.shape) < 0.2] = 0.0
+        expected = _whole_array_istft(dataclasses.replace(spec, values=spec.values * mags))
+        assert np.array_equal(istft(spec, mags).samples, expected)
+
+    def test_istft_rejects_magnitudes_of_another_shape(self, rng):
+        spec = _random_spec(rng, 5)
+        with pytest.raises(ValueError, match="shapes differ"):
+            istft(spec, np.ones((4, spec.n_bins)))
 
     def test_istft_rejects_degenerate_overlap(self):
         # hop == window leaves zeros in the squared-window sum
@@ -362,6 +400,16 @@ class TestToLogFrequency:
         np.testing.assert_allclose(
             log_spec.values, _scipy_log_frequency(mag, grid), rtol=0, atol=1e-9
         )
+
+    @pytest.mark.parametrize("sr", [16000, 44100])
+    def test_blocks_bitwise_equal_to_whole_array(self, sr, block_test_frames, block_frames, rng):
+        # levels from below the -200 dB floor up to +40 dB, and zeros
+        values = 10.0 ** (rng.uniform(-220.0, 40.0, size=(block_test_frames, 129)) / 20.0)
+        values[rng.random(values.shape) < 0.1] = 0.0
+        mag = self._mag(values, sr=sr, window=256)
+        grid = LogFrequencyGrid.for_nyquist(sr / 2.0)
+        expected = _whole_array_log_frequency(mag, grid)
+        assert np.array_equal(to_log_frequency(mag, grid).values, expected)
 
     def test_silence_floors_at_minus_200(self):
         sr, window = 16000, 2048
