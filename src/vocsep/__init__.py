@@ -54,7 +54,6 @@ from .spectrogram import (
 )
 from .tracking import (
     F0Contour,
-    contour_accuracy_prep,
     read_f0_csv,
     viterbi,
     voiced_contour,

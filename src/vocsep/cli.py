@@ -27,19 +27,9 @@ EXIT_PARTIAL_FAILURE = 3
 logger = logging.getLogger("vocsep")
 
 
-def _add_config_args(parser):
-    parser.add_argument("--config", help="JSON file of PipelineConfig field overrides")
-    parser.add_argument("--lambda-sep", type=float, dest="lambda_sep")
-    parser.add_argument("--lambda-f0", type=float, dest="lambda_f0")
-    parser.add_argument("--gamma", type=float)
-    parser.add_argument("--n-partials", type=int, dest="n_partials")
-    parser.add_argument("--w", type=float, help="harmonic mask lobe width in Hz")
-    parser.add_argument("--alpha", type=float, help="enhancement exponent")
-    parser.add_argument("--mask-mode", choices=["soft", "binary"], dest="mask_mode")
-
-
 def _config_from_args(args, sample_rate: int) -> PipelineConfig:
-    """Sample-rate defaults, then --config, then the config flags given."""
+    """Every command's config: the defaults for the audio's sample rate,
+    then --config, then the config flags given."""
     if args.config:
         cfg = PipelineConfig.from_json(args.config, sample_rate=sample_rate)
     else:
@@ -73,9 +63,17 @@ def _cmd_estimate_f0(args) -> int:
     return EXIT_OK
 
 
-def _cmd_evaluate(args) -> int:
+def _corpus_and_config(args):
+    """The manifest entries and their config. The geometry defaults
+    follow the rate of the first clip's vocal reference, which every
+    evaluation reads; a corpus of mixed rates runs in that geometry."""
     entries = pipeline.load_corpus(args.corpus)
-    cfg = _config_from_args(args, args.sample_rate)
+    rate = read_wav(entries[0].vocal_path).sample_rate
+    return entries, _config_from_args(args, rate)
+
+
+def _cmd_evaluate(args) -> int:
+    entries, cfg = _corpus_and_config(args)
     snr_list = [float(s) for s in args.snr.split(",")] if args.snr else None
     report = pipeline.evaluate(
         entries,
@@ -109,8 +107,7 @@ def _parse_axis(text: str) -> GridAxis:
 
 
 def _cmd_grid_search(args) -> int:
-    entries = pipeline.load_corpus(args.corpus)
-    cfg = _config_from_args(args, args.sample_rate)
+    entries, cfg = _corpus_and_config(args)
     spec = GridSearchSpec(
         axes=tuple(_parse_axis(a) for a in args.axis),
         objective=args.objective,
@@ -128,6 +125,32 @@ def _cmd_grid_search(args) -> int:
     return EXIT_OK
 
 
+def _parent_parsers():
+    """The arguments shared by the audio commands (separate,
+    estimate-f0) and by the corpus commands (evaluate, grid-search)."""
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="JSON file of PipelineConfig field overrides")
+
+    audio = argparse.ArgumentParser(add_help=False, parents=[config])
+    audio.add_argument("input", help="mixture WAV (mono; see --mixdown)")
+    audio.add_argument("--mixdown", action="store_true", help="average multichannel input")
+    audio.add_argument("--dump-dir", help="directory for debug dumps, created if missing")
+    audio.add_argument("--lambda-sep", type=float, dest="lambda_sep")
+    audio.add_argument("--lambda-f0", type=float, dest="lambda_f0")
+    audio.add_argument("--gamma", type=float)
+    audio.add_argument("--n-partials", type=int, dest="n_partials")
+    audio.add_argument("--w", type=float, help="harmonic mask lobe width in Hz")
+    audio.add_argument("--alpha", type=float, help="enhancement exponent")
+    audio.add_argument("--mask-mode", choices=["soft", "binary"], dest="mask_mode")
+
+    corpus = argparse.ArgumentParser(add_help=False, parents=[config])
+    corpus.add_argument("--corpus", required=True, help="manifest JSON")
+    corpus.add_argument("--out", required=True, help="report or grid CSV path")
+    corpus.add_argument("--workers", type=int, default=1, help="parallel clip workers")
+    corpus.add_argument("--tolerance-cents", type=float, default=50.0, dest="tolerance_cents")
+    return audio, corpus
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vocsep",
@@ -135,49 +158,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
+    audio, corpus = _parent_parsers()
 
-    p = sub.add_parser("separate", help="split a mixture WAV into vocal/accompaniment")
-    p.add_argument("input", help="mixture WAV (mono; see --mixdown)")
+    p = sub.add_parser(
+        "separate", parents=[audio], help="split a mixture WAV into vocal/accompaniment"
+    )
     p.add_argument("--vocal", required=True, help="output WAV for the vocal estimate")
     p.add_argument("--accomp", required=True, help="output WAV for the accompaniment")
     p.add_argument("--f0-csv", dest="f0_csv", help="also write the tracked F0 contour")
-    p.add_argument("--mixdown", action="store_true", help="average multichannel input")
-    p.add_argument("--dump-dir", help="directory for the solver trace, saliency and masks")
-    _add_config_args(p)
     p.set_defaults(func=_cmd_separate)
 
-    p = sub.add_parser("estimate-f0", help="write the vocal F0 contour of a mixture")
-    p.add_argument("input")
+    p = sub.add_parser(
+        "estimate-f0", parents=[audio], help="write the vocal F0 contour of a mixture"
+    )
     p.add_argument("--out", required=True, help="output CSV (time_seconds,f0_hz)")
-    p.add_argument("--mixdown", action="store_true")
-    p.add_argument("--dump-dir", help="directory for the solver trace, saliency and binary mask")
-    _add_config_args(p)
     p.set_defaults(func=_cmd_estimate_f0)
 
-    p = sub.add_parser("evaluate", help="score a corpus manifest")
-    p.add_argument("--corpus", required=True, help="manifest JSON")
-    p.add_argument("--out", required=True, help="report path")
+    p = sub.add_parser("evaluate", parents=[corpus], help="score a corpus manifest")
     p.add_argument("--csv", action="store_true", help="write CSV instead of JSON")
     p.add_argument("--snr", help="comma-separated SNRs in dB to remix at, e.g. -5,0,5")
-    p.add_argument("--workers", type=int, default=1, help="parallel clip workers")
-    p.add_argument("--tolerance-cents", type=float, default=50.0, dest="tolerance_cents")
-    p.add_argument("--sample-rate", type=int, default=16000, dest="sample_rate",
-                   help="corpus sample rate, selects default geometry")
-    p.add_argument("--config")
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("grid-search", help="sweep config fields over a corpus")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True, help="grid CSV path")
+    p = sub.add_parser(
+        "grid-search", parents=[corpus], help="sweep config fields over a corpus"
+    )
     p.add_argument("--axis", action="append", required=True,
                    help="name:start:stop:step (repeatable); name 'lambda' sets both weights")
     p.add_argument("--objective", choices=["gnsdr", "rpa"], default="gnsdr")
     p.add_argument("--ground-truth-f0", action="store_true", dest="ground_truth_f0",
                    help="build harmonic masks from the truth contours")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--tolerance-cents", type=float, default=50.0, dest="tolerance_cents")
-    p.add_argument("--sample-rate", type=int, default=16000, dest="sample_rate")
-    p.add_argument("--config")
     p.set_defaults(func=_cmd_grid_search)
     return parser
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import AudioSignal
-from .tracking import F0Contour, contour_accuracy_prep
+from .tracking import ALIGNMENT_TICK_SECONDS, F0Contour, align_contour
 
 __all__ = [
     "SeparationScore",
@@ -172,12 +172,17 @@ def raw_pitch_accuracy(
     """Fraction of voiced ground-truth frames whose estimate lies within
     tolerance_cents of the true pitch.
 
-    Estimated unvoiced frames (f0 = 0) at voiced truth ticks count as
-    misses. A truth contour with no voiced frames is an error, as is a
-    tolerance that is not positive and finite.
+    Both contours are compared on a 10 ms clock by nearest frame. An
+    unvoiced estimate (f0 = 0) at a voiced truth tick is a miss. A truth
+    contour with no voiced frames is an error, as is a tolerance that is
+    not positive and finite.
     """
     check_tolerance_cents(tolerance_cents)
-    est_hz, truth_hz = contour_accuracy_prep(estimate, truth)
+    n_ticks = max(int(round(truth.duration_seconds / ALIGNMENT_TICK_SECONDS)), 1)
+    truth_ticks = align_contour(truth, n_ticks, ALIGNMENT_TICK_SECONDS)
+    est_ticks = align_contour(estimate, n_ticks, ALIGNMENT_TICK_SECONDS)
+    keep = truth_ticks.voiced
+    est_hz, truth_hz = est_ticks.f0_hz[keep], truth_ticks.f0_hz[keep]
     if truth_hz.size == 0:
         raise ValueError("ground truth has no voiced frames")
     hits = np.zeros(truth_hz.size, dtype=bool)

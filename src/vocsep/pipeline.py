@@ -566,7 +566,8 @@ def evaluate(
     With snr_list, the mixtures are remixed from the references at each
     SNR (dB, measured over voiced samples) and the report contains one
     section per SNR; otherwise the manifest mixtures are scored
-    directly. Clip failures are recorded per clip, never fatal.
+    directly. Each SNR must be finite. Clip failures are recorded per
+    clip, never fatal.
 
     With workers > 1 every clip of every section goes to one process
     pool and memo is not used; serially, memo is passed to each run().
@@ -575,6 +576,8 @@ def evaluate(
         raise ValueError("empty corpus")
     _check_scoring(workers, tolerance_cents)
     snrs = list(snr_list) if snr_list is not None else [None]
+    if snr_list is not None and not np.all(np.isfinite(snrs)):
+        raise ValueError("SNRs must be finite, got %r" % (snrs,))
     jobs = [
         (e, cfg, snr_db, tolerance_cents, use_ground_truth_f0)
         for snr_db in snrs

@@ -28,7 +28,6 @@ __all__ = [
     "F0Contour",
     "viterbi",
     "align_contour",
-    "contour_accuracy_prep",
     "write_f0_csv",
     "read_f0_csv",
     "CENTS_REFERENCE_HZ",
@@ -226,24 +225,6 @@ def align_contour(contour: F0Contour, n_frames: int, hop_seconds: float) -> F0Co
         np.rint(times / contour.hop_seconds).astype(np.intp), contour.n_frames - 1
     )
     return voiced_contour(contour.f0_hz[idx], hop_seconds)
-
-
-def contour_accuracy_prep(estimate: F0Contour, truth: F0Contour):
-    """Align two contours on a 10 ms clock by nearest frame.
-
-    One tick per ground-truth frame interval; ticks whose nearest truth
-    frame is unvoiced are dropped.
-
-    Returns
-    -------
-    (est_hz, truth_hz) : np.ndarray pair
-        Matched f0 values at the voiced ticks.
-    """
-    n_ticks = max(int(round(truth.duration_seconds / ALIGNMENT_TICK_SECONDS)), 1)
-    truth_ticks = align_contour(truth, n_ticks, ALIGNMENT_TICK_SECONDS)
-    est_ticks = align_contour(estimate, n_ticks, ALIGNMENT_TICK_SECONDS)
-    keep = truth_ticks.voiced
-    return est_ticks.f0_hz[keep], truth_ticks.f0_hz[keep]
 
 
 def write_f0_csv(contour: F0Contour, path) -> None:

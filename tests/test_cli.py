@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
 
+import vocsep.pipeline as pipeline_mod
 import vocsep.rpca as rpca_mod
 from vocsep.audio import read_wav, write_wav
 from vocsep.cli import EXIT_INVALID_INPUT, EXIT_OK, EXIT_PARTIAL_FAILURE, main
@@ -36,6 +38,12 @@ def mix_wav(tmp_path_factory):
 def cli_corpus(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli_corpus")
     return write_demo_corpus(root, n_clips=1, duration_seconds=1.5)
+
+
+@pytest.fixture(scope="module")
+def corpus_44k(tmp_path_factory):
+    root = tmp_path_factory.mktemp("corpus_44k")
+    return write_demo_corpus(root, n_clips=1, duration_seconds=1.0, sample_rate=44100)
 
 
 class TestSeparate:
@@ -271,6 +279,16 @@ class TestEvaluate:
         assert not out.exists()
         assert solves == []
 
+    @pytest.mark.parametrize("snr", ["nan", "inf", "0,-inf"])
+    def test_non_finite_snr_is_invalid_input(self, cli_corpus, tmp_path, monkeypatch, snr):
+        solves = []
+        monkeypatch.setattr(rpca_mod, "decompose", lambda *args: solves.append(args))
+        out = tmp_path / "report.json"
+        code = main(["evaluate", "--corpus", cli_corpus, "--out", str(out), "--snr=" + snr])
+        assert code == EXIT_INVALID_INPUT
+        assert not out.exists()
+        assert solves == []
+
     def test_malformed_manifest_is_invalid_input(self, tmp_path):
         manifest = tmp_path / "manifest.json"
         manifest.write_text("{}")
@@ -278,6 +296,81 @@ class TestEvaluate:
             "evaluate", "--corpus", str(manifest), "--out", str(tmp_path / "r.json"),
         ])
         assert code == EXIT_INVALID_INPUT
+
+
+class TestCorpusGeometry:
+    """evaluate and grid-search take their geometry defaults from the
+    rate of the first clip's vocal reference."""
+
+    @pytest.mark.parametrize(
+        "config, expected",
+        [
+            (None, (4096, 441, 20, 70.0)),
+            ({"window_size": 2048, "hop_size": 160}, (2048, 160, 20, 70.0)),
+        ],
+        ids=["defaults", "config"],
+    )
+    def test_evaluate_geometry_follows_corpus_rate(
+        self, corpus_44k, tmp_path, config, expected
+    ):
+        out = tmp_path / "report.json"
+        flags = []
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            flags = ["--config", str(path)]
+        code = main(["evaluate", "--corpus", corpus_44k, "--out", str(out)] + flags)
+        assert code == EXIT_OK
+        cfg = json.loads(out.read_text())["config"]
+        assert (cfg["window_size"], cfg["hop_size"], cfg["n_partials"], cfg["w"]) == expected
+
+    def test_grid_search_geometry_follows_corpus_rate(self, corpus_44k, tmp_path, monkeypatch):
+        seen = []
+        sweep = pipeline_mod.grid_search
+
+        def recording(entries, spec, cfg, **kwargs):
+            seen.append(cfg)
+            return sweep(entries, spec, cfg, **kwargs)
+
+        monkeypatch.setattr(pipeline_mod, "grid_search", recording)
+        out = tmp_path / "grid.csv"
+        code = main([
+            "grid-search", "--corpus", corpus_44k, "--out", str(out),
+            "--axis", "alpha:0.6:0.6:0.2",
+        ])
+        assert code == EXIT_OK
+        assert [(c.window_size, c.hop_size, c.n_partials, c.w) for c in seen] == [
+            (4096, 441, 20, 70.0)
+        ]
+        assert len(out.read_text().strip().splitlines()) == 2
+
+    @pytest.mark.parametrize(
+        "command",
+        [["evaluate"], ["grid-search", "--axis", "alpha:0.6:0.6:0.2"]],
+        ids=["evaluate", "grid-search"],
+    )
+    @pytest.mark.parametrize("fault", ["missing", "zero-rate"])
+    def test_unreadable_first_reference_is_invalid_input(
+        self, cli_corpus, tmp_path, monkeypatch, command, fault
+    ):
+        solves = []
+        monkeypatch.setattr(rpca_mod, "decompose", lambda *args: solves.append(args))
+        with open(cli_corpus) as fh:
+            entries = json.load(fh)
+        vocal = tmp_path / "vocal.wav"
+        if fault == "zero-rate":
+            with open(entries[0]["vocal_path"], "rb") as fh:
+                raw = bytearray(fh.read())
+            struct.pack_into("<I", raw, 24, 0)  # the fmt chunk's sample rate
+            vocal.write_bytes(bytes(raw))
+        entries[0]["vocal_path"] = str(vocal)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(entries))
+        out = tmp_path / "out"
+        code = main(command + ["--corpus", str(manifest), "--out", str(out)])
+        assert code == EXIT_INVALID_INPUT
+        assert not out.exists()
+        assert solves == []
 
 
 class TestGridSearch:
@@ -305,21 +398,6 @@ class TestGridSearch:
     def test_non_finite_axis_is_invalid_input(self, cli_corpus, tmp_path, axis):
         out = tmp_path / "grid.csv"
         code = main(["grid-search", "--corpus", cli_corpus, "--out", str(out), "--axis", axis])
-        assert code == EXIT_INVALID_INPUT
-        assert not out.exists()
-
-    @pytest.mark.parametrize("with_config", [False, True], ids=["flags", "config"])
-    def test_zero_sample_rate_is_invalid_input(self, cli_corpus, tmp_path, with_config):
-        out = tmp_path / "grid.csv"
-        config = []
-        if with_config:
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps({"alpha": 0.6}))
-            config = ["--config", str(cfg)]
-        code = main([
-            "grid-search", "--corpus", cli_corpus, "--out", str(out),
-            "--axis", "alpha:0.6:0.6:0.2", "--sample-rate", "0",
-        ] + config)
         assert code == EXIT_INVALID_INPUT
         assert not out.exists()
 

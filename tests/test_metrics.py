@@ -13,7 +13,7 @@ from vocsep.metrics import (
     sdr_sir_sar,
     voiced_region_mask,
 )
-from vocsep.tracking import voiced_contour
+from vocsep.tracking import ALIGNMENT_TICK_SECONDS, voiced_contour
 
 
 def _orthogonal_pair(n=64):
@@ -225,8 +225,23 @@ class TestRawPitchAccuracy:
     def test_all_unvoiced_truth_rejected(self):
         truth = voiced_contour([0.0, 0.0], 0.01)
         est = voiced_contour([100.0, 100.0], 0.01)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no voiced frames"):
             raw_pitch_accuracy(est, truth)
+
+    def test_mismatched_hops_compare_on_common_clock(self):
+        # truth on a 10 ms grid, estimate on ~11.6 ms frames: one tick
+        # per truth frame, each matched to the nearest estimate frame
+        f0 = np.full(100, 200.0)
+        est = voiced_contour(np.full(87, 200.0), 512 / 44100)
+        assert raw_pitch_accuracy(est, voiced_contour(f0, 0.01)) == 1.0
+        f0[40] = 300.0
+        assert raw_pitch_accuracy(est, voiced_contour(f0, 0.01)) == 0.99
+
+    @pytest.mark.parametrize("n_hits", [0, 1, 2, 3])
+    def test_tick_count_rounds_duration(self, n_hits):
+        truth = voiced_contour(np.full(3, 150.0), ALIGNMENT_TICK_SECONDS)
+        est = voiced_contour([150.0] * n_hits + [0.0] * (3 - n_hits), ALIGNMENT_TICK_SECONDS)
+        assert raw_pitch_accuracy(est, truth) == n_hits / 3
 
 
 class TestVoicedRegionMask:

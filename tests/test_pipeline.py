@@ -7,6 +7,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import vocsep.masks as masks_mod
 import vocsep.pipeline as pipeline_mod
@@ -282,6 +284,29 @@ class TestRun:
         for sep in (reused, fresh):
             np.testing.assert_array_equal(sep.vocal_spec.values, first.vocal_spec.values)
             np.testing.assert_array_equal(sep.vocal.samples, first.vocal.samples)
+
+    @settings(max_examples=6, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        sample_rate=st.sampled_from([8000, 16000, 22050, 44100, 48000]),
+        length=st.floats(0.0, 1.0),
+    )
+    @example(seed=11, sample_rate=8000, length=1.0)
+    @example(seed=3, sample_rate=16000, length=0.0)
+    def test_negated_mixture_negates_the_sources(self, seed, sample_rate, length):
+        # every stage is odd or even in x and round-to-nearest is
+        # sign-symmetric, so the relation is exact
+        window = PipelineConfig.for_sample_rate(sample_rate).window_size
+        n = window + int(length * (sample_rate - window))
+        mixture = make_clip(duration_seconds=1.0, sample_rate=sample_rate, seed=seed).mixture
+        mixture = AudioSignal(mixture.samples[:n], sample_rate)
+        sep, contour = run(mixture)
+        neg_sep, neg_contour = run(AudioSignal(-mixture.samples, sample_rate))
+        assert neg_contour.f0_hz.tobytes() == contour.f0_hz.tobytes()
+        for part in ("vocal", "accompaniment"):
+            assert (-getattr(neg_sep, part).samples).tobytes() == (
+                getattr(sep, part).samples.tobytes()
+            )
 
     def test_memo_hit_runs_one_istft_and_no_analysis(self, tiny_clip, monkeypatch):
         memo = {}
@@ -640,6 +665,16 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="tolerance_cents"):
             grid_search(entries, spec, PipelineConfig(), tolerance_cents=tolerance)
         assert runs == []
+
+    @pytest.mark.parametrize(
+        "snr_list", [[float("nan")], [float("inf")], [0.0, float("-inf")]],
+        ids=["nan", "inf", "minus-inf-second"],
+    )
+    def test_non_finite_snr_rejected_before_any_clip(self, tiny_corpus, solves, snr_list):
+        entries = load_corpus(tiny_corpus)
+        with pytest.raises(ValueError, match="SNRs must be finite"):
+            evaluate(entries, PipelineConfig(), snr_list=snr_list)
+        assert solves == []
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_fewer_than_one_worker_rejected(self, tiny_corpus, workers):

@@ -17,7 +17,6 @@ from vocsep.tracking import (
     TRANSITION_SCALE_CENTS,
     F0Contour,
     _best_transition,
-    contour_accuracy_prep,
     read_f0_csv,
     viterbi,
     voiced_contour,
@@ -249,35 +248,6 @@ class TestViterbi:
         assert (F0_MIN_HZ, F0_MAX_HZ) == (80.0, 720.0)
         assert TRANSITION_SCALE_CENTS == math.sqrt(150.0**2 / 2.0)
         assert SALIENCY_FLOOR == 1e-12
-
-
-class TestContourAccuracyPrep:
-    def test_identical_contours_align_perfectly(self):
-        contour = voiced_contour([200.0, 210.0, 0.0, 220.0], 0.01)
-        est_hz, truth_hz = contour_accuracy_prep(contour, contour)
-        np.testing.assert_array_equal(est_hz, truth_hz)
-        assert est_hz.size == 3  # one tick per frame, unvoiced dropped
-
-    def test_all_unvoiced_truth_keeps_nothing(self):
-        truth = voiced_contour([0.0, 0.0], 0.01)
-        est = voiced_contour([100.0, 100.0], 0.01)
-        est_hz, truth_hz = contour_accuracy_prep(est, truth)
-        assert est_hz.size == 0
-        assert truth_hz.size == 0
-
-    def test_mismatched_hops_compare_on_common_clock(self):
-        # truth on a 10 ms grid, estimate on ~11.6 ms frames
-        truth = voiced_contour(np.full(100, 200.0), 0.01)
-        est = voiced_contour(np.full(87, 200.0), 512 / 44100)
-        est_hz, truth_hz = contour_accuracy_prep(est, truth)
-        assert truth_hz.size == 100
-        np.testing.assert_array_equal(est_hz, np.full(100, 200.0))
-
-    def test_tick_count_rounds_duration(self):
-        truth = voiced_contour(np.full(3, 150.0), ALIGNMENT_TICK_SECONDS)
-        est = voiced_contour(np.full(3, 150.0), ALIGNMENT_TICK_SECONDS)
-        est_hz, truth_hz = contour_accuracy_prep(est, truth)
-        assert truth_hz.size == 3
 
 
 class TestF0Csv:
