@@ -17,7 +17,7 @@ import numpy as np
 
 from .audio import AudioSignal
 from .rpca import RpcaResult
-from .spectrogram import ComplexSpectrogram, MagnitudeSpectrogram, istft, row_blocks
+from .spectrogram import MagnitudeSpectrogram, UnitPhase, istft, row_blocks
 from .tracking import F0Contour
 
 __all__ = [
@@ -184,35 +184,30 @@ def integrate_binary(mask: TimeFrequencyMask) -> TimeFrequencyMask:
 
 
 def separate(
-    mixture: AudioSignal,
-    mag: MagnitudeSpectrogram,
-    phase: ComplexSpectrogram,
-    mask: TimeFrequencyMask,
+    mixture: AudioSignal, mag: MagnitudeSpectrogram, mask: TimeFrequencyMask
 ) -> SeparationResult:
     """Split a mixture into vocal and accompaniment signals.
 
-    mag is the mixture's STFT magnitude |X| and phase its unit phase
-    X / max(|X|, tiny) (zero bins get phase 0), on one STFT grid. The
-    vocal magnitude is mask * |X|; the accompaniment magnitude is the
-    remainder |X| - vocal. The vocal resynthesizes with the mixture
-    phases: istft forms the phase * vocal product a block of frames at a
-    time, so the complex spectrogram of the vocal is never held whole.
-    The accompaniment is mixture - vocal in the time domain:
-    the ISTFT is linear and inverts the STFT to rounding, so that equals
+    mag is the mixture's STFT magnitude |X|, and it must have the
+    mixture's rate and the frame count stft gives it. The vocal
+    magnitude is mask * |X|; the accompaniment magnitude is the
+    remainder |X| - vocal. The vocal resynthesizes with the mixture's
+    unit phase X / max(|X|, tiny) (zero bins get phase 0): istft takes a
+    UnitPhase of the mixture and |X|, which forms the phase a block of
+    frames at a time from a transform of that block's frames, and
+    multiplies in the block's vocal magnitude, so neither the complex
+    vocal spectrum nor the mixture's is ever held whole. The
+    accompaniment is mixture - vocal in the time domain: the ISTFT is
+    linear and inverts the STFT to rounding, so that equals
     resynthesizing the remainder, and the two signals sum back to the
     mixture to one rounding. None of the inputs is written to, so mag
-    and phase may be reused across calls.
+    may be reused across calls.
     """
-    if mask.values.shape != mag.values.shape or phase.values.shape != mag.values.shape:
+    if mask.values.shape != mag.values.shape:
         raise ValueError(
-            "mask %s, magnitude %s and phase %s shapes differ"
-            % (mask.values.shape, mag.values.shape, phase.values.shape)
+            "mask %s and magnitude %s shapes differ" % (mask.values.shape, mag.values.shape)
         )
-    if phase.n_samples != mixture.samples.size or phase.sample_rate != mixture.sample_rate:
-        raise ValueError(
-            "phase was taken from %d samples at %d Hz, mixture has %d at %d Hz"
-            % (phase.n_samples, phase.sample_rate, mixture.samples.size, mixture.sample_rate)
-        )
+    phase = UnitPhase(mixture, mag)  # checks mag against the mixture
     vocal_mag = mask.values * mag.values
     accomp_mag = mag.values - vocal_mag
     # re-deriving the vocal part from the rounded remainder makes

@@ -9,26 +9,30 @@ run() wires five stage helpers (the STFT, the RPCA solve, the contour,
 the Wiener mask and the vocal mask) and resynthesizes with separate(). The helpers pass
 each stage function the PipelineConfig fields it reads as plain
 arguments (lam, n_partials, width_hz); the settings no caller tunes are
-constants of the stage modules. The mixture's |X| and unit phase, the
-RPCA solves, the Wiener mask of the lambda_sep solve and the contour
-are stored in a plain dict memo under a key made of a digest of the
-mixture and the config fields the stage reads, so a stage whose inputs
-repeat is computed once. Each run() call has its own memo unless the
+constants of the stage modules. The mixture's |X|, the RPCA solves,
+the Wiener mask of the lambda_sep solve and the contour are stored in a
+plain dict memo under a key made of a digest of the mixture and the
+config fields the stage reads, so a stage whose inputs repeat is
+computed once. Each run() call has its own memo unless the
 caller passes one; grid_search passes one memo through evaluate() to
 run() so that consecutive cells with the same RPCA settings share their
 analysis, solves, Wiener masks and contours. A cell that changes only
 the harmonic mask then costs the harmonic mask, its product with the
-Wiener mask, one ISTFT and one subtraction. No stage writes into an
-array it got from the memo.
+Wiener mask, one forward and one inverse transform and one subtraction.
+No stage writes into an array it got from the memo.
 
 Every stage releases its intermediates after their last use, and a solve
 in a memo that run() or estimate_f0() made itself leaves it once no
 later stage reads it: with equal lambdas, run() builds the Wiener mask
 first and drops the shared solve once the contour stage has its binary
-mask. The log-frequency resampling, the subharmonic summation, the
-Wiener and binary masks and the resynthesis product work a block of
-frames at a time. That keeps the peak of run() under 8 times the
-float64 magnitude spectrogram (tests/test_memory.py bounds it at 8.5).
+mask. No complex spectrum is held: the STFT keeps only |X|, and the
+resynthesis forms the mixture's unit phase X / max(|X|, tiny) a block of
+frames at a time from a fresh transform of the mixture's frames
+(spectrogram.UnitPhase). The STFT, the log-frequency resampling, the
+subharmonic summation, the Wiener and binary masks and the resynthesis
+work a block of frames at a time. That keeps the peak of run() at about
+6 times the float64 magnitude spectrogram (tests/test_memory.py bounds
+it at 6.5).
 
 Also hosts corpus evaluation (with optional SNR remixing from the
 references) and grid search over pipeline parameters.
@@ -211,18 +215,14 @@ def _rpca_key(mixture_key: tuple, cfg: PipelineConfig, lam: float) -> tuple:
 
 
 def _stft_stage(mixture_key, signal: AudioSignal, cfg: PipelineConfig, memo: dict):
-    """The mixture's STFT magnitude |X| and unit phase X / max(|X|, tiny),
-    computed once per mixture and geometry. Zero bins get phase 0."""
+    """The mixture's STFT magnitude |X|, computed once per mixture and
+    geometry; the memo keeps no other part of the STFT. separate() forms
+    the unit phase from the mixture and |X| when it resynthesizes."""
     key = ("stft", mixture_key, cfg.window_size, cfg.hop_size)
     if key not in memo:
-        spec = stft(signal, cfg.window_size, cfg.hop_size)
-        mag = magnitude(spec)
+        mag = magnitude(stft(signal, cfg.window_size, cfg.hop_size))
         logger.info("stft: %d frames x %d bins", mag.n_frames, mag.n_bins)
-        # the STFT's own buffer becomes the phase
-        np.divide(
-            spec.values, np.maximum(mag.values, np.finfo(np.float64).tiny), out=spec.values
-        )
-        memo[key] = mag, spec
+        memo[key] = mag
     return memo[key]
 
 
@@ -323,9 +323,9 @@ def estimate_f0(
     stages of run()). With dump_dir, writes rpca_trace.csv, saliency.csv
     and binary_rpca.pgm there."""
     dump_dir = _dump_dir(dump_dir)
-    mag = magnitude(stft(signal, cfg.window_size, cfg.hop_size))
-    logger.info("stft: %d frames x %d bins", mag.n_frames, mag.n_bins)
-    return _contour_stage(_mixture_key(signal), mag, cfg, {}, dump_dir, drop_solve=True)
+    mixture_key, memo = _mixture_key(signal), {}
+    mag = _stft_stage(mixture_key, signal, cfg, memo)
+    return _contour_stage(mixture_key, mag, cfg, memo, dump_dir, drop_solve=True)
 
 
 def _log_rpca(stage, result, t0):
@@ -361,10 +361,9 @@ def run(
         binary_rpca.pgm from the contour stage; wiener.pgm,
         harmonic.pgm and integrated.csv from the mask stage.
     memo : dict, optional
-        Stage results (the mixture's |X| and unit phase, RPCA solves,
-        the Wiener mask, contours) to reuse and add to; a fresh one is
-        used when omitted, so equal lambda_sep and lambda_f0 still solve
-        once. Stages taken from the memo write no debug artifacts, and
+        Stage results (the mixture's |X|, RPCA solves, the Wiener mask,
+        contours) to reuse and add to; a fresh one is used when omitted,
+        so equal lambda_sep and lambda_f0 still solve once. Stages taken from the memo write no debug artifacts, and
         nothing in it is written to.
 
     Returns
@@ -379,7 +378,7 @@ def run(
     dump_dir = _dump_dir(dump_dir)
     t_start = time.perf_counter()
     mixture_key = _mixture_key(signal)
-    mag, phase = _stft_stage(mixture_key, signal, cfg, memo)
+    mag = _stft_stage(mixture_key, signal, cfg, memo)
     if ground_truth_f0 is not None and ground_truth_f0.n_frames != mag.n_frames:
         raise ValueError(
             "ground-truth contour has %d frames, expected %d; align it "
@@ -399,7 +398,7 @@ def run(
         memo.clear()  # no later stage reads a solve
     vocal_mask = _mask_stage(mag, soft, contour, cfg, dump_dir)
     del soft
-    result = separate(signal, mag, phase, vocal_mask)
+    result = separate(signal, mag, vocal_mask)
     logger.info("pipeline done (%.2fs total)", time.perf_counter() - t_start)
     return result, contour
 
@@ -566,8 +565,8 @@ def evaluate(
     With snr_list, the mixtures are remixed from the references at each
     SNR (dB, measured over voiced samples) and the report contains one
     section per SNR; otherwise the manifest mixtures are scored
-    directly. Each SNR must be finite. Clip failures are recorded per
-    clip, never fatal.
+    directly. snr_list must not be empty, and each SNR must be finite.
+    Clip failures are recorded per clip, never fatal.
 
     With workers > 1 every clip of every section goes to one process
     pool and memo is not used; serially, memo is passed to each run().
@@ -576,6 +575,8 @@ def evaluate(
         raise ValueError("empty corpus")
     _check_scoring(workers, tolerance_cents)
     snrs = list(snr_list) if snr_list is not None else [None]
+    if not snrs:
+        raise ValueError("snr_list is empty; pass None to score the manifest mixtures")
     if snr_list is not None and not np.all(np.isfinite(snrs)):
         raise ValueError("SNRs must be finite, got %r" % (snrs,))
     jobs = [
@@ -681,10 +682,10 @@ def grid_search(
     if every clip failed), and the per-cell failure count. A failing
     cell never aborts the sweep.
 
-    Consecutive cells with the same RPCA settings share each clip's
-    |X| and unit phase, solves, Wiener mask and contours through one
-    memo, which is emptied whenever the settings change; put the lambda
-    axes first to make those runs long.
+    Consecutive cells with the same RPCA settings share each clip's |X|,
+    solves, Wiener mask and contours through one memo, which is emptied
+    whenever the settings change; put the lambda axes first to make
+    those runs long.
     """
     _check_scoring(workers, tolerance_cents)
     names = [axis.name for axis in spec.axes]

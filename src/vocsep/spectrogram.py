@@ -9,7 +9,10 @@ scipy's get_window("hann", n, fftbins=True), whose module is not
 imported: it alone costs about 45 MB and 1 s of import. The inverse
 applies weighted overlap-add with the same window and divides by the
 accumulated squared window, which makes istft(stft(x)) exact to
-rounding error for any hop <= window.
+rounding error for any hop <= window. Both directions transform a block
+of frames at a time, and so does UnitPhase, which forms a signal's unit
+phase X / max(|X|, tiny) from the signal and |X| for the resynthesis
+without holding the complex X.
 
 The log-frequency resampling fits a natural cubic spline across each
 frame's bins. Its tridiagonal system is solved by cyclic reduction in
@@ -31,6 +34,7 @@ from .audio import AudioSignal
 __all__ = [
     "ComplexSpectrogram",
     "MagnitudeSpectrogram",
+    "UnitPhase",
     "LogFrequencyGrid",
     "LogSpectrogram",
     "stft",
@@ -46,9 +50,9 @@ DB_FLOOR_AMPLITUDE = 1e-10
 DB_FLOOR = -200.0
 
 # Frames per block in the stages that work a block of frames at a time
-# (istft, to_log_frequency, saliency.shs and the Wiener and binary
-# masks). Every one of them is elementwise or row-wise, so the block size
-# bounds their buffers without changing a bit of their output.
+# (stft, istft, UnitPhase, to_log_frequency, saliency.shs and the Wiener
+# and binary masks). Every one of them is elementwise or row-wise, so the
+# block size bounds their buffers without changing a bit of their output.
 BLOCK_FRAMES = 16
 
 
@@ -127,6 +131,13 @@ class ComplexSpectrogram(_StftFrames):
 
     n_samples: int
 
+    def blocks(self, magnitudes: np.ndarray | None = None):
+        """(rows, values[rows]) for each block of BLOCK_FRAMES frames, or
+        with magnitudes, (rows, values[rows] * magnitudes[rows])."""
+        for rows in row_blocks(self.n_frames):
+            block = self.values[rows]
+            yield rows, block if magnitudes is None else block * magnitudes[rows]
+
 
 @dataclass(frozen=True)
 class MagnitudeSpectrogram(_StftFrames):
@@ -138,6 +149,47 @@ class MagnitudeSpectrogram(_StftFrames):
         if values.size and values.min() < 0:
             raise ValueError("magnitudes must be nonnegative")
         object.__setattr__(self, "values", values)
+
+
+@dataclass(frozen=True)
+class UnitPhase:
+    """The unit phase X / max(|X|, tiny) of a signal's STFT X, from the
+    signal and its magnitude mag = |X|; zero bins get phase 0.
+
+    No complex array is held: blocks() transforms the signal's frames a
+    block at a time and divides each block by its rows of mag, bitwise
+    the rows of the whole-array phase. istft takes it in place of a
+    ComplexSpectrogram, on mag's STFT grid. mag must have the signal's
+    rate and the frame count stft gives it.
+    """
+
+    signal: AudioSignal
+    mag: MagnitudeSpectrogram
+
+    def __post_init__(self):
+        mag, n_samples, rate = self.mag, self.n_samples, self.signal.sample_rate
+        if mag.sample_rate != rate or mag.n_frames != 1 + n_samples // mag.hop_size:
+            raise ValueError(
+                "magnitude of %d frames at %d Hz is not the STFT of %d samples at %d Hz"
+                % (mag.n_frames, mag.sample_rate, n_samples, rate)
+            )
+
+    @property
+    def n_samples(self) -> int:
+        return self.signal.samples.size
+
+    def blocks(self, magnitudes: np.ndarray | None = None):
+        """(rows, unit phase of those rows) for each block of BLOCK_FRAMES
+        frames, or with magnitudes, (rows, phase * magnitudes[rows]);
+        each block is a fresh array."""
+        tiny = np.finfo(np.float64).tiny
+        mag = self.mag
+        for rows, block in _analysis_blocks(self.signal.samples, mag.window_size, mag.hop_size):
+            np.divide(block, np.maximum(mag.values[rows], tiny), out=block)
+            if magnitudes is not None:
+                block *= magnitudes[rows]
+            yield rows, block
+            del block  # not held while the next block forms
 
 
 @dataclass(frozen=True)
@@ -205,6 +257,23 @@ class LogSpectrogram(_GridFrames):
     """dB magnitudes resampled onto a LogFrequencyGrid, (frames, grid bins)."""
 
 
+def _analysis_blocks(samples: np.ndarray, window_size: int, hop_size: int):
+    """rfft of the Hann-windowed centered frames of samples, a block of
+    BLOCK_FRAMES frames at a time: yields (rows, block), block a fresh
+    complex array. rfft rows do not depend on the batch, so the blocks
+    are bitwise the rows of one whole-array transform, and no
+    (frames, window) array is held."""
+    pad = window_size // 2
+    padded = np.pad(samples, pad, mode="reflect")
+    n_frames = 1 + samples.size // hop_size
+    window = _hann(window_size)
+    frames = sliding_window_view(padded, window_size)[::hop_size][:n_frames]
+    for rows in row_blocks(n_frames):
+        block = np.fft.rfft(frames[rows] * window, axis=1)
+        yield rows, block
+        del block  # not held while the next block forms
+
+
 def stft(
     signal: AudioSignal, window_size: int, hop_size: int
 ) -> ComplexSpectrogram:
@@ -230,12 +299,9 @@ def stft(
             "signal of %d samples is shorter than one %d-sample window"
             % (x.size, window_size)
         )
-    pad = window_size // 2
-    padded = np.pad(x, pad, mode="reflect")
-    n_frames = 1 + x.size // hop_size
-    window = _hann(window_size)
-    frames = sliding_window_view(padded, window_size)[::hop_size][:n_frames]
-    values = np.fft.rfft(frames * window, axis=1)
+    values = np.empty((1 + x.size // hop_size, window_size // 2 + 1), np.complex128)
+    for rows, block in _analysis_blocks(x, window_size, hop_size):
+        values[rows] = block
     return ComplexSpectrogram(
         values=values,
         window_size=window_size,
@@ -245,42 +311,45 @@ def stft(
     )
 
 
-def istft(spec: ComplexSpectrogram, magnitudes: np.ndarray | None = None) -> AudioSignal:
-    """Invert a ComplexSpectrogram by weighted overlap-add.
+def istft(
+    spec: ComplexSpectrogram | UnitPhase, magnitudes: np.ndarray | None = None
+) -> AudioSignal:
+    """Invert a ComplexSpectrogram or a UnitPhase by weighted overlap-add.
 
     Uses the analysis Hann window for synthesis and normalizes by the
     accumulated squared window, then trims the centered padding. With
-    magnitudes, an array of spec.values' shape, inverts the product
-    spec.values * magnitudes, formed a block of frames at a time so that
-    the whole product is never held.
+    magnitudes, a (frames, bins) array, inverts the product of spec and
+    magnitudes. Each block of frames is taken from spec.blocks(), which
+    for a UnitPhase transforms the signal's frames of that block, and is
+    multiplied and inverted on its own, so neither the whole product nor
+    a whole complex spectrum of a UnitPhase is ever held.
     """
-    if magnitudes is not None and magnitudes.shape != spec.values.shape:
+    grid = spec.mag if isinstance(spec, UnitPhase) else spec  # the STFT geometry
+    shape = (grid.n_frames, grid.n_bins)
+    if magnitudes is not None and magnitudes.shape != shape:
         raise ValueError(
-            "magnitudes %s and spectrogram %s shapes differ"
-            % (magnitudes.shape, spec.values.shape)
+            "magnitudes %s and spectrogram %s shapes differ" % (magnitudes.shape, shape)
         )
-    window_size = spec.window_size
-    hop = spec.hop_size
+    window_size = grid.window_size
+    hop = grid.hop_size
     pad = window_size // 2
     n_padded = pad + spec.n_samples + pad
     window = _hann(window_size)
     window_sq = window * window
-    total = max(n_padded, (spec.n_frames - 1) * hop + window_size)
+    total = max(n_padded, (grid.n_frames - 1) * hop + window_size)
     acc = np.zeros(total)
     wsum = np.zeros(total)
     # irfft a block of frames at a time, so the (frames, window) array of
     # all frames is never held; irfft rows do not depend on the batch.
     # The overlap-add stays in frame order, which fixes its roundings.
-    for rows in row_blocks(spec.n_frames):
-        block = spec.values[rows]
-        if magnitudes is not None:
-            block = block * magnitudes[rows]
+    for rows, block in spec.blocks(magnitudes):
         frames = np.fft.irfft(block, n=window_size, axis=1)
         frames *= window
         for t, frame in enumerate(frames, start=rows.start):
             start = t * hop
             acc[start : start + window_size] += frame
             wsum[start : start + window_size] += window_sq
+        del block, frames, frame  # not held while the next block forms
     out = acc[pad : pad + spec.n_samples]
     norm = wsum[pad : pad + spec.n_samples]
     if norm.min() <= 0:
@@ -289,7 +358,7 @@ def istft(spec: ComplexSpectrogram, magnitudes: np.ndarray | None = None) -> Aud
             % (hop, window_size)
         )
     out = out / norm
-    return AudioSignal(samples=out, sample_rate=spec.sample_rate)
+    return AudioSignal(samples=out, sample_rate=grid.sample_rate)
 
 
 def magnitude(spec: ComplexSpectrogram) -> MagnitudeSpectrogram:

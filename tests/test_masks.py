@@ -444,7 +444,7 @@ class TestIntegration:
 
 
 def _analysis(signal, window_size=2048, hop_size=160):
-    """|X| and unit phase of a signal, built as run() builds them."""
+    """|X| of a signal, built as run() builds it."""
     cfg = PipelineConfig(window_size=window_size, hop_size=hop_size)
     return _stft_stage(None, signal, cfg, {})
 
@@ -452,12 +452,12 @@ def _analysis(signal, window_size=2048, hop_size=160):
 class TestSeparate:
     def _inputs(self, rng, n=4000, sr=16000):
         signal = AudioSignal(rng.uniform(-0.5, 0.5, size=n), sr)
-        return (signal, *_analysis(signal))
+        return signal, _analysis(signal)
 
     def test_magnitudes_complementary_exactly(self, rng):
-        signal, mag, phase = self._inputs(rng)
+        signal, mag = self._inputs(rng)
         mask = TimeFrequencyMask(rng.uniform(0, 1, size=mag.values.shape))
-        result = separate(signal, mag, phase, mask)
+        result = separate(signal, mag, mask)
         mix = np.abs(stft(signal, 2048, 160).values)
         np.testing.assert_array_equal(
             result.vocal_spec.values + result.accomp_spec.values, mix
@@ -467,18 +467,18 @@ class TestSeparate:
     def test_complementarity_survives_many_seeds(self):
         for seed in range(20):
             rng = np.random.default_rng(seed)
-            signal, mag, phase = self._inputs(rng, n=2500)
+            signal, mag = self._inputs(rng, n=2500)
             mask = TimeFrequencyMask(rng.uniform(0, 1, size=mag.values.shape))
-            result = separate(signal, mag, phase, mask)
+            result = separate(signal, mag, mask)
             mix = np.abs(stft(signal, 2048, 160).values)
             assert np.array_equal(
                 result.vocal_spec.values + result.accomp_spec.values, mix
             )
 
     def test_all_pass_mask_returns_round_trip(self, rng):
-        signal, mag, phase = self._inputs(rng)
+        signal, mag = self._inputs(rng)
         mask = TimeFrequencyMask(np.ones(mag.values.shape))
-        result = separate(signal, mag, phase, mask)
+        result = separate(signal, mag, mask)
         assert np.all(result.accomp_spec.values == 0)
         assert np.max(np.abs(result.accompaniment.samples)) < 1e-10
         np.testing.assert_allclose(
@@ -487,17 +487,17 @@ class TestSeparate:
         )
 
     def test_all_reject_mask_silences_vocal(self, rng):
-        signal, mag, phase = self._inputs(rng)
+        signal, mag = self._inputs(rng)
         mask = TimeFrequencyMask(np.zeros(mag.values.shape))
-        result = separate(signal, mag, phase, mask)
+        result = separate(signal, mag, mask)
         assert np.max(np.abs(result.vocal.samples)) == 0.0
         assert np.array_equal(result.accompaniment.samples, signal.samples)
 
     def test_parts_sum_back_to_mixture(self, rng):
-        signal, mag, phase = self._inputs(rng)
+        signal, mag = self._inputs(rng)
         x = signal.samples
         mask = TimeFrequencyMask(rng.uniform(0, 1, size=mag.values.shape))
-        result = separate(signal, mag, phase, mask)
+        result = separate(signal, mag, mask)
         total = result.vocal.samples + result.accompaniment.samples
         assert np.linalg.norm(total - x) / np.linalg.norm(x) < np.finfo(np.float64).eps
 
@@ -507,23 +507,31 @@ class TestSeparate:
         # the rounding of that subtraction and of the sum; resynthesizing
         # both parts leaves the ISTFT round-trip error (about 3 eps here)
         signal = AudioSignal(rng.uniform(-0.5, 0.5, size=sr), sr)
-        mag, phase = _analysis(signal, window, hop)
+        mag = _analysis(signal, window, hop)
         mask = TimeFrequencyMask(rng.uniform(0, 1, size=mag.values.shape))
-        result = separate(signal, mag, phase, mask)
+        result = separate(signal, mag, mask)
         x = signal.samples
         error = np.max(np.abs(result.vocal.samples + result.accompaniment.samples - x))
         assert error <= 2 * np.finfo(np.float64).eps * np.max(np.abs(x))
 
     @pytest.mark.parametrize("sr,window,hop", [(16000, 2048, 160), (44100, 4096, 441)])
-    def test_bitwise_equal_to_whole_array_resynthesis(self, sr, window, hop, rng, monkeypatch):
-        signal = AudioSignal(rng.uniform(-0.5, 0.5, size=sr), sr)
+    @pytest.mark.parametrize("block", [1, 7, spectrogram_mod.BLOCK_FRAMES, "all"])
+    def test_bitwise_equal_to_whole_array_resynthesis(self, sr, window, hop, block, rng, monkeypatch):
+        # leading silence and a gap longer than a window give frames whose
+        # bins are all zero: phase 0 through the tiny clamp
+        samples = rng.uniform(-0.5, 0.5, size=sr)
+        samples[: sr // 4] = 0.0
+        samples[sr // 2 : sr // 2 + 2 * window] = 0.0
+        signal = AudioSignal(samples, sr)
         spec = stft(signal, window, hop)
+        assert spec.n_frames % 7 != 0
+        assert np.sum(np.abs(spec.values).max(axis=1) == 0) >= 3
         mask = TimeFrequencyMask(rng.uniform(0, 1, size=spec.values.shape))
         monkeypatch.setattr(spectrogram_mod, "BLOCK_FRAMES", spec.n_frames)
         expected = _reference_separate(spec, mask)
-        monkeypatch.setattr(spectrogram_mod, "BLOCK_FRAMES", 7)
-        assert spec.n_frames % 7 != 0
-        result = separate(signal, *_analysis(signal, window, hop), mask)
+        if block != "all":
+            monkeypatch.setattr(spectrogram_mod, "BLOCK_FRAMES", block)
+        result = separate(signal, _analysis(signal, window, hop), mask)
         assert np.array_equal(result.vocal.samples, expected[0])
         # the accompaniment is mixture - vocal, not a second resynthesis
         got = result.accompaniment.samples
@@ -531,41 +539,50 @@ class TestSeparate:
 
     @pytest.mark.parametrize("sr,window,hop", [(16000, 2048, 160), (44100, 4096, 441)])
     def test_close_to_exp_angle_resynthesis(self, sr, window, hop, rng):
-        spec = stft(AudioSignal(rng.uniform(-0.5, 0.5, size=sr), sr), window, hop)
-        # zero bins, whose phase the two constructions define differently;
-        # the mixture is then the resynthesis of the zeroed spectrum
-        values = spec.values.copy()
-        values[:, ::5] = 0.0
-        spec = dataclasses.replace(spec, values=values)
-        mixture = istft(spec)
-        phase = dataclasses.replace(spec, values=_divided_phase(spec.values))
+        # leading silence gives zero bins, whose phase the two
+        # constructions define differently
+        samples = rng.uniform(-0.5, 0.5, size=sr)
+        samples[: sr // 4] = 0.0
+        signal = AudioSignal(samples, sr)
+        spec = stft(signal, window, hop)
+        assert np.any(np.abs(spec.values).max(axis=1) == 0)
         mask = TimeFrequencyMask(rng.uniform(0, 1, size=spec.values.shape))
-        result = separate(mixture, magnitude(spec), phase, mask)
+        result = separate(signal, magnitude(spec), mask)
         expected = _reference_separate(spec, mask, unit_phase=_angle_phase)
         for got, ref in zip((result.vocal.samples, result.accompaniment.samples), expected):
             assert np.all(np.isfinite(got))
             assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
 
     def test_leaves_its_inputs_unchanged(self, rng):
-        signal, mag, phase = self._inputs(rng)
-        mag.values[:, ::7] = 0.0  # zero bins, which a clamp would touch
+        samples = rng.uniform(-0.5, 0.5, size=4000)
+        # all-zero frames: zero bins of |X|, which a clamp would touch
+        samples[:2500] = 0.0
+        signal = AudioSignal(samples, 16000)
+        mag = _analysis(signal)
+        assert np.any(mag.values.max(axis=1) == 0)
         mask = TimeFrequencyMask(rng.uniform(0, 1, size=mag.values.shape))
-        arrays = (signal.samples, mag.values, phase.values, mask.values)
+        arrays = (signal.samples, mag.values, mask.values)
         before = [hashlib.sha256(a.tobytes()).hexdigest() for a in arrays]
-        separate(signal, mag, phase, mask)
+        separate(signal, mag, mask)
         assert [hashlib.sha256(a.tobytes()).hexdigest() for a in arrays] == before
 
     def test_shape_mismatch_rejected(self, rng):
-        signal, mag, phase = self._inputs(rng)
+        signal, mag = self._inputs(rng)
         with pytest.raises(ValueError, match="shapes differ"):
-            separate(signal, mag, phase, TimeFrequencyMask(np.zeros((2, 2))))
+            separate(signal, mag, TimeFrequencyMask(np.zeros((2, 2))))
         mask = TimeFrequencyMask(np.zeros(mag.values.shape))
         with pytest.raises(ValueError, match="shapes differ"):
-            separate(signal, mag, dataclasses.replace(phase, values=phase.values[:-1]), mask)
-        with pytest.raises(ValueError, match="phase was taken"):
-            separate(AudioSignal(signal.samples[:-1], 16000), mag, phase, mask)
-        with pytest.raises(ValueError, match="phase was taken"):
-            separate(AudioSignal(signal.samples, 8000), mag, phase, mask)
+            separate(signal, dataclasses.replace(mag, values=mag.values[:-1]), mask)
+        # the magnitude must be the STFT of the mixture's length and rate
+        shorter = _analysis(AudioSignal(signal.samples[:-160], 16000))
+        with pytest.raises(ValueError, match="is not the STFT of"):
+            separate(signal, shorter, TimeFrequencyMask(np.zeros(shorter.values.shape)))
+        with pytest.raises(ValueError, match="is not the STFT of"):
+            separate(signal, dataclasses.replace(mag, sample_rate=8000), mask)
+        with pytest.raises(ValueError, match="is not the STFT of"):
+            separate(AudioSignal(signal.samples[:-1], 16000), mag, mask)
+        with pytest.raises(ValueError, match="is not the STFT of"):
+            separate(AudioSignal(signal.samples, 8000), mag, mask)
 
 
 class TestMaskWriters:

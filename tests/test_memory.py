@@ -1,6 +1,6 @@
-"""Peak memory of run(), estimate_f0() and the tracker, and what a
-caller's memo holds after run(), as a multiple of the float64 magnitude
-spectrogram: frames x (window_size/2 + 1) x 8 bytes."""
+"""Peak memory of run(), estimate_f0(), stft() and the tracker, and what
+a caller's memo holds after run(), as a multiple of the float64
+magnitude spectrogram: frames x (window_size/2 + 1) x 8 bytes."""
 
 import dataclasses
 import tracemalloc
@@ -10,15 +10,21 @@ import pytest
 
 import vocsep.pipeline as pipeline_mod
 from vocsep.pipeline import PipelineConfig, estimate_f0, run
+from vocsep.spectrogram import stft
 from vocsep.synth import make_clip
 
 # Peak traced allocation above the baseline, over the magnitude's nbytes.
-# The worst case measured is 7.94, run() on the 1 s 16 kHz clip, inside
-# to_log_frequency: |X| and the unit phase (3), the Wiener and binary
-# masks (2), the A-weighted vocal magnitude (1), the resampled output
-# (0.94) and one block's buffers. The bound leaves about 0.5 of margin for
-# allocator and library differences.
-PEAK_BOUND = 8.5
+# The worst case measured is 5.94, run() on the 1 s 16 kHz clip, inside
+# to_log_frequency: |X| (1), the Wiener and binary masks (2), the
+# A-weighted vocal magnitude (1), the resampled output (0.94) and one
+# block's buffers. No complex spectrum is held past the STFT. The bound
+# leaves about 0.5 of margin for allocator and library differences.
+PEAK_BOUND = 6.5
+# The same for stft() alone: its complex output (2), the padded signal,
+# and one block's windowed frames and transform. 3.21 measured on the
+# 1 s 44.1 kHz clip, where a block is the largest share of the frames;
+# windowing all frames at once read 4.16-4.25.
+STFT_PEAK_BOUND = 3.6
 # The same for the viterbi call alone on a 1 s, 16 kHz clip, where its
 # (bins x bins) transition table is about twice the magnitude's size.
 VITERBI_PEAK_BOUND = 3.0
@@ -72,6 +78,12 @@ def test_peak_within_bound(fn, overrides, clip_and_cfg):
     assert multiple <= PEAK_BOUND, "peak %.2fx the magnitude" % multiple
 
 
+def test_stft_peak_within_bound(clip_and_cfg):
+    signal, cfg = clip_and_cfg
+    multiple = _peak_multiple(lambda: stft(signal, cfg.window_size, cfg.hop_size), signal, cfg)
+    assert multiple <= STFT_PEAK_BOUND, "peak %.2fx the magnitude" % multiple
+
+
 def _array_nbytes(value):
     """Bytes of the ndarray fields of a memo value: a dataclass or a
     tuple of them."""
@@ -88,9 +100,9 @@ def _array_nbytes(value):
     "overrides,solves", [({}, 1), ({"lambda_f0": 1.0}, 2)], ids=["one-solve", "two-solves"]
 )
 def test_memo_hold_per_clip(overrides, solves, clip_and_cfg):
-    # |X| (1), the unit phase (2), each solve's two parts (2 each) and
-    # the Wiener mask (1), plus the contour: what a grid memo keeps per
-    # clip, and no more
+    # |X| (1), each solve's two parts (2 each) and the Wiener mask (1),
+    # plus the contour: what a grid memo keeps per clip, and no more; the
+    # unit phase is formed from the mixture when the resynthesis runs
     signal, cfg = clip_and_cfg
     cfg = cfg.with_overrides(overrides)
     memo = {}
@@ -99,7 +111,7 @@ def test_memo_hold_per_clip(overrides, solves, clip_and_cfg):
     held = sum(_array_nbytes(value) for value in memo.values())
     contour = sum(_array_nbytes(value) for key, value in memo.items() if key[0] == "contour")
     mag_nbytes = _mag_nbytes(signal, cfg)
-    assert held <= (4 + 2 * solves) * mag_nbytes + contour
+    assert held <= (2 + 2 * solves) * mag_nbytes + contour
     assert contour < 0.01 * mag_nbytes
 
 

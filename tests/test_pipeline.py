@@ -14,7 +14,7 @@ import vocsep.masks as masks_mod
 import vocsep.pipeline as pipeline_mod
 import vocsep.rpca as rpca_mod
 from vocsep.audio import AudioSignal
-from vocsep.spectrogram import magnitude, stft
+from vocsep.spectrogram import MagnitudeSpectrogram, magnitude, stft
 from vocsep.pipeline import (
     GridAxis,
     GridSearchSpec,
@@ -285,6 +285,19 @@ class TestRun:
             np.testing.assert_array_equal(sep.vocal_spec.values, first.vocal_spec.values)
             np.testing.assert_array_equal(sep.vocal.samples, first.vocal.samples)
 
+    def test_fft_calls_keep_to_the_lowest_declared_numpy(self, tiny_clip, monkeypatch):
+        # pyproject.toml declares numpy>=1.24, whose rfft and irfft take
+        # (a, n, axis, norm) and no out=
+        for name in ("rfft", "irfft"):
+            def strict(a, n=None, axis=-1, norm=None, _fft=getattr(np.fft, name)):
+                return _fft(a, n=n, axis=axis, norm=norm)
+
+            monkeypatch.setattr(np.fft, name, strict)
+        expected, _ = run(tiny_clip.mixture, PipelineConfig())
+        monkeypatch.undo()
+        got, _ = run(tiny_clip.mixture, PipelineConfig())
+        np.testing.assert_array_equal(expected.vocal.samples, got.vocal.samples)
+
     @settings(max_examples=6, deadline=None)
     @given(
         seed=st.integers(0, 2**16),
@@ -371,7 +384,9 @@ class TestRun:
         memo = {}
         run(mixture, PipelineConfig(), memo=memo)
         assert sorted(key[0] for key in memo) == ["contour", "rpca", "stft", "wiener"]
-        mag, _ = next(value for key, value in memo.items() if key[0] == "stft")
+        # |X| is all the memo keeps of the STFT
+        mag = next(value for key, value in memo.items() if key[0] == "stft")
+        assert isinstance(mag, MagnitudeSpectrogram)
         assert np.any(mag.values == 0)
         before = _memo_digests(memo)
         for cfg in (PipelineConfig(w=70.0), PipelineConfig(mask_mode="binary")):
@@ -674,6 +689,12 @@ class TestEvaluate:
         entries = load_corpus(tiny_corpus)
         with pytest.raises(ValueError, match="SNRs must be finite"):
             evaluate(entries, PipelineConfig(), snr_list=snr_list)
+        assert solves == []
+
+    def test_empty_snr_list_rejected_before_any_clip(self, tiny_corpus, solves):
+        entries = load_corpus(tiny_corpus)
+        with pytest.raises(ValueError, match="snr_list is empty"):
+            evaluate(entries, PipelineConfig(), snr_list=[])
         assert solves == []
 
     @pytest.mark.parametrize("workers", [0, -3])

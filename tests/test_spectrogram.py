@@ -19,6 +19,7 @@ from vocsep.spectrogram import (
     LogFrequencyGrid,
     LogSpectrogram,
     MagnitudeSpectrogram,
+    UnitPhase,
     a_weight_at,
     apply_a_weighting,
     istft,
@@ -28,6 +29,7 @@ from vocsep.spectrogram import (
 )
 
 GEOMETRIES = [(16000, 2048, 160), (44100, 4096, 441)]
+_BLOCK = spectrogram_mod.BLOCK_FRAMES
 
 
 def _rel_l2(a, b):
@@ -48,6 +50,16 @@ def _whole_array_istft(spec):
         acc[start : start + spec.window_size] += frames[t] * window
         wsum[start : start + spec.window_size] += window * window
     return acc[pad : pad + spec.n_samples] / wsum[pad : pad + spec.n_samples]
+
+
+def _whole_array_stft(x, window_size, hop_size):
+    """Reference stft values: the frames copied out one by one, then
+    every windowed frame in one rfft call."""
+    padded = np.pad(x, window_size // 2, mode="reflect")
+    frames = np.array(
+        [padded[t * hop_size : t * hop_size + window_size] for t in range(1 + x.size // hop_size)]
+    )
+    return np.fft.rfft(frames * get_window("hann", window_size, fftbins=True), axis=1)
 
 
 def _whole_array_log_frequency(mag, grid):
@@ -125,16 +137,39 @@ class TestStft:
         assert np.argmax(row) == k
 
     @pytest.mark.parametrize("sr,window,hop", GEOMETRIES + [(16000, 256, 100)])
-    def test_matches_frame_copy_loop(self, sr, window, hop, rng):
+    @pytest.mark.parametrize("block", [1, 7, _BLOCK, "all"])
+    def test_matches_frame_copy_loop(self, sr, window, hop, block, rng, monkeypatch):
+        # 26, 26 and 41 frames: a partial last block at each block size
         x = rng.standard_normal(sr // 4 + 37)
-        padded = np.pad(x, window // 2, mode="reflect")
-        frames = np.array(
-            [padded[t * hop : t * hop + window] for t in range(1 + x.size // hop)]
-        )
-        expected = np.fft.rfft(frames * get_window("hann", window, fftbins=True), axis=1)
+        expected = _whole_array_stft(x, window, hop)
+        monkeypatch.setattr(spectrogram_mod, "BLOCK_FRAMES", len(expected) if block == "all" else block)
         got = stft(AudioSignal(x, sr), window, hop).values
         assert got.shape == expected.shape
         assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("sr,window,hop", GEOMETRIES)
+    @pytest.mark.parametrize("block", [1, 7, _BLOCK, "all"])
+    def test_unit_phase_bitwise_equal_to_whole_array(self, sr, window, hop, block, rng, monkeypatch):
+        x = rng.uniform(-1, 1, size=sr // 2)
+        x[: sr // 8] = 0.0  # leading silence: all-zero frames get phase 0
+        expected = _whole_array_stft(x, window, hop)
+        expected /= np.maximum(np.abs(expected), np.finfo(np.float64).tiny)
+        signal = AudioSignal(x, sr)
+        phase = UnitPhase(signal, magnitude(stft(signal, window, hop)))
+        monkeypatch.setattr(spectrogram_mod, "BLOCK_FRAMES", len(expected) if block == "all" else block)
+        mags = rng.uniform(0.0, 2.0, size=expected.shape)
+        got = np.concatenate([values for _, values in phase.blocks()])
+        assert np.array_equal(got, expected)
+        assert np.all(got[: (sr // 8 - window // 2) // hop] == 0)
+        whole = _whole_array_istft(ComplexSpectrogram(expected * mags, window, hop, sr, x.size))
+        assert np.array_equal(istft(phase, mags).samples, whole)
+
+    def test_unit_phase_rejects_a_magnitude_of_another_signal(self, rng):
+        signal = AudioSignal(rng.standard_normal(4000), 16000)
+        mag = magnitude(stft(signal, 2048, 160))
+        for other in (AudioSignal(signal.samples[:-160], 16000), AudioSignal(signal.samples, 8000)):
+            with pytest.raises(ValueError, match="is not the STFT of"):
+                UnitPhase(other, mag)
 
     def test_zero_signal(self):
         spec = stft(AudioSignal(np.zeros(4000), 16000), 2048, 160)
