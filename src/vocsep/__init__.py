@@ -41,10 +41,10 @@ from .pipeline import (
 from .rpca import RpcaResult, decompose
 from .saliency import SaliencySpectrogram, combine, f0_enhancement, shs
 from .spectrogram import (
-    ComplexSpectrogram,
     LogFrequencyGrid,
     LogSpectrogram,
     MagnitudeSpectrogram,
+    Stft,
     a_weight_at,
     apply_a_weighting,
     istft,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .audio import AudioSignal
 from .rpca import RpcaResult
-from .spectrogram import MagnitudeSpectrogram, UnitPhase, istft, row_blocks
+from .spectrogram import MagnitudeSpectrogram, istft, row_blocks, stft
 from .tracking import F0Contour
 
 __all__ = [
@@ -192,22 +192,26 @@ def separate(
     mixture's rate and the frame count stft gives it. The vocal
     magnitude is mask * |X|; the accompaniment magnitude is the
     remainder |X| - vocal. The vocal resynthesizes with the mixture's
-    unit phase X / max(|X|, tiny) (zero bins get phase 0): istft takes a
-    UnitPhase of the mixture and |X|, which forms the phase a block of
-    frames at a time from a transform of that block's frames, and
-    multiplies in the block's vocal magnitude, so neither the complex
-    vocal spectrum nor the mixture's is ever held whole. The
-    accompaniment is mixture - vocal in the time domain: the ISTFT is
-    linear and inverts the STFT to rounding, so that equals
-    resynthesizing the remainder, and the two signals sum back to the
-    mixture to one rounding. None of the inputs is written to, so mag
-    may be reused across calls.
+    own phase: istft(stft(mixture), vocal) forms X / max(|X|, tiny)
+    (zero bins get phase 0) a block of frames at a time from a transform
+    of that block's frames, so neither the complex vocal spectrum nor
+    the mixture's is ever held whole, and the phase has unit modulus
+    whatever mag holds. The accompaniment is mixture - vocal in the time
+    domain: the ISTFT is linear and inverts the STFT to rounding, so
+    that equals resynthesizing the remainder, and the two signals sum
+    back to the mixture to one rounding. None of the inputs is written
+    to, so mag may be reused across calls.
     """
     if mask.values.shape != mag.values.shape:
         raise ValueError(
             "mask %s and magnitude %s shapes differ" % (mask.values.shape, mag.values.shape)
         )
-    phase = UnitPhase(mixture, mag)  # checks mag against the mixture
+    spec = stft(mixture, mag.window_size, mag.hop_size)
+    if mag.sample_rate != spec.sample_rate or mag.n_frames != spec.n_frames:
+        raise ValueError(
+            "magnitude of %d frames at %d Hz is not the STFT of %d samples at %d Hz"
+            % (mag.n_frames, mag.sample_rate, spec.n_samples, spec.sample_rate)
+        )
     vocal_mag = mask.values * mag.values
     accomp_mag = mag.values - vocal_mag
     # re-deriving the vocal part from the rounded remainder makes
@@ -216,7 +220,7 @@ def separate(
     np.subtract(mag.values, accomp_mag, out=vocal_mag)
     vocal_spec = dataclasses.replace(mag, values=vocal_mag)
     accomp_spec = dataclasses.replace(mag, values=accomp_mag)
-    vocal = istft(phase, vocal_mag)
+    vocal = istft(spec, vocal_mag)
     accompaniment = AudioSignal(
         samples=mixture.samples - vocal.samples, sample_rate=mixture.sample_rate
     )

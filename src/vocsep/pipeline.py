@@ -25,12 +25,13 @@ Every stage releases its intermediates after their last use, and a solve
 in a memo that run() or estimate_f0() made itself leaves it once no
 later stage reads it: with equal lambdas, run() builds the Wiener mask
 first and drops the shared solve once the contour stage has its binary
-mask. No complex spectrum is held: the STFT keeps only |X|, and the
-resynthesis forms the mixture's unit phase X / max(|X|, tiny) a block of
-frames at a time from a fresh transform of the mixture's frames
-(spectrogram.UnitPhase). The STFT, the log-frequency resampling, the
-subharmonic summation, the Wiener and binary masks and the resynthesis
-work a block of frames at a time. That keeps the peak of run() at about
+mask. No complex spectrum is held: stft returns a lazy spectrogram.Stft
+of the mixture, the STFT stage keeps only its |X|, and the resynthesis
+inverts the vocal magnitude with the mixture's own phase, formed a block
+of frames at a time from a fresh transform of the mixture's frames. The
+STFT, the log-frequency resampling, the subharmonic summation, the comb
+enhancement, the Wiener and binary masks and the resynthesis work a
+block of frames at a time. That keeps the peak of run() at about
 6 times the float64 magnitude spectrogram (tests/test_memory.py bounds
 it at 6.5).
 
@@ -217,7 +218,8 @@ def _rpca_key(mixture_key: tuple, cfg: PipelineConfig, lam: float) -> tuple:
 def _stft_stage(mixture_key, signal: AudioSignal, cfg: PipelineConfig, memo: dict):
     """The mixture's STFT magnitude |X|, computed once per mixture and
     geometry; the memo keeps no other part of the STFT. separate() forms
-    the unit phase from the mixture and |X| when it resynthesizes."""
+    the mixture's phase from a fresh stft of the mixture when it
+    resynthesizes."""
     key = ("stft", mixture_key, cfg.window_size, cfg.hop_size)
     if key not in memo:
         mag = magnitude(stft(signal, cfg.window_size, cfg.hop_size))

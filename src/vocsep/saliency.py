@@ -80,7 +80,8 @@ def f0_enhancement(
     h_c samples the magnitude at lag k = floor(h_top / h_c), read from
     the real-input half spectrum at min(k, F - k). Lags past
     F-1 (possible when the grid reaches far below h_top/F) clamp to F-1
-    with a logged diagnostic.
+    with a logged diagnostic. The rows are transformed a block of frames
+    at a time.
     """
     if mask.kind != "binary":
         raise ValueError("f0_enhancement requires a binary mask, got %r" % (mask.kind,))
@@ -99,10 +100,11 @@ def f0_enhancement(
         lags = np.minimum(lags, n_bins - 1)
     # a real row has |X[k]| = |X[F - k]|, so the half spectrum serves
     # every lag: one past F // 2 reads its mirror
-    spectra = np.abs(np.fft.rfft(mask.values, axis=1))
-    return SaliencySpectrogram(
-        values=spectra[:, np.minimum(lags, n_bins - lags)], grid=grid, hop_seconds=hop_seconds
-    )
+    lags = np.minimum(lags, n_bins - lags)
+    values = np.empty((mask.n_frames, lags.size))
+    for rows in row_blocks(mask.n_frames):
+        values[rows] = np.abs(np.fft.rfft(mask.values[rows], axis=1))[:, lags]
+    return SaliencySpectrogram(values=values, grid=grid, hop_seconds=hop_seconds)
 
 
 def combine(

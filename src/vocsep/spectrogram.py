@@ -9,10 +9,11 @@ scipy's get_window("hann", n, fftbins=True), whose module is not
 imported: it alone costs about 45 MB and 1 s of import. The inverse
 applies weighted overlap-add with the same window and divides by the
 accumulated squared window, which makes istft(stft(x)) exact to
-rounding error for any hop <= window. Both directions transform a block
-of frames at a time, and so does UnitPhase, which forms a signal's unit
-phase X / max(|X|, tiny) from the signal and |X| for the resynthesis
-without holding the complex X.
+rounding error for any hop <= window. stft returns an Stft, which holds
+only the signal and the geometry: magnitude() and istft() read it a
+block of frames at a time, so no complex spectrum is ever held whole.
+istft(spec, m) inverts the magnitudes m with spec's own phase
+X / max(|X|, tiny), the resynthesis of a masked mixture.
 
 The log-frequency resampling fits a natural cubic spline across each
 frame's bins. Its tridiagonal system is solved by cyclic reduction in
@@ -32,9 +33,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .audio import AudioSignal
 
 __all__ = [
-    "ComplexSpectrogram",
+    "Stft",
     "MagnitudeSpectrogram",
-    "UnitPhase",
     "LogFrequencyGrid",
     "LogSpectrogram",
     "stft",
@@ -50,9 +50,10 @@ DB_FLOOR_AMPLITUDE = 1e-10
 DB_FLOOR = -200.0
 
 # Frames per block in the stages that work a block of frames at a time
-# (stft, istft, UnitPhase, to_log_frequency, saliency.shs and the Wiener
-# and binary masks). Every one of them is elementwise or row-wise, so the
-# block size bounds their buffers without changing a bit of their output.
+# (Stft.blocks and so magnitude and istft, to_log_frequency, saliency.shs,
+# saliency.f0_enhancement and the Wiener and binary masks). Every one of
+# them is elementwise or row-wise, so the block size bounds their buffers
+# without changing a bit of their output.
 BLOCK_FRAMES = 16
 
 
@@ -80,8 +81,72 @@ def _validate_geometry(window_size: int, hop_size: int) -> None:
 
 
 @dataclass(frozen=True)
-class _StftFrames:
-    """Frames on one STFT grid: values has shape
+class Stft:
+    """The short-time Fourier transform X of a signal, formed when read.
+
+    No complex array is held: blocks() transforms the signal's centered
+    Hann frames a block of BLOCK_FRAMES frames at a time, and rfft rows
+    do not depend on the batch, so each block is bitwise those rows of
+    one whole-array transform. The signal must be at least one window
+    long.
+    """
+
+    signal: AudioSignal
+    window_size: int
+    hop_size: int
+
+    def __post_init__(self):
+        _validate_geometry(self.window_size, self.hop_size)
+        if self.n_samples < self.window_size:
+            raise ValueError(
+                "signal of %d samples is shorter than one %d-sample window"
+                % (self.n_samples, self.window_size)
+            )
+
+    @property
+    def n_samples(self) -> int:
+        return self.signal.samples.size
+
+    @property
+    def sample_rate(self) -> int:
+        return self.signal.sample_rate
+
+    @property
+    def n_frames(self) -> int:
+        return 1 + self.n_samples // self.hop_size
+
+    @property
+    def n_bins(self) -> int:
+        return self.window_size // 2 + 1
+
+    def blocks(self, magnitudes: np.ndarray | None = None):
+        """(rows, X[rows]) for each block of BLOCK_FRAMES frames, or with
+        magnitudes, a (frames, bins) array, (rows, X[rows] /
+        max(|X[rows]|, tiny) * magnitudes[rows]): the magnitudes with X's
+        own phase, zero bins taking phase 0. Each block is a fresh
+        complex array, not held once the next one forms."""
+        shape = (self.n_frames, self.n_bins)
+        if magnitudes is not None and magnitudes.shape != shape:
+            raise ValueError(
+                "magnitudes %s and spectrogram %s shapes differ" % (magnitudes.shape, shape)
+            )
+        window_size = self.window_size
+        padded = np.pad(self.signal.samples, window_size // 2, mode="reflect")
+        window = _hann(window_size)
+        frames = sliding_window_view(padded, window_size)[:: self.hop_size][: self.n_frames]
+        tiny = np.finfo(np.float64).tiny
+        for rows in row_blocks(self.n_frames):
+            block = np.fft.rfft(frames[rows] * window, axis=1)
+            if magnitudes is not None:
+                np.divide(block, np.maximum(np.abs(block), tiny), out=block)
+                block *= magnitudes[rows]
+            yield rows, block
+            del block  # not held while the next block forms
+
+
+@dataclass(frozen=True)
+class MagnitudeSpectrogram:
+    """Nonnegative float64 magnitudes on one STFT grid: values has shape
     (frames, window_size // 2 + 1). Derive a spectrogram on the same
     grid with dataclasses.replace(spec, values=...), which re-runs the
     checks."""
@@ -93,12 +158,14 @@ class _StftFrames:
 
     def __post_init__(self):
         _validate_geometry(self.window_size, self.hop_size)
-        values = np.asarray(self.values)
+        values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2 or values.shape[1] != self.window_size // 2 + 1:
             raise ValueError(
                 "values must have shape (frames, window_size//2+1), got %s"
                 % (values.shape,)
             )
+        if values.size and values.min() < 0:
+            raise ValueError("magnitudes must be nonnegative")
         object.__setattr__(self, "values", values)
 
     @property
@@ -121,75 +188,6 @@ class _StftFrames:
     @property
     def nyquist_hz(self) -> float:
         return self.sample_rate / 2.0
-
-
-@dataclass(frozen=True)
-class ComplexSpectrogram(_StftFrames):
-    """STFT of a signal, frames on the first axis. n_samples records
-    the analyzed signal length so istft can trim the centered padding.
-    """
-
-    n_samples: int
-
-    def blocks(self, magnitudes: np.ndarray | None = None):
-        """(rows, values[rows]) for each block of BLOCK_FRAMES frames, or
-        with magnitudes, (rows, values[rows] * magnitudes[rows])."""
-        for rows in row_blocks(self.n_frames):
-            block = self.values[rows]
-            yield rows, block if magnitudes is None else block * magnitudes[rows]
-
-
-@dataclass(frozen=True)
-class MagnitudeSpectrogram(_StftFrames):
-    """Nonnegative float64 magnitudes with the geometry of the source STFT."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.size and values.min() < 0:
-            raise ValueError("magnitudes must be nonnegative")
-        object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
-class UnitPhase:
-    """The unit phase X / max(|X|, tiny) of a signal's STFT X, from the
-    signal and its magnitude mag = |X|; zero bins get phase 0.
-
-    No complex array is held: blocks() transforms the signal's frames a
-    block at a time and divides each block by its rows of mag, bitwise
-    the rows of the whole-array phase. istft takes it in place of a
-    ComplexSpectrogram, on mag's STFT grid. mag must have the signal's
-    rate and the frame count stft gives it.
-    """
-
-    signal: AudioSignal
-    mag: MagnitudeSpectrogram
-
-    def __post_init__(self):
-        mag, n_samples, rate = self.mag, self.n_samples, self.signal.sample_rate
-        if mag.sample_rate != rate or mag.n_frames != 1 + n_samples // mag.hop_size:
-            raise ValueError(
-                "magnitude of %d frames at %d Hz is not the STFT of %d samples at %d Hz"
-                % (mag.n_frames, mag.sample_rate, n_samples, rate)
-            )
-
-    @property
-    def n_samples(self) -> int:
-        return self.signal.samples.size
-
-    def blocks(self, magnitudes: np.ndarray | None = None):
-        """(rows, unit phase of those rows) for each block of BLOCK_FRAMES
-        frames, or with magnitudes, (rows, phase * magnitudes[rows]);
-        each block is a fresh array."""
-        tiny = np.finfo(np.float64).tiny
-        mag = self.mag
-        for rows, block in _analysis_blocks(self.signal.samples, mag.window_size, mag.hop_size):
-            np.divide(block, np.maximum(mag.values[rows], tiny), out=block)
-            if magnitudes is not None:
-                block *= magnitudes[rows]
-            yield rows, block
-            del block  # not held while the next block forms
 
 
 @dataclass(frozen=True)
@@ -257,26 +255,7 @@ class LogSpectrogram(_GridFrames):
     """dB magnitudes resampled onto a LogFrequencyGrid, (frames, grid bins)."""
 
 
-def _analysis_blocks(samples: np.ndarray, window_size: int, hop_size: int):
-    """rfft of the Hann-windowed centered frames of samples, a block of
-    BLOCK_FRAMES frames at a time: yields (rows, block), block a fresh
-    complex array. rfft rows do not depend on the batch, so the blocks
-    are bitwise the rows of one whole-array transform, and no
-    (frames, window) array is held."""
-    pad = window_size // 2
-    padded = np.pad(samples, pad, mode="reflect")
-    n_frames = 1 + samples.size // hop_size
-    window = _hann(window_size)
-    frames = sliding_window_view(padded, window_size)[::hop_size][:n_frames]
-    for rows in row_blocks(n_frames):
-        block = np.fft.rfft(frames[rows] * window, axis=1)
-        yield rows, block
-        del block  # not held while the next block forms
-
-
-def stft(
-    signal: AudioSignal, window_size: int, hop_size: int
-) -> ComplexSpectrogram:
+def stft(signal: AudioSignal, window_size: int, hop_size: int) -> Stft:
     """Short-time Fourier transform with centered Hann frames.
 
     Parameters
@@ -289,54 +268,32 @@ def stft(
 
     Returns
     -------
-    ComplexSpectrogram
-        1 + len(signal)//hop_size frames of window_size//2 + 1 bins.
+    Stft
+        1 + len(signal)//hop_size frames of window_size//2 + 1 bins,
+        transformed a block at a time when read.
     """
-    _validate_geometry(window_size, hop_size)
-    x = signal.samples
-    if x.size < window_size:
-        raise ValueError(
-            "signal of %d samples is shorter than one %d-sample window"
-            % (x.size, window_size)
-        )
-    values = np.empty((1 + x.size // hop_size, window_size // 2 + 1), np.complex128)
-    for rows, block in _analysis_blocks(x, window_size, hop_size):
-        values[rows] = block
-    return ComplexSpectrogram(
-        values=values,
-        window_size=window_size,
-        hop_size=hop_size,
-        sample_rate=signal.sample_rate,
-        n_samples=x.size,
-    )
+    return Stft(signal, window_size, hop_size)
 
 
-def istft(
-    spec: ComplexSpectrogram | UnitPhase, magnitudes: np.ndarray | None = None
-) -> AudioSignal:
-    """Invert a ComplexSpectrogram or a UnitPhase by weighted overlap-add.
+def istft(spec: Stft, magnitudes: np.ndarray | None = None) -> AudioSignal:
+    """Invert an Stft by weighted overlap-add.
 
     Uses the analysis Hann window for synthesis and normalizes by the
-    accumulated squared window, then trims the centered padding. With
-    magnitudes, a (frames, bins) array, inverts the product of spec and
-    magnitudes. Each block of frames is taken from spec.blocks(), which
-    for a UnitPhase transforms the signal's frames of that block, and is
-    multiplied and inverted on its own, so neither the whole product nor
-    a whole complex spectrum of a UnitPhase is ever held.
+    accumulated squared window, then trims the centered padding. Without
+    magnitudes this returns the signal to rounding error for any hop <=
+    window. With magnitudes, a (frames, bins) array, it inverts those
+    magnitudes with spec's phase, X / max(|X|, tiny) * magnitudes: the
+    least-squares estimate of a signal with that modified STFT (Griffin
+    & Lim 1984). Each block of frames comes from spec.blocks() and is
+    inverted on its own, so no whole complex spectrum is ever held.
     """
-    grid = spec.mag if isinstance(spec, UnitPhase) else spec  # the STFT geometry
-    shape = (grid.n_frames, grid.n_bins)
-    if magnitudes is not None and magnitudes.shape != shape:
-        raise ValueError(
-            "magnitudes %s and spectrogram %s shapes differ" % (magnitudes.shape, shape)
-        )
-    window_size = grid.window_size
-    hop = grid.hop_size
+    window_size = spec.window_size
+    hop = spec.hop_size
     pad = window_size // 2
     n_padded = pad + spec.n_samples + pad
     window = _hann(window_size)
     window_sq = window * window
-    total = max(n_padded, (grid.n_frames - 1) * hop + window_size)
+    total = max(n_padded, (spec.n_frames - 1) * hop + window_size)
     acc = np.zeros(total)
     wsum = np.zeros(total)
     # irfft a block of frames at a time, so the (frames, window) array of
@@ -358,13 +315,17 @@ def istft(
             % (hop, window_size)
         )
     out = out / norm
-    return AudioSignal(samples=out, sample_rate=grid.sample_rate)
+    return AudioSignal(samples=out, sample_rate=spec.sample_rate)
 
 
-def magnitude(spec: ComplexSpectrogram) -> MagnitudeSpectrogram:
-    """Elementwise complex magnitude of an STFT."""
+def magnitude(spec: Stft) -> MagnitudeSpectrogram:
+    """Elementwise complex magnitude |X| of an STFT, filled a block of
+    frames at a time."""
+    values = np.empty((spec.n_frames, spec.n_bins))
+    for rows, block in spec.blocks():
+        np.abs(block, out=values[rows])
     return MagnitudeSpectrogram(
-        values=np.abs(spec.values),
+        values=values,
         window_size=spec.window_size,
         hop_size=spec.hop_size,
         sample_rate=spec.sample_rate,

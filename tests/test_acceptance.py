@@ -164,7 +164,7 @@ def test_criterion_3_mask_algebra():
 
         result = separate(signal, mag, integrated)
         vocal, accomp = result.vocal_spec.values, result.accomp_spec.values
-        mix = np.abs(stft(signal, 2048, 160).values)
+        mix = magnitude(stft(signal, 2048, 160)).values
         ok = ok and np.array_equal(vocal + accomp, mix)
         ok = ok and np.array_equal(accomp, mix - vocal)
 

@@ -25,8 +25,10 @@ from vocsep.masks import (
 from vocsep.pipeline import PipelineConfig, _stft_stage
 from vocsep.report import mask_to_csv, mask_to_pgm
 from vocsep.rpca import RpcaResult
-from vocsep.spectrogram import MagnitudeSpectrogram, istft, magnitude, stft
+from vocsep.spectrogram import MagnitudeSpectrogram, magnitude, stft
 from vocsep.tracking import voiced_contour
+
+from test_spectrogram import _unit_phase, _whole_array_istft, _whole_array_stft
 
 
 def _rpca_result(low, sparse):
@@ -100,25 +102,23 @@ def _loop_harmonic_mask(contour, mag, n_partials, width_hz, tukey_shape):
     return values
 
 
-def _divided_phase(values):
-    return values / np.maximum(np.abs(values), np.finfo(np.float64).tiny)
-
-
 def _angle_phase(values):
     return np.exp(1j * np.angle(values))
 
 
-def _reference_separate(spec, mask, unit_phase=_divided_phase):
-    """Reference resynthesis: a fresh complex product per source, each
-    inverted in one irfft block; the phase as separate builds it, or as
-    exp(1j * angle) with unit_phase=_angle_phase."""
-    mixture = np.abs(spec.values)
+def _reference_separate(x, window_size, hop_size, mask, unit_phase=_unit_phase):
+    """Reference resynthesis of the samples x: the whole complex STFT,
+    then a fresh complex product per source, each inverted in one irfft
+    call; the phase as separate builds it, or as exp(1j * angle) with
+    unit_phase=_angle_phase."""
+    values = _whole_array_stft(x, window_size, hop_size)
+    mixture = np.abs(values)
     vocal_mag = mask.values * mixture
     accomp_mag = mixture - vocal_mag
     vocal_mag = mixture - accomp_mag
-    phase = unit_phase(spec.values)
+    phase = unit_phase(values)
     return [
-        istft(dataclasses.replace(spec, values=part * phase)).samples
+        _whole_array_istft(part * phase, window_size, hop_size, x.size)
         for part in (vocal_mag, accomp_mag)
     ]
 
@@ -458,7 +458,7 @@ class TestSeparate:
         signal, mag = self._inputs(rng)
         mask = TimeFrequencyMask(rng.uniform(0, 1, size=mag.values.shape))
         result = separate(signal, mag, mask)
-        mix = np.abs(stft(signal, 2048, 160).values)
+        mix = magnitude(stft(signal, 2048, 160)).values
         np.testing.assert_array_equal(
             result.vocal_spec.values + result.accomp_spec.values, mix
         )
@@ -470,7 +470,7 @@ class TestSeparate:
             signal, mag = self._inputs(rng, n=2500)
             mask = TimeFrequencyMask(rng.uniform(0, 1, size=mag.values.shape))
             result = separate(signal, mag, mask)
-            mix = np.abs(stft(signal, 2048, 160).values)
+            mix = magnitude(stft(signal, 2048, 160)).values
             assert np.array_equal(
                 result.vocal_spec.values + result.accomp_spec.values, mix
             )
@@ -523,15 +523,13 @@ class TestSeparate:
         samples[: sr // 4] = 0.0
         samples[sr // 2 : sr // 2 + 2 * window] = 0.0
         signal = AudioSignal(samples, sr)
-        spec = stft(signal, window, hop)
-        assert spec.n_frames % 7 != 0
-        assert np.sum(np.abs(spec.values).max(axis=1) == 0) >= 3
-        mask = TimeFrequencyMask(rng.uniform(0, 1, size=spec.values.shape))
-        monkeypatch.setattr(spectrogram_mod, "BLOCK_FRAMES", spec.n_frames)
-        expected = _reference_separate(spec, mask)
-        if block != "all":
-            monkeypatch.setattr(spectrogram_mod, "BLOCK_FRAMES", block)
-        result = separate(signal, _analysis(signal, window, hop), mask)
+        mag = _analysis(signal, window, hop)
+        assert mag.n_frames % 7 != 0
+        assert np.sum(mag.values.max(axis=1) == 0) >= 3
+        mask = TimeFrequencyMask(rng.uniform(0, 1, size=mag.values.shape))
+        expected = _reference_separate(samples, window, hop, mask)
+        monkeypatch.setattr(spectrogram_mod, "BLOCK_FRAMES", mag.n_frames if block == "all" else block)
+        result = separate(signal, mag, mask)
         assert np.array_equal(result.vocal.samples, expected[0])
         # the accompaniment is mixture - vocal, not a second resynthesis
         got = result.accompaniment.samples
@@ -544,11 +542,11 @@ class TestSeparate:
         samples = rng.uniform(-0.5, 0.5, size=sr)
         samples[: sr // 4] = 0.0
         signal = AudioSignal(samples, sr)
-        spec = stft(signal, window, hop)
-        assert np.any(np.abs(spec.values).max(axis=1) == 0)
-        mask = TimeFrequencyMask(rng.uniform(0, 1, size=spec.values.shape))
-        result = separate(signal, magnitude(spec), mask)
-        expected = _reference_separate(spec, mask, unit_phase=_angle_phase)
+        mag = magnitude(stft(signal, window, hop))
+        assert np.any(mag.values.max(axis=1) == 0)
+        mask = TimeFrequencyMask(rng.uniform(0, 1, size=mag.values.shape))
+        result = separate(signal, mag, mask)
+        expected = _reference_separate(samples, window, hop, mask, unit_phase=_angle_phase)
         for got, ref in zip((result.vocal.samples, result.accompaniment.samples), expected):
             assert np.all(np.isfinite(got))
             assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
@@ -565,6 +563,19 @@ class TestSeparate:
         before = [hashlib.sha256(a.tobytes()).hexdigest() for a in arrays]
         separate(signal, mag, mask)
         assert [hashlib.sha256(a.tobytes()).hexdigest() for a in arrays] == before
+
+    def test_magnitude_of_another_signal_gives_finite_sources(self, rng):
+        # zeroed bins where the mixture's |X| is nonzero: the phase comes
+        # from the mixture's own transform, so no X / tiny overflows
+        signal, mag = self._inputs(rng)
+        zeroed = mag.values.copy()
+        zeroed[:, 100:110] = 0.0
+        assert np.all(mag.values[:, 100:110] > 0)
+        mask = TimeFrequencyMask(rng.uniform(0, 1, size=mag.values.shape))
+        result = separate(signal, dataclasses.replace(mag, values=zeroed), mask)
+        assert np.all(np.isfinite(result.vocal.samples))
+        assert np.all(np.isfinite(result.accompaniment.samples))
+        assert np.array_equal(result.vocal_spec.values[:, 100:110], zeroed[:, 100:110])
 
     def test_shape_mismatch_rejected(self, rng):
         signal, mag = self._inputs(rng)

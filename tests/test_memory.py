@@ -1,6 +1,7 @@
-"""Peak memory of run(), estimate_f0(), stft() and the tracker, and what
-a caller's memo holds after run(), as a multiple of the float64
-magnitude spectrogram: frames x (window_size/2 + 1) x 8 bytes."""
+"""Peak memory of run(), estimate_f0(), magnitude(stft()) and the
+tracker, and what a caller's memo holds after run(), as a multiple of
+the float64 magnitude spectrogram: frames x (window_size/2 + 1) x 8
+bytes."""
 
 import dataclasses
 import tracemalloc
@@ -10,7 +11,7 @@ import pytest
 
 import vocsep.pipeline as pipeline_mod
 from vocsep.pipeline import PipelineConfig, estimate_f0, run
-from vocsep.spectrogram import stft
+from vocsep.spectrogram import magnitude, stft
 from vocsep.synth import make_clip
 
 # Peak traced allocation above the baseline, over the magnitude's nbytes.
@@ -20,11 +21,12 @@ from vocsep.synth import make_clip
 # block's buffers. No complex spectrum is held past the STFT. The bound
 # leaves about 0.5 of margin for allocator and library differences.
 PEAK_BOUND = 6.5
-# The same for stft() alone: its complex output (2), the padded signal,
-# and one block's windowed frames and transform. 3.21 measured on the
-# 1 s 44.1 kHz clip, where a block is the largest share of the frames;
-# windowing all frames at once read 4.16-4.25.
-STFT_PEAK_BOUND = 3.6
+# The same for magnitude(stft()): |X| (1), the padded signal, and one
+# block's windowed frames, transform and modulus; stft() alone holds no
+# array. 2.21 measured on the 1 s 44.1 kHz clip, where a block is the
+# largest share of the frames (1.45-1.47 on the 4 s clips); a complex
+# spectrum held whole read 3.15-3.21.
+STFT_PEAK_BOUND = 2.6
 # The same for the viterbi call alone on a 1 s, 16 kHz clip, where its
 # (bins x bins) transition table is about twice the magnitude's size.
 VITERBI_PEAK_BOUND = 3.0
@@ -80,7 +82,9 @@ def test_peak_within_bound(fn, overrides, clip_and_cfg):
 
 def test_stft_peak_within_bound(clip_and_cfg):
     signal, cfg = clip_and_cfg
-    multiple = _peak_multiple(lambda: stft(signal, cfg.window_size, cfg.hop_size), signal, cfg)
+    multiple = _peak_multiple(
+        lambda: magnitude(stft(signal, cfg.window_size, cfg.hop_size)), signal, cfg
+    )
     assert multiple <= STFT_PEAK_BOUND, "peak %.2fx the magnitude" % multiple
 
 

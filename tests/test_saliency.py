@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import vocsep.spectrogram as spectrogram_mod
 from vocsep.masks import TimeFrequencyMask
 from vocsep.saliency import (
     SHS_DECAY,
@@ -134,7 +135,29 @@ def _full_fft_enhancement(mask_values, grid, h_top_hz):
     return lags, np.abs(np.fft.fft(mask_values, axis=1))[:, lags]
 
 
+def _whole_array_enhancement(mask_values, grid, h_top_hz):
+    """Reference f0_enhancement: the half spectrum of every row in one
+    rfft call, read at the lags clamped to F-1 and mirrored past F // 2."""
+    n_bins = mask_values.shape[1]
+    lags = np.minimum(np.floor(h_top_hz / grid.centers_hz).astype(np.intp), n_bins - 1)
+    return np.abs(np.fft.rfft(mask_values, axis=1))[:, np.minimum(lags, n_bins - lags)]
+
+
 class TestF0Enhancement:
+    # h_top / 30 Hz puts the largest lags past F // 2, read from the mirror
+    @pytest.mark.parametrize("n_bins,h_top", [(1025, 22050.0), (2049, 44100.0)])
+    @pytest.mark.parametrize("block", [1, 7, spectrogram_mod.BLOCK_FRAMES, "all"])
+    def test_blocks_bitwise_equal_to_whole_array(self, n_bins, h_top, block, rng, monkeypatch):
+        # 53 frames: a partial last block at each block size
+        n_frames = 3 * spectrogram_mod.BLOCK_FRAMES + 5
+        grid = LogFrequencyGrid.for_nyquist(h_top)
+        mask_values = (rng.uniform(size=(n_frames, n_bins)) > 0.6).astype(float)
+        expected = _whole_array_enhancement(mask_values, grid, h_top)
+        monkeypatch.setattr(spectrogram_mod, "BLOCK_FRAMES", n_frames if block == "all" else block)
+        mask = TimeFrequencyMask(mask_values, kind="binary")
+        out = f0_enhancement(mask, grid, h_top_hz=h_top, hop_seconds=0.01).values
+        assert np.array_equal(out, expected)
+
     @pytest.mark.parametrize("window", [256, 1024])
     def test_matches_full_fft_past_half_the_row(self, window, rng):
         n_bins, h_top = window // 2 + 1, 8000.0

@@ -15,11 +15,10 @@ from vocsep.audio import AudioSignal
 from vocsep.spectrogram import (
     DB_FLOOR,
     DB_FLOOR_AMPLITUDE,
-    ComplexSpectrogram,
     LogFrequencyGrid,
     LogSpectrogram,
     MagnitudeSpectrogram,
-    UnitPhase,
+    Stft,
     a_weight_at,
     apply_a_weighting,
     istft,
@@ -36,25 +35,27 @@ def _rel_l2(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
-def _whole_array_istft(spec):
-    """Reference istft: one irfft call over every frame, then the same
-    per-frame weighted overlap-add."""
-    window = get_window("hann", spec.window_size, fftbins=True)
-    pad = spec.window_size // 2
-    frames = np.fft.irfft(spec.values, n=spec.window_size, axis=1)
-    total = max(2 * pad + spec.n_samples, (spec.n_frames - 1) * spec.hop_size + spec.window_size)
+def _whole_array_istft(values, window_size, hop_size, n_samples):
+    """Reference istft of a complex (frames, bins) array: one irfft call
+    over every frame, then the same per-frame weighted overlap-add, and
+    n_samples samples kept."""
+    window = get_window("hann", window_size, fftbins=True)
+    pad = window_size // 2
+    frames = np.fft.irfft(values, n=window_size, axis=1)
+    total = max(2 * pad + n_samples, (len(values) - 1) * hop_size + window_size)
     acc = np.zeros(total)
     wsum = np.zeros(total)
-    for t in range(spec.n_frames):
-        start = t * spec.hop_size
-        acc[start : start + spec.window_size] += frames[t] * window
-        wsum[start : start + spec.window_size] += window * window
-    return acc[pad : pad + spec.n_samples] / wsum[pad : pad + spec.n_samples]
+    for t in range(len(values)):
+        start = t * hop_size
+        acc[start : start + window_size] += frames[t] * window
+        wsum[start : start + window_size] += window * window
+    return acc[pad : pad + n_samples] / wsum[pad : pad + n_samples]
 
 
 def _whole_array_stft(x, window_size, hop_size):
-    """Reference stft values: the frames copied out one by one, then
-    every windowed frame in one rfft call."""
+    """Reference STFT of the samples x as a complex (frames, bins) array:
+    the frames copied out one by one, then every windowed frame in one
+    rfft call."""
     padded = np.pad(x, window_size // 2, mode="reflect")
     frames = np.array(
         [padded[t * hop_size : t * hop_size + window_size] for t in range(1 + x.size // hop_size)]
@@ -72,19 +73,14 @@ def _whole_array_log_frequency(mag, grid):
     return np.maximum(spectrogram_mod._natural_spline(db, positions), DB_FLOOR)
 
 
-def _random_spec(rng, n_frames, window_size=256, hop_size=64):
-    """A ComplexSpectrogram of random unit-phase bins, some of them zero,
-    with the sample count stft would give for n_frames frames."""
-    shape = (n_frames, window_size // 2 + 1)
-    values = np.exp(1j * rng.uniform(-np.pi, np.pi, size=shape))
-    values[rng.random(shape) < 0.1] = 0.0
-    return ComplexSpectrogram(
-        values=values,
-        window_size=window_size,
-        hop_size=hop_size,
-        sample_rate=16000,
-        n_samples=(n_frames - 1) * hop_size + 1,
-    )
+def _unit_phase(values):
+    """Reference phase X / max(|X|, tiny) of a complex array."""
+    return values / np.maximum(np.abs(values), np.finfo(np.float64).tiny)
+
+
+def _blocks(spec, magnitudes=None):
+    """Every block of spec.blocks(magnitudes), stacked."""
+    return np.concatenate([block for _, block in spec.blocks(magnitudes)])
 
 
 def _scipy_log_frequency(mag, grid):
@@ -121,8 +117,8 @@ class TestStft:
 
     def test_bin_centers(self):
         sig = AudioSignal(np.zeros(4096), 16000)
-        spec = stft(sig, 2048, 160)
-        np.testing.assert_allclose(spec.bin_hz, np.arange(1025) * 16000.0 / 2048.0)
+        mag = magnitude(stft(sig, 2048, 160))
+        np.testing.assert_allclose(mag.bin_hz, np.arange(1025) * 16000.0 / 2048.0)
 
     def test_on_bin_sine_concentrates_energy(self):
         sr, window, hop = 16000, 2048, 160
@@ -143,33 +139,27 @@ class TestStft:
         x = rng.standard_normal(sr // 4 + 37)
         expected = _whole_array_stft(x, window, hop)
         monkeypatch.setattr(spectrogram_mod, "BLOCK_FRAMES", len(expected) if block == "all" else block)
-        got = stft(AudioSignal(x, sr), window, hop).values
-        assert got.shape == expected.shape
+        spec = stft(AudioSignal(x, sr), window, hop)
+        got = _blocks(spec)
+        assert got.shape == expected.shape == (spec.n_frames, spec.n_bins)
         assert np.array_equal(got, expected)
+        assert np.array_equal(magnitude(spec).values, np.abs(expected))
 
     @pytest.mark.parametrize("sr,window,hop", GEOMETRIES)
     @pytest.mark.parametrize("block", [1, 7, _BLOCK, "all"])
     def test_unit_phase_bitwise_equal_to_whole_array(self, sr, window, hop, block, rng, monkeypatch):
         x = rng.uniform(-1, 1, size=sr // 2)
         x[: sr // 8] = 0.0  # leading silence: all-zero frames get phase 0
-        expected = _whole_array_stft(x, window, hop)
-        expected /= np.maximum(np.abs(expected), np.finfo(np.float64).tiny)
-        signal = AudioSignal(x, sr)
-        phase = UnitPhase(signal, magnitude(stft(signal, window, hop)))
+        expected = _unit_phase(_whole_array_stft(x, window, hop))
+        spec = stft(AudioSignal(x, sr), window, hop)
         monkeypatch.setattr(spectrogram_mod, "BLOCK_FRAMES", len(expected) if block == "all" else block)
-        mags = rng.uniform(0.0, 2.0, size=expected.shape)
-        got = np.concatenate([values for _, values in phase.blocks()])
+        got = _blocks(spec, np.ones(expected.shape))
         assert np.array_equal(got, expected)
         assert np.all(got[: (sr // 8 - window // 2) // hop] == 0)
-        whole = _whole_array_istft(ComplexSpectrogram(expected * mags, window, hop, sr, x.size))
-        assert np.array_equal(istft(phase, mags).samples, whole)
-
-    def test_unit_phase_rejects_a_magnitude_of_another_signal(self, rng):
-        signal = AudioSignal(rng.standard_normal(4000), 16000)
-        mag = magnitude(stft(signal, 2048, 160))
-        for other in (AudioSignal(signal.samples[:-160], 16000), AudioSignal(signal.samples, 8000)):
-            with pytest.raises(ValueError, match="is not the STFT of"):
-                UnitPhase(other, mag)
+        mags = rng.uniform(0.0, 2.0, size=expected.shape)
+        assert np.array_equal(_blocks(spec, mags), expected * mags)
+        whole = _whole_array_istft(expected * mags, window, hop, x.size)
+        assert np.array_equal(istft(spec, mags).samples, whole)
 
     def test_zero_signal(self):
         spec = stft(AudioSignal(np.zeros(4000), 16000), 2048, 160)
@@ -191,23 +181,32 @@ class TestStft:
     @pytest.mark.parametrize("sr,window,hop", GEOMETRIES + [(16000, 256, 96)])
     @pytest.mark.parametrize("block", [1, 7, spectrogram_mod.BLOCK_FRAMES, 1000])
     def test_istft_blocks_bitwise_equal_to_whole_array(self, sr, window, hop, block, rng, monkeypatch):
-        spec = stft(AudioSignal(rng.uniform(-1, 1, size=sr), sr), window, hop)
+        x = rng.uniform(-1, 1, size=sr)
+        spec = stft(AudioSignal(x, sr), window, hop)
         assert spec.n_frames % 7 != 0
-        expected = _whole_array_istft(spec)
+        expected = _whole_array_istft(_whole_array_stft(x, window, hop), window, hop, x.size)
         monkeypatch.setattr(spectrogram_mod, "BLOCK_FRAMES", block)
         assert np.array_equal(istft(spec).samples, expected)
 
-    def test_istft_of_product_bitwise_equal_to_whole_product(self, block_test_frames, block_frames, rng):
-        spec = _random_spec(rng, block_test_frames)
-        mags = rng.uniform(0.0, 2.0, size=spec.values.shape)
+    @pytest.mark.parametrize("n_frames", [5, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+    @pytest.mark.parametrize("block", [1, 7, _BLOCK, "all"])
+    def test_istft_of_magnitudes_bitwise_equal_to_whole_product(self, n_frames, block, rng, monkeypatch):
+        # 5 frames is the fewest a 256-sample window gives at hop 64
+        window, hop = 256, 64
+        x = rng.uniform(-1, 1, size=(n_frames - 1) * hop + 1)
+        phase = _unit_phase(_whole_array_stft(x, window, hop))
+        mags = rng.uniform(0.0, 2.0, size=phase.shape)
         mags[rng.random(mags.shape) < 0.2] = 0.0
-        expected = _whole_array_istft(dataclasses.replace(spec, values=spec.values * mags))
-        assert np.array_equal(istft(spec, mags).samples, expected)
+        expected = _whole_array_istft(phase * mags, window, hop, x.size)
+        monkeypatch.setattr(spectrogram_mod, "BLOCK_FRAMES", n_frames if block == "all" else block)
+        assert np.array_equal(istft(stft(AudioSignal(x, 16000), window, hop), mags).samples, expected)
 
     def test_istft_rejects_magnitudes_of_another_shape(self, rng):
-        spec = _random_spec(rng, 5)
+        spec = stft(AudioSignal(rng.standard_normal(600), 16000), 256, 64)
         with pytest.raises(ValueError, match="shapes differ"):
-            istft(spec, np.ones((4, spec.n_bins)))
+            istft(spec, np.ones((spec.n_frames - 1, spec.n_bins)))
+        with pytest.raises(ValueError, match="shapes differ"):
+            istft(spec, np.ones((spec.n_frames, spec.n_bins + 1)))
 
     def test_istft_rejects_degenerate_overlap(self):
         # hop == window leaves zeros in the squared-window sum
@@ -229,29 +228,29 @@ class TestStft:
         assert _rel_l2(back.samples, x) < 1e-6
 
 
-def _stft_frames(cls, values, window_size=256, hop_size=64, sample_rate=16000):
-    extra = {"n_samples": 1024} if cls is ComplexSpectrogram else {}
-    return cls(
-        values=values,
-        window_size=window_size,
-        hop_size=hop_size,
-        sample_rate=sample_rate,
-        **extra,
+def _magnitudes(values, window_size=256, hop_size=64, sample_rate=16000):
+    return MagnitudeSpectrogram(
+        values=values, window_size=window_size, hop_size=hop_size, sample_rate=sample_rate
     )
 
 
 class TestStftContainers:
-    @pytest.mark.parametrize("cls", [ComplexSpectrogram, MagnitudeSpectrogram])
-    def test_properties(self, cls):
-        spec = _stft_frames(cls, np.ones((5, 129)))
+    def test_properties(self):
+        spec = _magnitudes(np.ones((5, 129)))
         assert (spec.n_frames, spec.n_bins) == (5, 129)
         assert spec.hop_seconds == 64 / 16000
         np.testing.assert_array_equal(spec.bin_hz, np.arange(129) * 16000 / 256)
 
-    def test_magnitude_nyquist(self):
-        assert _stft_frames(MagnitudeSpectrogram, np.ones((5, 129))).nyquist_hz == 8000.0
+    def test_stft_properties(self):
+        signal = AudioSignal(np.zeros(1000), 16000)
+        spec = stft(signal, 256, 64)
+        assert spec == Stft(signal, 256, 64)
+        assert (spec.n_frames, spec.n_bins) == (16, 129)
+        assert (spec.n_samples, spec.sample_rate) == (1000, 16000)
 
-    @pytest.mark.parametrize("cls", [ComplexSpectrogram, MagnitudeSpectrogram])
+    def test_magnitude_nyquist(self):
+        assert _magnitudes(np.ones((5, 129))).nyquist_hz == 8000.0
+
     @pytest.mark.parametrize(
         "values,geometry",
         [
@@ -263,24 +262,27 @@ class TestStftContainers:
             pytest.param(np.ones((3, 128)), {}, id="wrong-width"),
         ],
     )
-    def test_rejects(self, cls, values, geometry):
+    def test_rejects(self, values, geometry):
         with pytest.raises(ValueError):
-            _stft_frames(cls, values, **geometry)
+            _magnitudes(values, **geometry)
 
     def test_magnitude_rejects_negative_value(self):
         values = np.ones((3, 129))
         values[1, 7] = -1e-12
         with pytest.raises(ValueError, match="nonnegative"):
-            _stft_frames(MagnitudeSpectrogram, values)
+            _magnitudes(values)
 
-    @pytest.mark.parametrize("cls", [ComplexSpectrogram, MagnitudeSpectrogram])
-    def test_replace_checks_again(self, cls):
-        spec = _stft_frames(cls, np.ones((3, 129)))
+    def test_replace_checks_again(self):
+        spec = _magnitudes(np.ones((3, 129)))
         with pytest.raises(ValueError):
             dataclasses.replace(spec, values=np.ones((3, 128)))
+        signal_spec = stft(AudioSignal(np.zeros(1000), 16000), 256, 64)
+        for geometry in (dict(window_size=200), dict(hop_size=0), dict(window_size=2048)):
+            with pytest.raises(ValueError):
+                dataclasses.replace(signal_spec, **geometry)
 
     def test_magnitude_casts_to_float64(self):
-        spec = _stft_frames(MagnitudeSpectrogram, np.ones((3, 129), dtype=np.float32))
+        spec = _magnitudes(np.ones((3, 129), dtype=np.float32))
         assert spec.values.dtype == np.float64
 
 
