@@ -66,9 +66,18 @@ def _cmd_estimate_f0(args) -> int:
 def _corpus_and_config(args):
     """The manifest entries and their config. The geometry defaults
     follow the rate of the first clip's vocal reference, which every
-    evaluation reads; a corpus of mixed rates runs in that geometry."""
+    evaluation reads. A clip whose vocal reference has another rate is
+    invalid input: one geometry would score it at the wrong resolution."""
     entries = pipeline.load_corpus(args.corpus)
     rate = read_wav(entries[0].vocal_path).sample_rate
+    for entry in entries[1:]:
+        other = read_wav(entry.vocal_path).sample_rate
+        if other != rate:
+            raise ValueError(
+                "clip %r has a %d Hz vocal reference, but the corpus runs at the "
+                "first clip's %d Hz; evaluate one sample rate at a time"
+                % (entry.clip_id, other, rate)
+            )
     return entries, _config_from_args(args, rate)
 
 

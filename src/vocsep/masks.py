@@ -38,24 +38,31 @@ TUKEY_SHAPE = 0.5
 
 @dataclass(frozen=True)
 class TimeFrequencyMask:
-    """(frames, bins) mask with values in [0, 1]; kind 'binary' masks
-    contain only 0 and 1."""
+    """(frames, bins) mask with values in [0, 1].
+
+    A 'soft' mask holds float64 values. A 'binary' one holds bool
+    values, a byte a cell instead of eight; float input to it must be
+    all 0 and 1. Either multiplies a float64 magnitude to the same bits.
+    """
 
     values: np.ndarray
     kind: str = "soft"
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
+        values = np.asarray(self.values)
         if values.ndim != 2 or values.size == 0:
             raise ValueError("mask must be a non-empty 2-d array")
         if self.kind not in ("soft", "binary"):
             raise ValueError("kind must be 'soft' or 'binary', got %r" % (self.kind,))
-        if not np.all(np.isfinite(values)):
-            raise ValueError("mask values must be finite")
-        if values.min() < 0 or values.max() > 1:
-            raise ValueError("mask values must lie in [0, 1]")
-        if self.kind == "binary" and np.any((values != 0) & (values != 1)):
-            raise ValueError("binary mask may contain only 0 and 1")
+        if values.dtype != bool:
+            values = values.astype(np.float64, copy=False)
+            if not np.all(np.isfinite(values)):
+                raise ValueError("mask values must be finite")
+            if values.min() < 0 or values.max() > 1:
+                raise ValueError("mask values must lie in [0, 1]")
+            if self.kind == "binary" and np.any((values != 0) & (values != 1)):
+                raise ValueError("binary mask may contain only 0 and 1")
+        values = values.astype(bool if self.kind == "binary" else np.float64, copy=False)
         object.__setattr__(self, "values", values)
 
     @property
@@ -97,7 +104,7 @@ def binary_mask(result: RpcaResult, gamma: float = 1.0) -> TimeFrequencyMask:
     block of frames at a time."""
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    values = np.empty(result.sparse.shape)
+    values = np.empty(result.sparse.shape, dtype=bool)
     for rows in row_blocks(values.shape[0]):
         values[rows] = np.abs(result.sparse[rows]) > gamma * np.abs(result.low_rank[rows])
     return TimeFrequencyMask(values=values, kind="binary")
@@ -180,7 +187,7 @@ def integrate_soft(a: TimeFrequencyMask, b: TimeFrequencyMask) -> TimeFrequencyM
 
 def integrate_binary(mask: TimeFrequencyMask) -> TimeFrequencyMask:
     """Binarize a mask at the 0.5 level (strictly greater passes)."""
-    return TimeFrequencyMask(values=(mask.values > 0.5).astype(np.float64), kind="binary")
+    return TimeFrequencyMask(values=mask.values > 0.5, kind="binary")
 
 
 def separate(
@@ -200,7 +207,10 @@ def separate(
     domain: the ISTFT is linear and inverts the STFT to rounding, so
     that equals resynthesizing the remainder, and the two signals sum
     back to the mixture to one rounding. None of the inputs is written
-    to, so mag may be reused across calls.
+    to, so mag may be reused across calls. The mask is let go once the
+    vocal magnitude is formed, so a caller that passes its only
+    reference (as run() does) does not hold it through the
+    resynthesis.
     """
     if mask.values.shape != mag.values.shape:
         raise ValueError(
@@ -213,6 +223,7 @@ def separate(
             % (mag.n_frames, mag.sample_rate, spec.n_samples, spec.sample_rate)
         )
     vocal_mag = mask.values * mag.values
+    del mask  # frees the mask when the caller passed its only reference
     accomp_mag = mag.values - vocal_mag
     # re-deriving the vocal part from the rounded remainder makes
     # vocal + accomp == mixture bitwise (one of the two subtractions is

@@ -304,9 +304,17 @@ def _contour_stage(
     return contour
 
 
-def _mask_stage(mag, soft, contour: F0Contour, cfg: PipelineConfig, dump_dir=None):
+def _mask_stage(
+    mixture_key, mag, contour: F0Contour, cfg: PipelineConfig, memo: dict,
+    dump_dir=None, clear_memo=False,
+):
     """The vocal mask: the Wiener mask times the harmonic mask,
-    binarised in binary mode."""
+    binarised in binary mode. clear_memo empties the memo once the
+    Wiener mask is taken from it, for a memo that no later stage
+    reads."""
+    soft = _soft_stage(mixture_key, mag, cfg, memo)
+    if clear_memo:
+        memo.clear()
     harmonic = harmonic_mask(contour, mag, cfg.n_partials, cfg.w)
     integrated = integrate_soft(soft, harmonic)
     if cfg.mask_mode == "binary":
@@ -395,12 +403,11 @@ def run(
     if contour is None:
         # in our own memo, no later stage reads the lambda_f0 solve
         contour = _contour_stage(mixture_key, mag, cfg, memo, dump_dir, drop_solve=own_memo)
-    soft = _soft_stage(mixture_key, mag, cfg, memo)
-    if own_memo:
-        memo.clear()  # no later stage reads a solve
-    vocal_mask = _mask_stage(mag, soft, contour, cfg, dump_dir)
-    del soft
-    result = separate(signal, mag, vocal_mask)
+    # separate() gets the only reference to the vocal mask, and lets it
+    # go before the resynthesis
+    result = separate(
+        signal, mag, _mask_stage(mixture_key, mag, contour, cfg, memo, dump_dir, own_memo)
+    )
     logger.info("pipeline done (%.2fs total)", time.perf_counter() - t_start)
     return result, contour
 

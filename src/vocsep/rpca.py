@@ -21,12 +21,18 @@ The loop carries the scaled dual ``G = Y / mu`` instead of Y. With
 ``arg = X - L' + G`` and the shrinkage ``S' = arg - clip(arg, -t, t)``
 (t = lam_hat / mu), the dual update ``Y' = Y + mu (X - L' - S')`` is
 exactly ``mu * clip(arg, -t, t)``, and the constraint gap
-``X - L' - S'`` is ``clip(arg, -t, t) - G``. So one clip gives the
-sparse part, the gap and the next dual, and an iteration makes nine
-full-array passes (two to form each SVT and shrinkage argument, the
-clip, the shrinkage, the gap, its norm and the rescaled dual) in four
-work buffers: the argument, the sparse part, G, and the low-rank
-product that SVT writes in place.
+``X - L' - S'`` is ``clip(arg, -t, t) - G``. So the clip gives the
+sparse part, the gap and the next dual. The loop keeps three work
+buffers beside X: the sparse part, which also holds the SVT argument
+and then the shrinkage argument; G; and the low-rank product that SVT
+writes in place. After the SVT it forms the shrinkage argument (two
+full-array passes, as for the SVT argument) and then clips it one
+block of BLOCK_FRAMES rows at a time, twice: the first pass writes the
+gap into G, whose norm is then the residual, and the second writes the
+next G and the new sparse part. So an iteration makes ten full-array
+passes besides the SVT (two to form each argument, the clip twice, the
+gap, its norm, the shrinkage and the rescaled dual), and no clip is
+held whole.
 """
 
 from __future__ import annotations
@@ -35,6 +41,8 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+
+from .spectrogram import row_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -145,7 +153,6 @@ def decompose(x, lam: float = 1.0) -> RpcaResult:
     g = x / max(norm_two, norm_inf / lam_hat)
     g /= mu
     s = np.zeros_like(x)
-    arg = np.empty_like(x)
     # laid out so SVT can write its short-side product straight into it
     low_rank = np.empty(a.shape)
     if tall:
@@ -156,23 +163,27 @@ def decompose(x, lam: float = 1.0) -> RpcaResult:
     converged = False
     iterations = 0
     for iterations in range(1, MAX_ITERATIONS + 1):
-        np.subtract(x, s, out=arg)
-        arg += g
-        _, rank = _svt_with_rank(arg, 1.0 / mu, out=low_rank)
-        np.subtract(x, low_rank, out=arg)
-        arg += g
+        # s holds the SVT argument, then the shrinkage argument, then
+        # the new sparse part
+        np.subtract(x, s, out=s)
+        s += g
+        _, rank = _svt_with_rank(s, 1.0 / mu, out=low_rank)
+        np.subtract(x, low_rank, out=s)
+        s += g
         # the shrinkage sign(v) max(|v| - t, 0) as arg - clip(arg, -t, t);
-        # a zero comes out as +0.0, since v - v is +0.0 for every finite v
+        # a zero comes out as +0.0, since v - v is +0.0 for every finite v.
+        # The gap is clip(arg) - g, and the new dual is mu * clip(arg), so
+        # the new g is (mu / mu_next) * clip(arg): the gap goes into g
+        # first, for its norm, and the clip is taken again for the rest
         t = lam_hat / mu
-        np.clip(arg, -t, t, out=s)
-        arg -= s
-        # s holds clip(arg): the gap is clip(arg) - g, and the new dual
-        # is mu * clip(arg), so the new g is (mu / mu_next) * clip(arg)
-        np.subtract(s, g, out=g)
+        for rows in row_blocks(x.shape[0]):
+            np.subtract(np.clip(s[rows], -t, t), g[rows], out=g[rows])
         residual = np.linalg.norm(g) / x_fro
         mu_next = min(mu * MU_GROWTH, mu_limit)
-        np.multiply(s, mu / mu_next, out=g)
-        s, arg = arg, s
+        for rows in row_blocks(x.shape[0]):
+            clipped = np.clip(s[rows], -t, t)
+            s[rows] -= clipped
+            np.multiply(clipped, mu / mu_next, out=g[rows])
         # with no -0.0 in s, a zero bit pattern is exactly a zero value
         trace.append((iterations, residual, rank, int(np.count_nonzero(s.view(np.int64)))))
         mu = mu_next

@@ -121,5 +121,6 @@ def combine(
         )
     if summation.grid != enhancement.grid:
         raise ValueError("saliency grids differ")
-    values = summation.values * np.power(enhancement.values, alpha)
+    values = np.power(enhancement.values, alpha)
+    np.multiply(summation.values, values, out=values)
     return dataclasses.replace(summation, values=values)

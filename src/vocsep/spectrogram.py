@@ -51,9 +51,10 @@ DB_FLOOR = -200.0
 
 # Frames per block in the stages that work a block of frames at a time
 # (Stft.blocks and so magnitude and istft, to_log_frequency, saliency.shs,
-# saliency.f0_enhancement and the Wiener and binary masks). Every one of
-# them is elementwise or row-wise, so the block size bounds their buffers
-# without changing a bit of their output.
+# saliency.f0_enhancement, the Wiener and binary masks and the solver's
+# clip in rpca.decompose), and rows per block of the tracker's full-max
+# fallback. Every one of them is elementwise or row-wise, so the block
+# size bounds their buffers without changing a bit of their output.
 BLOCK_FRAMES = 16
 
 

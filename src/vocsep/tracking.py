@@ -8,8 +8,10 @@ bin, earliest frame first). A backward pass scores the best path from
 each (frame, bin) onward, and a forward greedy pass picks the path.
 The backward pass is an L1 distance transform (Felzenszwalb &
 Huttenlocher, "Distance Transforms of Sampled Functions"), so each
-frame costs O(bins) rather than O(bins^2). Voicing detection is out of
-scope: every frame of a tracked contour is voiced.
+frame costs O(bins) rather than O(bins^2), apart from the rows whose
+winner rounding could rank either way. The transition weight depends
+only on the bin distance, so no (bins x bins) table is held. Voicing
+detection is out of scope: every frame of a tracked contour is voiced.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from .spectrogram import row_blocks
 
 if TYPE_CHECKING:  # import would be circular at runtime (saliency -> masks -> here)
     from .saliency import SaliencySpectrogram
@@ -146,7 +151,8 @@ def _best_transition(following, log_g, kj, c0):
     following[j] - k*j taken from the right. Each side's winner is
     scored again with the exact log_g expression. Where a side's
     runner-up comes within rounding of its winner, rounding may rank
-    them either way, so those rows take the full O(bins) max.
+    them either way, so those rows take the full O(bins) max, a block
+    of BLOCK_FRAMES rows at a time.
     """
     n_bins = following.size
     rows = np.arange(n_bins)
@@ -161,8 +167,11 @@ def _best_transition(following, log_g, kj, c0):
     # 8 eps M below its side's winner cannot score above it.
     tol = 16.0 * np.finfo(np.float64).eps * (np.abs(following).max() + kj[-1] + abs(c0))
     close = np.flatnonzero((second_l >= top_l - tol) | (second_r >= top_r - tol))
-    if close.size:
-        score[close] = np.max(log_g[close] + following, axis=1)
+    # a block of BLOCK_FRAMES rows at a time: on a silent stretch the
+    # scores are exact plateaus and almost every row is close
+    for block in row_blocks(close.size):
+        rows = close[block]
+        score[rows] = np.max(log_g[rows] + following, axis=1)
     return score
 
 
@@ -174,7 +183,11 @@ def viterbi(s: SaliencySpectrogram) -> F0Contour:
     floor SALIENCY_FLOOR and the sum over the candidate bins, so scaling
     the saliency by any positive constant leaves the path unchanged
     apart from the floor. Transitions are weighted by the Laplacian of
-    scale TRANSITION_SCALE_CENTS on the cents distance.
+    scale TRANSITION_SCALE_CENTS on the cents distance: the log weights
+    are a zero-copy (bins x bins) view of their 2 * bins - 1 distinct
+    values. Rows of the backward pass that need the full max over every
+    transition (almost all of them on a silent stretch, whose scores are
+    flat) take it BLOCK_FRAMES rows at a time.
 
     Returns
     -------
@@ -193,13 +206,18 @@ def viterbi(s: SaliencySpectrogram) -> F0Contour:
     offsets = np.arange(n_bins, dtype=np.float64)
     b = TRANSITION_SCALE_CENTS
     c0 = -math.log(2.0 * b)
-    # log_g = c0 - |i - j| * cents_per_bin / b, built in one (bins x bins)
-    # buffer with the same operations in the same order
-    log_g = np.subtract.outer(offsets, offsets)
-    np.abs(log_g, out=log_g)
-    log_g *= s.grid.cents_per_bin
-    log_g /= b
-    np.subtract(c0, log_g, out=log_g)
+    # log_g[i, j] = c0 - |i - j| * cents_per_bin / b depends on i - j
+    # alone: a (bins x bins) view of its 2 * bins - 1 distinct values,
+    # computed with the same operations in the same order as the whole
+    # table, so every entry is bitwise the table's
+    line = np.arange(1 - n_bins, n_bins, dtype=np.float64)
+    np.abs(line, out=line)
+    line *= s.grid.cents_per_bin
+    line /= b
+    np.subtract(c0, line, out=line)
+    # row i is line[n_bins - 1 + i - j] over j: window i of the line,
+    # read backwards
+    log_g = sliding_window_view(line, n_bins)[:, ::-1]
     kj = (s.grid.cents_per_bin / b) * offsets
 
     # best[t, j]: best achievable score over frames t..T-1 starting at j

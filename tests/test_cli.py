@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import logging
 import struct
 
 import numpy as np
@@ -371,6 +372,35 @@ class TestCorpusGeometry:
         assert code == EXIT_INVALID_INPUT
         assert not out.exists()
         assert solves == []
+
+
+    @pytest.mark.parametrize(
+        "command",
+        [["evaluate"], ["grid-search", "--axis", "alpha:0.6:0.6:0.2"]],
+        ids=["evaluate", "grid-search"],
+    )
+    @pytest.mark.parametrize("first", ["16k", "44k"])
+    def test_mixed_rates_are_invalid_input(
+        self, cli_corpus, corpus_44k, tmp_path, monkeypatch, caplog, command, first
+    ):
+        solves = []
+        monkeypatch.setattr(rpca_mod, "decompose", lambda *args: solves.append(args))
+        corpora = {}
+        for name, path in (("16k", cli_corpus), ("44k", corpus_44k)):
+            with open(path) as fh:
+                (entry,) = json.load(fh)
+            entry["id"] = "clip-" + name
+            corpora[name] = entry
+        second = "44k" if first == "16k" else "16k"
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([corpora[first], corpora[first], corpora[second]]))
+        out = tmp_path / "out"
+        with caplog.at_level(logging.ERROR, logger="vocsep"):
+            code = main(command + ["--corpus", str(manifest), "--out", str(out)])
+        assert code == EXIT_INVALID_INPUT
+        assert not out.exists()
+        assert solves == []
+        assert "'clip-%s'" % second in caplog.text
 
 
 class TestGridSearch:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import vocsep.rpca as rpca_mod
+import vocsep.spectrogram as spectrogram_mod
 from vocsep.report import trace_to_csv
 from vocsep.rpca import _svt_with_rank, decompose
 from vocsep.spectrogram import magnitude, stft
@@ -89,6 +90,47 @@ def _allocating_decompose(x, lam, max_iterations):
         if residual < 1e-7:
             break
     return low_rank, s, tuple(trace)
+
+
+def _four_buffer_decompose(x, lam):
+    """The solver loop as it was before it clipped a block of rows at a
+    time: four full work buffers (the argument, the sparse part, the
+    scaled dual g and the low-rank product) and one whole-array clip
+    per iteration. Same SVT, mu schedule and tolerance as the solver;
+    returns (low_rank, sparse, iterations, trace)."""
+    lam_hat = lam / np.sqrt(max(x.shape))
+    x_fro = np.linalg.norm(x)
+    a, tall = rpca_mod._short_side(x)
+    norm_two = np.sqrt(np.linalg.eigvalsh(a @ a.T)[-1])
+    mu = rpca_mod.MU_INITIAL_SCALE / norm_two
+    mu_limit = mu * rpca_mod.MU_CAP
+    g = x / max(norm_two, np.abs(x).max() / lam_hat)
+    g /= mu
+    s = np.zeros_like(x)
+    arg = np.empty_like(x)
+    low_rank = np.empty(a.shape)
+    if tall:
+        low_rank = low_rank.T
+    trace = []
+    for iterations in range(1, rpca_mod.MAX_ITERATIONS + 1):
+        np.subtract(x, s, out=arg)
+        arg += g
+        _, rank = _svt_with_rank(arg, 1.0 / mu, out=low_rank)
+        np.subtract(x, low_rank, out=arg)
+        arg += g
+        t = lam_hat / mu
+        np.clip(arg, -t, t, out=s)
+        arg -= s
+        np.subtract(s, g, out=g)
+        residual = np.linalg.norm(g) / x_fro
+        mu_next = min(mu * rpca_mod.MU_GROWTH, mu_limit)
+        np.multiply(s, mu / mu_next, out=g)
+        s, arg = arg, s
+        trace.append((iterations, residual, rank, int(np.count_nonzero(s.view(np.int64)))))
+        mu = mu_next
+        if residual < rpca_mod.TOLERANCE:
+            break
+    return low_rank, s, iterations, tuple(trace)
 
 
 def _clip_magnitude(sample_rate):
@@ -350,6 +392,21 @@ class TestDecompose:
         assert np.abs(got[:, 3] - ref[:, 3]).max() <= 10
         for got, expected in ((result.low_rank, low_rank), (result.sparse, sparse)):
             assert np.linalg.norm(got - expected) <= 1e-8 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("tall", [False, True], ids=["wide", "tall"])
+    def test_blocks_bitwise_equal_to_four_buffer_loop(self, tall, monkeypatch):
+        x = _clip_magnitude(16000)
+        if tall:
+            x = np.ascontiguousarray(x.T)
+        low_rank, sparse, iterations, trace = _four_buffer_decompose(x, 1.0)
+        for block in (1, 7, 16, x.shape[0]):
+            monkeypatch.setattr(spectrogram_mod, "BLOCK_FRAMES", block)
+            result = decompose(x, 1.0)
+            assert np.array_equal(result.low_rank, low_rank)
+            assert np.array_equal(result.sparse.view(np.int64), sparse.view(np.int64))
+            assert result.iterations == iterations
+            assert result.trace == trace
+        assert not np.signbit(result.sparse[result.sparse == 0]).any()
 
     def test_sparse_holds_no_negative_zero(self, clip_solve):
         _, result = clip_solve

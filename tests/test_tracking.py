@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import vocsep.spectrogram as spectrogram_mod
 from vocsep.saliency import SaliencySpectrogram
 from vocsep.spectrogram import LogFrequencyGrid
 from vocsep.tracking import (
@@ -242,6 +243,31 @@ class TestViterbi:
                     _best_transition(following, log_g, kj, c0),
                     np.max(log_g + following[None, :], axis=1),
                 )
+
+    @pytest.mark.parametrize("block", [1, 7, spectrogram_mod.BLOCK_FRAMES, "all"])
+    def test_flat_rows_match_whole_table(self, block, monkeypatch):
+        # leading silence: all-zero frames leave exact plateaus in the
+        # backward scores, so nearly every bin takes the fallback max,
+        # a block of rows at a time
+        grid = LogFrequencyGrid.for_nyquist(8000.0)
+        values = np.random.default_rng(3).random((60, grid.n_bins))
+        values[:25] = 0.0
+        values[40:44] = 1.0
+        s = _saliency(values, grid)
+        expected, best, log_g = _quadratic_viterbi_f0(s)
+        monkeypatch.setattr(
+            spectrogram_mod, "BLOCK_FRAMES", best.shape[1] if block == "all" else block
+        )
+        np.testing.assert_array_equal(viterbi(s).f0_hz, expected)
+        c0 = -math.log(2.0 * TRANSITION_SCALE_CENTS)
+        kj = (grid.cents_per_bin / TRANSITION_SCALE_CENTS) * np.arange(
+            best.shape[1], dtype=np.float64
+        )
+        for following in best[1:]:
+            np.testing.assert_array_equal(
+                _best_transition(following, log_g, kj, c0),
+                np.max(log_g + following[None, :], axis=1),
+            )
 
     def test_tracker_config_validation(self):
         # the tracker's settings are module constants
