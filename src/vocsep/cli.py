@@ -89,7 +89,6 @@ def _cmd_evaluate(args) -> int:
         cfg,
         snr_list=snr_list,
         tolerance_cents=args.tolerance_cents,
-        workers=args.workers,
     )
     if args.csv:
         write_report_csv(report, args.out)
@@ -116,15 +115,13 @@ def _parse_axis(text: str) -> GridAxis:
 
 
 def _cmd_grid_search(args) -> int:
-    entries, cfg = _corpus_and_config(args)
     spec = GridSearchSpec(
         axes=tuple(_parse_axis(a) for a in args.axis),
         objective=args.objective,
         use_ground_truth_f0=args.ground_truth_f0,
     )
-    cells = pipeline.grid_search(
-        entries, spec, cfg, tolerance_cents=args.tolerance_cents, workers=args.workers
-    )
+    entries, cfg = _corpus_and_config(args)
+    cells = pipeline.grid_search(entries, spec, cfg, tolerance_cents=args.tolerance_cents)
     write_grid_csv(cells, spec, args.out)
     failed_cells = sum(1 for c in cells if c["value"] is None or c["n_failed"])
     if failed_cells:
@@ -155,7 +152,6 @@ def _parent_parsers():
     corpus = argparse.ArgumentParser(add_help=False, parents=[config])
     corpus.add_argument("--corpus", required=True, help="manifest JSON")
     corpus.add_argument("--out", required=True, help="report or grid CSV path")
-    corpus.add_argument("--workers", type=int, default=1, help="parallel clip workers")
     corpus.add_argument("--tolerance-cents", type=float, default=50.0, dest="tolerance_cents")
     return audio, corpus
 

@@ -32,8 +32,8 @@ of frames at a time from a fresh transform of the mixture's frames. The
 STFT, the log-frequency resampling, the subharmonic summation, the comb
 enhancement, the Wiener and binary masks and the resynthesis work a
 block of frames at a time. That keeps the peak of run() at about
-6 times the float64 magnitude spectrogram (tests/test_memory.py bounds
-it at 6.5).
+5 times the float64 magnitude spectrogram (tests/test_memory.py bounds
+it at 5.5).
 
 Also hosts corpus evaluation (with optional SNR remixing from the
 references) and grid search over pipeline parameters.
@@ -41,7 +41,6 @@ references) and grid search over pipeline parameters.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 import hashlib
 import itertools
@@ -518,15 +517,6 @@ def _score_clip(
     }
 
 
-def _score_clip_safe(args, memo=None):
-    entry, cfg, snr_db, tolerance_cents, use_gt = args
-    try:
-        return _score_clip(entry, cfg, snr_db, tolerance_cents, use_gt, memo)
-    except Exception as exc:  # per-clip failures must not sink the corpus
-        logger.warning("clip %s failed: %s", entry.clip_id, exc)
-        return {"id": entry.clip_id, "error": "%s: %s" % (type(exc).__name__, exc)}
-
-
 def _aggregate(clips: list) -> dict:
     scored = [c for c in clips if "error" not in c]
     section = {
@@ -554,8 +544,8 @@ def _aggregate(clips: list) -> dict:
 
 def _check_scoring(workers: int, tolerance_cents: float) -> None:
     """Reject arguments that would fail every clip, before any clip runs."""
-    if workers < 1:
-        raise ValueError("workers must be >= 1, got %r" % (workers,))
+    if workers != 1:
+        raise ValueError("workers must be 1, got %r: clips are scored serially" % (workers,))
     check_tolerance_cents(tolerance_cents)
 
 
@@ -575,10 +565,11 @@ def evaluate(
     SNR (dB, measured over voiced samples) and the report contains one
     section per SNR; otherwise the manifest mixtures are scored
     directly. snr_list must not be empty, and each SNR must be finite.
-    Clip failures are recorded per clip, never fatal.
+    Clip failures are recorded per clip, never fatal. Clips are scored
+    one after another, and memo is passed to each run().
 
-    With workers > 1 every clip of every section goes to one process
-    pool and memo is not used; serially, memo is passed to each run().
+    workers must be 1; any other value is a ValueError. The keyword
+    goes once the benchmark harness stops passing workers=1.
     """
     if not entries:
         raise ValueError("empty corpus")
@@ -588,18 +579,19 @@ def evaluate(
         raise ValueError("snr_list is empty; pass None to score the manifest mixtures")
     if snr_list is not None and not np.all(np.isfinite(snrs)):
         raise ValueError("SNRs must be finite, got %r" % (snrs,))
-    jobs = [
-        (e, cfg, snr_db, tolerance_cents, use_ground_truth_f0)
-        for snr_db in snrs
-        for e in entries
-    ]
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            clips = list(pool.map(_score_clip_safe, jobs))
-    else:
-        clips = [_score_clip_safe(job, memo) for job in jobs]
-    n = len(entries)
-    sections = [_aggregate(clips[k * n:(k + 1) * n]) for k in range(len(snrs))]
+    sections = []
+    for snr_db in snrs:
+        clips = []
+        for entry in entries:
+            try:
+                clip = _score_clip(
+                    entry, cfg, snr_db, tolerance_cents, use_ground_truth_f0, memo
+                )
+            except Exception as exc:  # per-clip failures must not sink the corpus
+                logger.warning("clip %s failed: %s", entry.clip_id, exc)
+                clip = {"id": entry.clip_id, "error": "%s: %s" % (type(exc).__name__, exc)}
+            clips.append(clip)
+        sections.append(_aggregate(clips))
 
     if snr_list is None:
         report = sections[0]
@@ -650,10 +642,16 @@ class GridAxis:
         return [round(self.start + k * self.step, 10) for k in range(count)]
 
 
+def _axis_fields(name: str) -> tuple:
+    """The config fields an axis sets: "lambda" sets both weights."""
+    return ("lambda_sep", "lambda_f0") if name == "lambda" else (name,)
+
+
 @dataclass(frozen=True)
 class GridSearchSpec:
     """Axes to sweep and the objective to record ("gnsdr" on the vocal
-    estimate, or "rpa")."""
+    estimate, or "rpa"). No two axes may set the same config field; an
+    axis named "lambda" sets lambda_sep and lambda_f0."""
 
     axes: tuple
     objective: str = "gnsdr"
@@ -665,16 +663,15 @@ class GridSearchSpec:
         if self.objective not in ("gnsdr", "rpa"):
             raise ValueError("objective must be 'gnsdr' or 'rpa'")
         object.__setattr__(self, "axes", tuple(self.axes))
+        fields = [field for axis in self.axes for field in _axis_fields(axis.name)]
+        if len(set(fields)) < len(fields):
+            raise ValueError("axes %s set a config field twice" % ([a.name for a in self.axes],))
 
 
 def _apply_axes(cfg: PipelineConfig, names, values) -> PipelineConfig:
     overrides = {}
     for name, value in zip(names, values):
-        if name == "lambda":
-            overrides["lambda_sep"] = value
-            overrides["lambda_f0"] = value
-        else:
-            overrides[name] = value
+        overrides.update(dict.fromkeys(_axis_fields(name), value))
     return cfg.with_overrides(overrides)
 
 
@@ -695,6 +692,8 @@ def grid_search(
     solves, Wiener mask and contours through one memo, which is emptied
     whenever the settings change; put the lambda axes first to make
     those runs long.
+
+    workers must be 1, as in evaluate(), and goes with its keyword there.
     """
     _check_scoring(workers, tolerance_cents)
     names = [axis.name for axis in spec.axes]
@@ -717,7 +716,6 @@ def grid_search(
                 entries,
                 cell_cfg,
                 tolerance_cents=tolerance_cents,
-                workers=workers,
                 use_ground_truth_f0=spec.use_ground_truth_f0,
                 memo=memo,
             )

@@ -257,10 +257,11 @@ class TestEvaluate:
     @pytest.mark.parametrize(
         "command", [["evaluate"], ["grid-search", "--axis", "alpha:0.6:0.6:0.2"]]
     )
-    def test_fewer_than_one_worker_is_invalid_input(self, cli_corpus, tmp_path, command):
+    def test_workers_flag_is_unknown(self, cli_corpus, tmp_path, command):
         out = tmp_path / "out"
-        code = main(command + ["--corpus", cli_corpus, "--out", str(out), "--workers", "0"])
-        assert code == EXIT_INVALID_INPUT
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--corpus", cli_corpus, "--out", str(out), "--workers", "2"])
+        assert exit_info.value.code == EXIT_INVALID_INPUT
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -428,6 +429,15 @@ class TestGridSearch:
     def test_non_finite_axis_is_invalid_input(self, cli_corpus, tmp_path, axis):
         out = tmp_path / "grid.csv"
         code = main(["grid-search", "--corpus", cli_corpus, "--out", str(out), "--axis", axis])
+        assert code == EXIT_INVALID_INPUT
+        assert not out.exists()
+
+    def test_repeated_axis_field_is_invalid_input(self, cli_corpus, tmp_path):
+        out = tmp_path / "grid.csv"
+        code = main([
+            "grid-search", "--corpus", cli_corpus, "--out", str(out),
+            "--axis", "alpha:0.2:0.4:0.2", "--axis", "alpha:0.6:0.8:0.2",
+        ])
         assert code == EXIT_INVALID_INPUT
         assert not out.exists()
 
