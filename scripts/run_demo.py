@@ -11,7 +11,7 @@ import logging
 from pathlib import Path
 
 from vocsep.audio import write_wav
-from vocsep.metrics import nsdr, raw_pitch_accuracy
+from vocsep.metrics import PITCH_TOLERANCE_CENTS, nsdr, raw_pitch_accuracy
 from vocsep.pipeline import PipelineConfig, run
 from vocsep.synth import make_clip
 from vocsep.tracking import write_f0_csv
@@ -39,7 +39,9 @@ def main() -> int:
         sample_rate=args.sample_rate,
         seed=args.seed,
     )
-    cfg = PipelineConfig.for_sample_rate(args.sample_rate, mask_mode=args.mask_mode)
+    cfg = PipelineConfig.for_sample_rate(args.sample_rate).with_overrides(
+        {"mask_mode": args.mask_mode}
+    )
     result, contour = run(clip.mixture, cfg)
 
     write_wav(out / "mixture.wav", clip.mixture)
@@ -48,7 +50,7 @@ def main() -> int:
     write_f0_csv(contour, out / "f0.csv")
 
     rpa = raw_pitch_accuracy(contour, clip.truth)
-    print("raw pitch accuracy (50 cents): %.4f" % rpa)
+    print("raw pitch accuracy (%g cents): %.4f" % (PITCH_TOLERANCE_CENTS, rpa))
     print("vocal NSDR: %+.2f dB" % nsdr(result.vocal, clip.vocal, clip.mixture))
     print(
         "accompaniment NSDR: %+.2f dB"

@@ -19,7 +19,6 @@ from .masks import (
     wiener_mask,
 )
 from .metrics import (
-    SeparationScore,
     decompose_estimate,
     gnsdr,
     nsdr,

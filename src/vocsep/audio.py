@@ -17,6 +17,7 @@ it costs about 23 MB of memory on import.
 
 from __future__ import annotations
 
+import numbers
 import struct
 from dataclasses import dataclass
 
@@ -162,13 +163,21 @@ def _parse_fmt(chunk: bytes, path) -> tuple[int, int, np.dtype]:
 
 
 def write_wav(path, signal: AudioSignal) -> None:
-    """Write an AudioSignal to a mono 32-bit float WAV file."""
+    """Write an AudioSignal to a mono 32-bit float WAV file. A sample
+    rate the header cannot hold (not a whole number, or 2**30 Hz or
+    more) is a ValueError, raised before the file is opened."""
+    rate = signal.sample_rate
+    # the header holds the rate and the byte rate, 4 * rate, in 4 bytes each
+    if not isinstance(rate, numbers.Integral) or 4 * rate > _RIFF_SIZE_LIMIT:
+        raise ValueError(
+            "a WAV header cannot hold a sample rate of %r Hz; it takes whole "
+            "rates below 2**30 Hz" % (rate,)
+        )
     data = signal.samples.astype("<f4")
     if data.nbytes + 50 > _RIFF_SIZE_LIMIT:
         raise ValueError(
             "%d samples do not fit in a RIFF WAV file" % (data.size,)
         )
-    rate = signal.sample_rate
     header = struct.pack(
         "<4sI4s" "4sIHHIIHHH" "4sII" "4sI",
         b"RIFF", data.nbytes + 50, b"WAVE",

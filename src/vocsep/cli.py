@@ -16,6 +16,7 @@ import sys
 
 from . import pipeline
 from .audio import read_wav, write_wav
+from .metrics import PITCH_TOLERANCE_CENTS
 from .pipeline import GridAxis, GridSearchSpec, PipelineConfig
 from .report import report_failures, write_grid_csv, write_report_csv
 from .tracking import write_f0_csv
@@ -152,7 +153,9 @@ def _parent_parsers():
     corpus = argparse.ArgumentParser(add_help=False, parents=[config])
     corpus.add_argument("--corpus", required=True, help="manifest JSON")
     corpus.add_argument("--out", required=True, help="report or grid CSV path")
-    corpus.add_argument("--tolerance-cents", type=float, default=50.0, dest="tolerance_cents")
+    corpus.add_argument(
+        "--tolerance-cents", type=float, default=PITCH_TOLERANCE_CENTS, dest="tolerance_cents"
+    )
     return audio, corpus
 
 

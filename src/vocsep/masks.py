@@ -3,7 +3,10 @@
 Three mask families: soft (Wiener-style ratio of the sparse RPCA part
 to sparse+low-rank), binary (sparse magnitude exceeding gamma times the
 low-rank magnitude), and harmonic (Tukey lobes around each partial of a
-tracked F0 contour). Masks integrate by elementwise product. separate()
+tracked F0 contour). A mask's dtype is its kind: a binary mask holds
+bool values, the soft and harmonic masks float64 ones. Masks integrate
+by elementwise product into a soft mask, which integrate_binary
+thresholds back to a binary one. separate()
 resynthesizes the masked vocal with the mixture phases in one ISTFT and
 takes the accompaniment as the mixture minus the vocal.
 """
@@ -40,29 +43,24 @@ TUKEY_SHAPE = 0.5
 class TimeFrequencyMask:
     """(frames, bins) mask with values in [0, 1].
 
-    A 'soft' mask holds float64 values. A 'binary' one holds bool
-    values, a byte a cell instead of eight; float input to it must be
-    all 0 and 1. Either multiplies a float64 magnitude to the same bits.
+    The dtype says which kind of mask it is. bool values make a binary
+    mask, a byte a cell instead of eight. Any other values make a soft
+    mask: they are stored as float64 and must be finite and lie in
+    [0, 1]. Either kind multiplies a float64 magnitude to the same bits.
     """
 
     values: np.ndarray
-    kind: str = "soft"
 
     def __post_init__(self):
         values = np.asarray(self.values)
         if values.ndim != 2 or values.size == 0:
             raise ValueError("mask must be a non-empty 2-d array")
-        if self.kind not in ("soft", "binary"):
-            raise ValueError("kind must be 'soft' or 'binary', got %r" % (self.kind,))
         if values.dtype != bool:
             values = values.astype(np.float64, copy=False)
             if not np.all(np.isfinite(values)):
                 raise ValueError("mask values must be finite")
             if values.min() < 0 or values.max() > 1:
                 raise ValueError("mask values must lie in [0, 1]")
-            if self.kind == "binary" and np.any((values != 0) & (values != 1)):
-                raise ValueError("binary mask may contain only 0 and 1")
-        values = values.astype(bool if self.kind == "binary" else np.float64, copy=False)
         object.__setattr__(self, "values", values)
 
     @property
@@ -96,10 +94,10 @@ def wiener_mask(result: RpcaResult) -> TimeFrequencyMask:
         # no clamp to 1 needed: rounding is monotone, so the rounded
         # total is >= |X_S|, and a correctly rounded |X_S| / total <= 1
         np.divide(s, total, out=values[rows], where=total > 0)
-    return TimeFrequencyMask(values=values, kind="soft")
+    return TimeFrequencyMask(values=values)
 
 
-def binary_mask(result: RpcaResult, gamma: float = 1.0) -> TimeFrequencyMask:
+def binary_mask(result: RpcaResult, gamma: float) -> TimeFrequencyMask:
     """Binary mask keeping cells where |X_S| > gamma * |X_L|, built a
     block of frames at a time."""
     if gamma < 0:
@@ -107,7 +105,7 @@ def binary_mask(result: RpcaResult, gamma: float = 1.0) -> TimeFrequencyMask:
     values = np.empty(result.sparse.shape, dtype=bool)
     for rows in row_blocks(values.shape[0]):
         values[rows] = np.abs(result.sparse[rows]) > gamma * np.abs(result.low_rank[rows])
-    return TimeFrequencyMask(values=values, kind="binary")
+    return TimeFrequencyMask(values=values)
 
 
 def _tukey_taper(positions: np.ndarray, shape: float) -> np.ndarray:
@@ -173,21 +171,22 @@ def harmonic_mask(
         # fancy-indexed read-max-write drops no update
         taper = _tukey_taper(positions, TUKEY_SHAPE)
         values[rows, cols] = np.maximum(values[rows, cols], taper)
-    return TimeFrequencyMask(values=values, kind="soft")
+    return TimeFrequencyMask(values=values)
 
 
 def integrate_soft(a: TimeFrequencyMask, b: TimeFrequencyMask) -> TimeFrequencyMask:
-    """Elementwise product of two masks."""
+    """Elementwise product of two masks, as a soft mask even when both
+    are binary."""
     if a.values.shape != b.values.shape:
         raise ValueError(
             "mask shapes differ: %s vs %s" % (a.values.shape, b.values.shape)
         )
-    return TimeFrequencyMask(values=a.values * b.values, kind="soft")
+    return TimeFrequencyMask(values=np.multiply(a.values, b.values, dtype=np.float64))
 
 
 def integrate_binary(mask: TimeFrequencyMask) -> TimeFrequencyMask:
     """Binarize a mask at the 0.5 level (strictly greater passes)."""
-    return TimeFrequencyMask(values=mask.values > 0.5, kind="binary")
+    return TimeFrequencyMask(values=mask.values > 0.5)
 
 
 def separate(

@@ -10,16 +10,14 @@ ratios capped at +-300 dB so scores stay finite and orderable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .audio import AudioSignal
 from .tracking import ALIGNMENT_TICK_SECONDS, F0Contour, align_contour
 
 __all__ = [
-    "SeparationScore",
     "DB_CAP",
+    "PITCH_TOLERANCE_CENTS",
     "decompose_estimate",
     "sdr_sir_sar",
     "nsdr",
@@ -30,16 +28,9 @@ __all__ = [
 ]
 
 DB_CAP = 300.0
-
-
-@dataclass(frozen=True)
-class SeparationScore:
-    """Per-clip separation scores in dB."""
-
-    sdr: float
-    sir: float
-    sar: float
-    nsdr: float
+# Raw pitch accuracy counts an estimate within this many cents of the
+# true pitch as a hit.
+PITCH_TOLERANCE_CENTS = 50.0
 
 
 def _as_signal_array(x) -> np.ndarray:
@@ -167,7 +158,7 @@ def check_tolerance_cents(tolerance_cents: float) -> None:
 
 
 def raw_pitch_accuracy(
-    estimate: F0Contour, truth: F0Contour, tolerance_cents: float = 50.0
+    estimate: F0Contour, truth: F0Contour, tolerance_cents: float = PITCH_TOLERANCE_CENTS
 ) -> float:
     """Fraction of voiced ground-truth frames whose estimate lies within
     tolerance_cents of the true pitch.

@@ -65,7 +65,7 @@ from .masks import (
     wiener_mask,
 )
 from .metrics import (
-    SeparationScore,
+    PITCH_TOLERANCE_CENTS,
     check_tolerance_cents,
     decompose_estimate,
     gnsdr,
@@ -165,18 +165,14 @@ class PipelineConfig:
             raise ValueError("alpha must be nonnegative")
 
     @classmethod
-    def for_sample_rate(cls, sample_rate: int, **overrides) -> "PipelineConfig":
-        """Geometry and defaults keyed by sample rate: 2048/160 with 10
-        partials and 50 Hz lobes up to 32 kHz, 4096/441 with 20 partials
-        and 70 Hz lobes above."""
+    def for_sample_rate(cls, sample_rate: int) -> "PipelineConfig":
+        """The field defaults up to 32 kHz; above, 4096/441 with 20
+        partials and 70 Hz lobes."""
         if sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
         if sample_rate <= 32000:
-            base = dict(window_size=2048, hop_size=160, n_partials=10, w=50.0)
-        else:
-            base = dict(window_size=4096, hop_size=441, n_partials=20, w=70.0)
-        base.update(overrides)
-        return cls(**base)
+            return cls()
+        return cls(window_size=4096, hop_size=441, n_partials=20, w=70.0)
 
     def with_overrides(self, overrides: dict) -> "PipelineConfig":
         """Replace fields from a {field_name: value} mapping; unknown
@@ -186,9 +182,6 @@ class PipelineConfig:
         if unknown:
             raise ValueError("unknown config fields: %s" % (sorted(unknown),))
         return dataclasses.replace(self, **overrides)
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
     @classmethod
     def from_json(cls, path, sample_rate: int) -> "PipelineConfig":
@@ -503,17 +496,14 @@ def _score_clip(
         parts = decompose_estimate(gated[est], gated[ref], gated[other])
         sdr, sir, sar = sdr_sir_sar(parts)
         improvement = nsdr(gated[est], gated[ref], gated["mixture"])
-        return SeparationScore(sdr=sdr, sir=sir, sar=sar, nsdr=improvement)
+        return {"sdr": sdr, "sir": sir, "sar": sar, "nsdr": improvement}
 
-    vocal_score = _score("est_vocal", "ref_vocal", "ref_accomp")
-    accomp_score = _score("est_accomp", "ref_accomp", "ref_vocal")
-    rpa = raw_pitch_accuracy(contour, truth, tolerance_cents)
     return {
         "id": entry.clip_id,
         "length_seconds": n / mixture.sample_rate,
-        "vocal": dataclasses.asdict(vocal_score),
-        "accompaniment": dataclasses.asdict(accomp_score),
-        "raw_pitch_accuracy": rpa,
+        "vocal": _score("est_vocal", "ref_vocal", "ref_accomp"),
+        "accompaniment": _score("est_accomp", "ref_accomp", "ref_vocal"),
+        "raw_pitch_accuracy": raw_pitch_accuracy(contour, truth, tolerance_cents),
     }
 
 
@@ -553,7 +543,7 @@ def evaluate(
     entries: list,
     cfg: PipelineConfig,
     snr_list: list | None = None,
-    tolerance_cents: float = 50.0,
+    tolerance_cents: float = PITCH_TOLERANCE_CENTS,
     workers: int = 1,
     use_ground_truth_f0: bool = False,
     memo: dict | None = None,
@@ -601,7 +591,7 @@ def evaluate(
                 {"snr_db": snr_db, **section} for snr_db, section in zip(snrs, sections)
             ]
         }
-    report["config"] = cfg.to_dict()
+    report["config"] = dataclasses.asdict(cfg)
     return report
 
 
@@ -679,7 +669,7 @@ def grid_search(
     entries: list,
     spec: GridSearchSpec,
     cfg: PipelineConfig,
-    tolerance_cents: float = 50.0,
+    tolerance_cents: float = PITCH_TOLERANCE_CENTS,
     workers: int = 1,
 ) -> list:
     """Sweep the axes' cartesian product, scoring the corpus per cell.

@@ -108,7 +108,7 @@ def _svt_with_rank(values, threshold, out=None):
     return (product.T if tall else product), rank
 
 
-def decompose(x, lam: float = 1.0) -> RpcaResult:
+def decompose(x, lam: float) -> RpcaResult:
     """Split a matrix into low-rank and sparse parts.
 
     Parameters

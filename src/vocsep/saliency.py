@@ -38,7 +38,7 @@ class SaliencySpectrogram(_GridFrames):
             raise ValueError("saliency values must be nonnegative")
 
 
-def shs(logspec: LogSpectrogram, n_partials: int = 10) -> SaliencySpectrogram:
+def shs(logspec: LogSpectrogram, n_partials: int) -> SaliencySpectrogram:
     """Subharmonic summation of n_partials terms over a log-frequency
     dB spectrogram.
 
@@ -83,8 +83,8 @@ def f0_enhancement(
     with a logged diagnostic. The rows are transformed a block of frames
     at a time.
     """
-    if mask.kind != "binary":
-        raise ValueError("f0_enhancement requires a binary mask, got %r" % (mask.kind,))
+    if mask.values.dtype != bool:
+        raise ValueError("f0_enhancement requires a bool mask, got %s values" % mask.values.dtype)
     if h_top_hz <= 0:
         raise ValueError("h_top_hz must be positive")
     if hop_seconds <= 0:

@@ -197,9 +197,9 @@ class LogFrequencyGrid:
     h_low * 2**((c - 1) * cents_per_bin / 1200).
     """
 
+    n_bins: int
     h_low_hz: float = 30.0
     cents_per_bin: float = 10.0
-    n_bins: int = 0
 
     def __post_init__(self):
         if self.h_low_hz <= 0:
@@ -210,16 +210,16 @@ class LogFrequencyGrid:
             raise ValueError("n_bins must be >= 1")
 
     @classmethod
-    def for_nyquist(
-        cls, nyquist_hz: float, h_low_hz: float = 30.0, cents_per_bin: float = 10.0
-    ) -> "LogFrequencyGrid":
-        """Largest grid whose top bin center stays at or below nyquist_hz."""
+    def for_nyquist(cls, nyquist_hz: float) -> "LogFrequencyGrid":
+        """Largest grid of the default h_low_hz and cents_per_bin whose
+        top bin center stays at or below nyquist_hz."""
+        h_low_hz, cents_per_bin = cls.h_low_hz, cls.cents_per_bin
         if nyquist_hz <= h_low_hz:
             raise ValueError(
                 "nyquist_hz (%r) must exceed h_low_hz (%r)" % (nyquist_hz, h_low_hz)
             )
         n = int(math.floor(1200.0 * math.log2(nyquist_hz / h_low_hz) / cents_per_bin)) + 1
-        return cls(h_low_hz=h_low_hz, cents_per_bin=cents_per_bin, n_bins=n)
+        return cls(n_bins=n)
 
     @property
     def centers_hz(self) -> np.ndarray:

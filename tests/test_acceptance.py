@@ -84,7 +84,7 @@ def test_criterion_1_rpca_planted_recovery():
     sparse.flat[hits] = rng.choice([-10.0, 10.0], size=hits.size)
 
     t0 = time.perf_counter()
-    result = decompose(low + sparse)
+    result = decompose(low + sparse, 1.0)
     elapsed = time.perf_counter() - t0
     rel = np.linalg.norm(result.low_rank - low) / np.linalg.norm(low)
     ok = rel < 1e-5 and result.iterations < 500 and elapsed < 5.0
@@ -170,7 +170,7 @@ def test_criterion_3_mask_algebra():
 
         probe = integrated.values.copy()
         probe.flat[:: max(1, probe.size // 50)] = 0.5  # exact threshold hits
-        hard = integrate_binary(TimeFrequencyMask(values=probe, kind="soft"))
+        hard = integrate_binary(TimeFrequencyMask(values=probe))
         ok = ok and np.array_equal(hard.values, (probe > 0.5).astype(np.float64))
         failures += 0 if ok else 1
     _check(
@@ -214,8 +214,8 @@ def test_criterion_6_alpha_zero_degeneracy():
     clip = make_clip(duration_seconds=0.5, sample_rate=16000, seed=13)
     mag = magnitude(stft(clip.mixture, 2048, 160))
     grid = LogFrequencyGrid.for_nyquist(mag.nyquist_hz)
-    summation = shs(to_log_frequency(mag, grid))
-    mask_b = binary_mask(decompose(mag.values))
+    summation = shs(to_log_frequency(mag, grid), 10)
+    mask_b = binary_mask(decompose(mag.values, 1.0), 1.0)
     enhancement = f0_enhancement(mask_b, grid, mag.nyquist_hz, mag.hop_seconds)
     combined = combine(summation, enhancement, alpha=0.0)
     ok = combined.values.tobytes() == summation.values.tobytes()

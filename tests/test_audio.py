@@ -1,6 +1,7 @@
 """WAV IO and signal container behavior. scipy.io.wavfile is the
 reference for the bytes vocsep writes and the samples it reads."""
 
+import re
 import struct
 
 import numpy as np
@@ -89,6 +90,20 @@ class TestReadWriteWav:
         assert back.sample_rate == 16000
         # written as float32, so round trip is float32-exact
         np.testing.assert_allclose(back.samples, samples.astype(np.float32))
+
+    def test_largest_rate_the_header_holds(self, tmp_path):
+        # the byte rate, 4 * rate, still fits the header's 4 bytes
+        rate = 2**30 - 1
+        path = tmp_path / "x.wav"
+        write_wav(path, AudioSignal(np.zeros(4), rate))
+        assert read_wav(path).sample_rate == rate
+
+    @pytest.mark.parametrize("rate", [2**30, 16000.0], ids=["2**30", "float"])
+    def test_rate_the_header_cannot_hold_is_rejected(self, tmp_path, rate):
+        path = tmp_path / "x.wav"
+        with pytest.raises(ValueError, match=re.escape("sample rate of %r Hz" % (rate,))):
+            write_wav(path, AudioSignal(np.zeros(4), rate))
+        assert not path.exists()
 
     def test_int16_scaling(self, tmp_path):
         data = np.array([0, 16384, -16384, 32767, -32768], dtype=np.int16)

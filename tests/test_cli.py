@@ -10,7 +10,7 @@ import pytest
 
 import vocsep.pipeline as pipeline_mod
 import vocsep.rpca as rpca_mod
-from vocsep.audio import read_wav, write_wav
+from vocsep.audio import AudioSignal, read_wav, write_wav
 from vocsep.cli import EXIT_INVALID_INPUT, EXIT_OK, EXIT_PARTIAL_FAILURE, main
 from vocsep.synth import make_clip, write_demo_corpus
 from vocsep.tracking import read_f0_csv
@@ -137,6 +137,22 @@ class TestSeparate:
         assert code == EXIT_INVALID_INPUT
         assert not vocal.exists() and not accomp.exists()
 
+    def test_rate_the_output_header_cannot_hold_is_invalid_input(self, tmp_path, caplog):
+        # read_wav takes any 32-bit rate, but a written header holds
+        # rates below 2**30 Hz only
+        wav = tmp_path / "fast.wav"
+        samples = make_clip(duration_seconds=0.5, sample_rate=16000, seed=5).mixture.samples
+        write_wav(wav, AudioSignal(samples[:5000], 16000))
+        raw = bytearray(wav.read_bytes())
+        struct.pack_into("<I", raw, 24, 2**31)  # the fmt chunk's sample rate
+        wav.write_bytes(bytes(raw))
+        vocal, accomp = tmp_path / "v.wav", tmp_path / "a.wav"
+        with caplog.at_level(logging.ERROR, logger="vocsep"):
+            code = main(["separate", str(wav), "--vocal", str(vocal), "--accomp", str(accomp)])
+        assert code == EXIT_INVALID_INPUT
+        assert not vocal.exists() and not accomp.exists()
+        assert "sample rate of %d Hz" % 2**31 in caplog.text
+
     def test_unknown_config_field_fails(self, mix_wav, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"no_such_knob": 1}))
@@ -253,6 +269,34 @@ class TestEvaluate:
         assert code == EXIT_PARTIAL_FAILURE
         report = json.loads(out.read_text())
         assert report["n_failed"] == 1
+
+    @pytest.mark.parametrize(
+        "path_key, message",
+        [
+            ("accomp_path", "reference sample rates differ for late"),
+            ("mixture_path", "mixture sample rate differs for late"),
+        ],
+        ids=["accompaniment", "mixture"],
+    )
+    def test_clip_file_at_another_rate_fails_alone(self, cli_corpus, tmp_path, path_key, message):
+        with open(cli_corpus) as fh:
+            (entry,) = json.load(fh)
+        resampled = tmp_path / "other_rate.wav"
+        signal = read_wav(entry[path_key])
+        write_wav(resampled, AudioSignal(signal.samples, 2 * signal.sample_rate))
+        late = dict(entry, id="late", **{path_key: str(resampled)})
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps([entry, late]))
+
+        report = pipeline_mod.evaluate(
+            pipeline_mod.load_corpus(manifest), pipeline_mod.PipelineConfig()
+        )
+        assert (report["n_clips"], report["n_failed"]) == (2, 1)
+        assert report["clips"][1]["error"] == "ValueError: " + message
+        out = tmp_path / "report.json"
+        code = main(["evaluate", "--corpus", str(manifest), "--out", str(out)])
+        assert code == EXIT_PARTIAL_FAILURE
+        assert json.loads(out.read_text())["clips"][1]["error"] == "ValueError: " + message
 
     @pytest.mark.parametrize(
         "command", [["evaluate"], ["grid-search", "--axis", "alpha:0.6:0.6:0.2"]]

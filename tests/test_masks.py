@@ -139,6 +139,8 @@ class TestTimeFrequencyMask:
             TimeFrequencyMask(np.array([[1.5]]))
         with pytest.raises(ValueError):
             TimeFrequencyMask(np.array([[-0.1]]))
+        with pytest.raises(ValueError, match="finite"):
+            TimeFrequencyMask(np.array([[0.5, np.nan]]))
 
     def test_rejects_1d_and_empty(self):
         with pytest.raises(ValueError):
@@ -146,14 +148,15 @@ class TestTimeFrequencyMask:
         with pytest.raises(ValueError):
             TimeFrequencyMask(np.zeros((0, 4)))
 
-    def test_binary_kind_requires_binary_values(self):
-        with pytest.raises(ValueError):
-            TimeFrequencyMask(np.array([[0.5]]), kind="binary")
-        TimeFrequencyMask(np.array([[0.0, 1.0]]), kind="binary")
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            TimeFrequencyMask(np.zeros((1, 1)), kind="hard")
+    def test_dtype_is_the_kind(self):
+        # bool values are a binary mask and are kept as they are; any
+        # other values, 0/1 floats and ints too, become a soft float64 mask
+        binary = np.array([[False, True]])
+        assert TimeFrequencyMask(binary).values is binary
+        for values in (np.array([[0.0, 1.0]]), np.array([[0, 1]])):
+            soft = TimeFrequencyMask(values).values
+            assert soft.dtype == np.float64
+            np.testing.assert_array_equal(soft, [[0.0, 1.0]])
 
 
 class TestWienerMask:
@@ -227,7 +230,7 @@ class TestBinaryMask:
 
     def test_strictly_greater(self):
         result = _rpca_result(low=[[1.0, 1.0]], sparse=[[1.0, 1.001]])
-        np.testing.assert_array_equal(binary_mask(result).values, [[0.0, 1.0]])
+        np.testing.assert_array_equal(binary_mask(result, 1.0).values, [[0.0, 1.0]])
 
     def test_gamma_scales_the_bar(self):
         result = _rpca_result(low=[[1.0]], sparse=[[1.5]])
@@ -242,9 +245,9 @@ class TestBinaryMask:
         with pytest.raises(ValueError):
             binary_mask(_rpca_result([[1.0]], [[1.0]]), gamma=-0.5)
 
-    def test_kind_is_binary(self):
-        mask = binary_mask(_rpca_result([[1.0]], [[2.0]]))
-        assert mask.kind == "binary"
+    def test_values_are_bool(self):
+        mask = binary_mask(_rpca_result([[1.0]], [[2.0]]), 1.0)
+        assert mask.values.dtype == bool
 
 
 class TestTukeyTaper:
@@ -407,6 +410,13 @@ class TestIntegration:
         b = TimeFrequencyMask(np.array([[0.5]]))
         assert integrate_soft(a, b).values[0, 0] == pytest.approx(0.4)
 
+    def test_product_of_binary_masks_is_soft(self):
+        a = TimeFrequencyMask(np.array([[True, True, False]]))
+        b = TimeFrequencyMask(np.array([[True, False, False]]))
+        out = integrate_soft(a, b).values
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, [[1.0, 0.0, 0.0]])
+
     def test_shape_mismatch_rejected(self):
         a = TimeFrequencyMask(np.zeros((2, 3)))
         b = TimeFrequencyMask(np.zeros((2, 4)))
@@ -417,7 +427,7 @@ class TestIntegration:
         mask = TimeFrequencyMask(np.array([[0.5, 0.51, 0.49, 1.0, 0.0]]))
         out = integrate_binary(mask)
         np.testing.assert_array_equal(out.values, [[0.0, 1.0, 0.0, 1.0, 0.0]])
-        assert out.kind == "binary"
+        assert out.values.dtype == bool
 
     def test_binarize_idempotent(self, rng):
         mask = TimeFrequencyMask(rng.uniform(0, 1, size=(6, 8)))

@@ -89,9 +89,27 @@ class TestDecomposeEstimate:
         with pytest.raises(ValueError):
             decompose_estimate(np.ones(4), np.ones(5), np.ones(4))
 
+    @pytest.mark.parametrize(
+        "signal, message",
+        [(np.ones((2, 2)), "1-d"), (np.array([1.0, np.nan]), "NaN or Inf")],
+        ids=["2-d", "nan"],
+    )
+    def test_malformed_signal_rejected(self, signal, message):
+        with pytest.raises(ValueError, match=message):
+            decompose_estimate(signal, np.ones(signal.shape[-1]), np.zeros(signal.shape[-1]))
+
     def test_both_references_zero_rejected(self):
         with pytest.raises(ValueError):
             decompose_estimate(np.ones(4), np.zeros(4), np.zeros(4))
+
+    def test_zero_target_projects_onto_nothing(self):
+        # a silent target with a sounding interferer: the target part is
+        # zero and the interferer's span takes the rest
+        est, itf = np.array([1.0, 2.0, 0.0]), np.array([1.0, 0.0, 0.0])
+        s_target, e_interf, e_artif = decompose_estimate(est, np.zeros(3), itf)
+        np.testing.assert_array_equal(s_target, np.zeros(3))
+        np.testing.assert_allclose(e_interf, [1.0, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(e_artif, [0.0, 2.0, 0.0], atol=1e-12)
 
 
 class TestSdrSirSar:
@@ -149,6 +167,10 @@ class TestNsdr:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             nsdr(np.ones(4), np.ones(4), np.ones(5))
+
+    def test_zero_target_rejected(self):
+        with pytest.raises(ValueError, match="target is all-zero"):
+            nsdr(np.ones(4), np.zeros(4), np.ones(4))
 
 
 class TestGnsdr:

@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import hashlib
+import inspect
 import json
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 import vocsep.masks as masks_mod
 import vocsep.pipeline as pipeline_mod
 import vocsep.rpca as rpca_mod
+import vocsep.saliency as saliency_mod
 from vocsep.audio import AudioSignal
 from vocsep.spectrogram import MagnitudeSpectrogram, magnitude, stft
 from vocsep.pipeline import (
@@ -49,7 +51,7 @@ def solves(monkeypatch):
     calls = []
     original = rpca_mod.decompose
 
-    def counting(x, lam=1.0):
+    def counting(x, lam):
         calls.append(lam)
         return original(x, lam)
 
@@ -87,6 +89,10 @@ class TestPipelineConfig:
         assert (cfg.window_size, cfg.hop_size) == (4096, 441)
         assert cfg.n_partials == 20
         assert cfg.w == 70.0
+
+    def test_up_to_32k_is_the_field_defaults(self):
+        for sr in (8000, 16000, 32000):
+            assert PipelineConfig.for_sample_rate(sr) == PipelineConfig()
 
     def test_geometry_boundary(self):
         assert PipelineConfig.for_sample_rate(32000).window_size == 2048
@@ -174,7 +180,7 @@ class TestPipelineConfig:
         # the CLI tests check that such a run makes no solve
         for sample_rate in (16000, 44100):
             with pytest.raises(ValueError, match=message):
-                PipelineConfig.for_sample_rate(sample_rate, **overrides)
+                PipelineConfig.for_sample_rate(sample_rate).with_overrides(overrides)
         with pytest.raises(ValueError, match=message):
             PipelineConfig().with_overrides(overrides)
 
@@ -197,9 +203,28 @@ class TestPipelineConfig:
         with pytest.raises(ValueError):
             PipelineConfig.from_json(path, sample_rate=16000)
 
-    def test_to_dict_round_trips(self):
+    @pytest.mark.parametrize(
+        "stage, name",
+        [
+            (rpca_mod.decompose, "lam"),
+            (masks_mod.binary_mask, "gamma"),
+            (masks_mod.harmonic_mask, "n_partials"),
+            (masks_mod.harmonic_mask, "width_hz"),
+            (saliency_mod.shs, "n_partials"),
+            (saliency_mod.combine, "alpha"),
+            (pipeline_mod.stft, "window_size"),
+            (pipeline_mod.stft, "hop_size"),
+        ],
+    )
+    def test_stages_take_config_values_without_defaults(self, stage, name):
+        # a tunable's default lives in PipelineConfig alone
+        parameter = inspect.signature(stage).parameters[name]
+        assert parameter.default is inspect.Parameter.empty
+
+    def test_asdict_round_trips(self):
+        # a report's "config" section is dataclasses.asdict of its config
         cfg = PipelineConfig(alpha=0.9)
-        rebuilt = PipelineConfig().with_overrides(cfg.to_dict())
+        rebuilt = PipelineConfig().with_overrides(dataclasses.asdict(cfg))
         assert rebuilt == cfg
 
 

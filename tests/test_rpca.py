@@ -143,14 +143,14 @@ def _clip_magnitude(sample_rate):
 def clip_solve(request):
     """The 1 s seed-7 clip's magnitude and its default solve."""
     x = _clip_magnitude(request.param)
-    return x, decompose(x)
+    return x, decompose(x, 1.0)
 
 
 @pytest.fixture(scope="module")
 def planted_solve():
     """A planted low-rank plus sparse matrix and its uncapped solve."""
     low, sparse = _planted(np.random.default_rng(5))
-    return low + sparse, decompose(low + sparse)
+    return low + sparse, decompose(low + sparse, 1.0)
 
 
 class TestSoftThreshold:
@@ -271,13 +271,13 @@ class TestDecompose:
     def test_additivity_within_tolerance(self, rng):
         low, sparse = _planted(rng, shape=(30, 50))
         x = low + sparse
-        result = decompose(x)
+        result = decompose(x, 1.0)
         assert result.converged
         gap = np.linalg.norm(x - result.low_rank - result.sparse)
         assert gap <= 1e-7 * np.linalg.norm(x)
 
     def test_zero_matrix_short_circuits(self):
-        result = decompose(np.zeros((8, 8)))
+        result = decompose(np.zeros((8, 8)), 1.0)
         assert result.iterations == 0
         assert result.converged
         assert np.all(result.low_rank == 0)
@@ -286,23 +286,23 @@ class TestDecompose:
 
     def test_rejects_1d(self):
         with pytest.raises(ValueError):
-            decompose(np.zeros(8))
+            decompose(np.zeros(8), 1.0)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            decompose(np.zeros((0, 4)))
+            decompose(np.zeros((0, 4)), 1.0)
 
     def test_rejects_nan(self):
         x = np.zeros((4, 4))
         x[0, 0] = np.nan
         with pytest.raises(ValueError):
-            decompose(x)
+            decompose(x, 1.0)
 
     def test_nonconvergence_warns(self, rng, caplog, monkeypatch):
         monkeypatch.setattr(rpca_mod, "MAX_ITERATIONS", 1)
         low, sparse = _planted(rng)
         with caplog.at_level(logging.WARNING, logger="vocsep.rpca"):
-            result = decompose(low + sparse)
+            result = decompose(low + sparse, 1.0)
         assert not result.converged
         assert result.iterations == 1
         assert any(r.levelno >= logging.WARNING for r in caplog.records)
@@ -317,7 +317,7 @@ class TestDecompose:
         x, full = planted_solve
         assert full.converged and full.iterations > cap
         with mock.patch.object(rpca_mod, "MAX_ITERATIONS", cap):
-            capped = decompose(x)
+            capped = decompose(x, 1.0)
         assert capped.iterations == cap
         assert not capped.converged
         assert capped.trace == full.trace[:cap]
@@ -325,7 +325,7 @@ class TestDecompose:
     def test_trace_rows(self, rng, monkeypatch):
         monkeypatch.setattr(rpca_mod, "MAX_ITERATIONS", 20)
         low, sparse = _planted(rng)
-        result = decompose(low + sparse)
+        result = decompose(low + sparse, 1.0)
         assert len(result.trace) == result.iterations
         iters, residuals, ranks, nnzs = zip(*result.trace)
         assert list(iters) == list(range(1, result.iterations + 1))
@@ -334,7 +334,7 @@ class TestDecompose:
 
     def test_residual_monotone_at_the_end(self, rng):
         low, sparse = _planted(rng)
-        result = decompose(low + sparse)
+        result = decompose(low + sparse, 1.0)
         assert result.converged
         residuals = [row[1] for row in result.trace]
         tail = residuals[-10:]
@@ -351,7 +351,7 @@ class TestDecompose:
     def test_matches_full_svd_path_on_a_44k_spectrogram(self):
         clip = make_clip(duration_seconds=1.0, sample_rate=44100, hop_size=441, seed=7)
         x = magnitude(stft(clip.mixture, 4096, 441)).values
-        result = decompose(x)
+        result = decompose(x, 1.0)
         low_rank, iterations = _reference_decompose(x)
         assert result.converged
         assert result.iterations == iterations
@@ -424,22 +424,22 @@ class TestDecompose:
     @example(k=40)
     def test_power_of_two_scaling_is_exact(self, clip_solve, k):
         x, result = clip_solve
-        scaled = decompose(2.0**k * x)
+        scaled = decompose(2.0**k * x, 1.0)
         assert scaled.trace == result.trace
         assert np.array_equal(scaled.low_rank, 2.0**k * result.low_rank)
         assert np.array_equal(scaled.sparse, 2.0**k * result.sparse)
 
     def test_solves_share_no_memory(self):
         x = _clip_magnitude(16000)
-        a, b = decompose(x), decompose(x)
+        a, b = decompose(x, 1.0), decompose(x, 1.0)
         for first in (a.low_rank, a.sparse):
             for second in (b.low_rank, b.sparse, x):
                 assert not np.shares_memory(first, second)
 
     def test_deterministic(self, rng):
         x = rng.standard_normal((20, 20))
-        a = decompose(x)
-        b = decompose(x)
+        a = decompose(x, 1.0)
+        b = decompose(x, 1.0)
         np.testing.assert_array_equal(a.low_rank, b.low_rank)
         np.testing.assert_array_equal(a.sparse, b.sparse)
 
@@ -448,7 +448,7 @@ class TestTraceCsv:
     def test_header_and_rows(self, rng, tmp_path, monkeypatch):
         monkeypatch.setattr(rpca_mod, "MAX_ITERATIONS", 15)
         low, sparse = _planted(rng)
-        result = decompose(low + sparse)
+        result = decompose(low + sparse, 1.0)
         path = tmp_path / "trace.csv"
         trace_to_csv(result, path)
         lines = path.read_text().strip().splitlines()

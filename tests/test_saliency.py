@@ -84,7 +84,7 @@ class TestShs:
     def test_negative_db_clamped_to_zero(self):
         grid = _grid(50)
         values = np.full((2, 50), -200.0)
-        out = shs(_logspec(values, grid)).values
+        out = shs(_logspec(values, grid), 10).values
         assert np.all(out == 0.0)
 
     def test_shifts_past_grid_top_dropped(self):
@@ -154,7 +154,7 @@ class TestF0Enhancement:
         mask_values = (rng.uniform(size=(n_frames, n_bins)) > 0.6).astype(float)
         expected = _whole_array_enhancement(mask_values, grid, h_top)
         monkeypatch.setattr(spectrogram_mod, "BLOCK_FRAMES", n_frames if block == "all" else block)
-        mask = TimeFrequencyMask(mask_values, kind="binary")
+        mask = TimeFrequencyMask(mask_values.astype(bool))
         out = f0_enhancement(mask, grid, h_top_hz=h_top, hop_seconds=0.01).values
         assert np.array_equal(out, expected)
 
@@ -165,7 +165,7 @@ class TestF0Enhancement:
         mask_values = (rng.uniform(size=(12, n_bins)) > 0.6).astype(float)
         lags, expected = _full_fft_enhancement(mask_values, grid, h_top)
         assert lags.max() > n_bins // 2
-        mask = TimeFrequencyMask(mask_values, kind="binary")
+        mask = TimeFrequencyMask(mask_values.astype(bool))
         out = f0_enhancement(mask, grid, h_top_hz=h_top, hop_seconds=0.01).values
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-9)
         # the row [1, 1, 0, ...] has |X[k]| = 2|cos(pi k / F)|, one value
@@ -173,7 +173,7 @@ class TestF0Enhancement:
         probe = np.zeros((1, n_bins))
         probe[0, :2] = 1.0
         read = f0_enhancement(
-            TimeFrequencyMask(probe, kind="binary"), grid, h_top_hz=h_top, hop_seconds=0.01
+            TimeFrequencyMask(probe.astype(bool)), grid, h_top_hz=h_top, hop_seconds=0.01
         ).values[0]
         table = np.abs(np.fft.fft(probe[0]))[: n_bins // 2 + 1]
         read_lags = np.abs(table[None, :] - read[:, None]).argmin(axis=1)
@@ -183,7 +183,7 @@ class TestF0Enhancement:
         n_bins = 64
         grid = _grid(40)
         mask_values = (rng.uniform(size=(3, n_bins)) > 0.6).astype(float)
-        mask = TimeFrequencyMask(mask_values, kind="binary")
+        mask = TimeFrequencyMask(mask_values.astype(bool))
         out = f0_enhancement(mask, grid, h_top_hz=8000.0, hop_seconds=0.01).values
         for t in range(3):
             row = mask_values[t]
@@ -202,7 +202,7 @@ class TestF0Enhancement:
         period = 12
         row = np.zeros(n_bins)
         row[::period] = 1.0
-        mask = TimeFrequencyMask(row[None, :], kind="binary")
+        mask = TimeFrequencyMask(row[None, :].astype(bool))
         grid = _grid(150)
         out = f0_enhancement(mask, grid, h_top_hz=8000.0, hop_seconds=0.01).values[0]
         lags = np.floor(8000.0 / grid.centers_hz).astype(int)
@@ -211,13 +211,13 @@ class TestF0Enhancement:
         assert lags[best] in peak_lag_set
 
     def test_all_zero_row_scores_zero(self):
-        mask = TimeFrequencyMask(np.zeros((1, 32)), kind="binary")
+        mask = TimeFrequencyMask(np.zeros((1, 32), dtype=bool))
         out = f0_enhancement(mask, _grid(20), h_top_hz=8000.0, hop_seconds=0.01).values
         assert np.all(out == 0.0)
 
     def test_all_ones_row_concentrates_at_dc(self):
         n_bins = 32
-        mask = TimeFrequencyMask(np.ones((1, n_bins)), kind="binary")
+        mask = TimeFrequencyMask(np.ones((1, n_bins), dtype=bool))
         grid = _grid(20)
         out = f0_enhancement(mask, grid, h_top_hz=8000.0, hop_seconds=0.01).values[0]
         lags = np.minimum(np.floor(8000.0 / grid.centers_hz).astype(int), n_bins - 1)
@@ -226,19 +226,22 @@ class TestF0Enhancement:
     def test_lag_clamp_warns(self, caplog):
         # grid origin 30 Hz with h_top 8000 wants lag 266 but the mask
         # row only has 16 samples
-        mask = TimeFrequencyMask(np.ones((1, 16)), kind="binary")
+        mask = TimeFrequencyMask(np.ones((1, 16), dtype=bool))
         with caplog.at_level(logging.WARNING, logger="vocsep.saliency"):
             out = f0_enhancement(mask, _grid(20), h_top_hz=8000.0, hop_seconds=0.01)
         assert out.values.shape == (1, 20)
         assert any("clamp" in r.message.lower() for r in caplog.records)
 
     def test_soft_mask_rejected(self):
-        mask = TimeFrequencyMask(np.full((1, 16), 0.5), kind="soft")
-        with pytest.raises(ValueError):
-            f0_enhancement(mask, _grid(20), h_top_hz=8000.0, hop_seconds=0.01)
+        # 0/1 floats make a soft mask too: only bool values are binary
+        for values in (np.full((1, 16), 0.5), np.ones((1, 16))):
+            with pytest.raises(ValueError, match="bool"):
+                f0_enhancement(
+                    TimeFrequencyMask(values), _grid(20), h_top_hz=8000.0, hop_seconds=0.01
+                )
 
     def test_bad_scalars_rejected(self):
-        mask = TimeFrequencyMask(np.ones((1, 16)), kind="binary")
+        mask = TimeFrequencyMask(np.ones((1, 16), dtype=bool))
         with pytest.raises(ValueError):
             f0_enhancement(mask, _grid(20), h_top_hz=0.0, hop_seconds=0.01)
         with pytest.raises(ValueError):

@@ -346,7 +346,8 @@ class TestLogFrequencyGrid:
         np.testing.assert_allclose(np.diff(cents), 10.0, atol=1e-9)
 
     def test_for_nyquist_count(self):
-        grid = LogFrequencyGrid.for_nyquist(8000.0, h_low_hz=30.0, cents_per_bin=10.0)
+        grid = LogFrequencyGrid.for_nyquist(8000.0)
+        assert (grid.h_low_hz, grid.cents_per_bin) == (30.0, 10.0)
         expected = int(math.floor(1200.0 * math.log2(8000.0 / 30.0) / 10.0)) + 1
         assert grid.n_bins == expected
         assert grid.centers_hz[-1] <= 8000.0
@@ -362,7 +363,9 @@ class TestLogFrequencyGrid:
         with pytest.raises(ValueError):
             LogFrequencyGrid(h_low_hz=30.0, cents_per_bin=10.0, n_bins=0)
         with pytest.raises(ValueError):
-            LogFrequencyGrid.for_nyquist(20.0, h_low_hz=30.0)
+            LogFrequencyGrid.for_nyquist(20.0)
+        with pytest.raises(TypeError):
+            LogFrequencyGrid()  # n_bins has no default
 
 
 def _dense_spline_matrix(n):

@@ -136,6 +136,13 @@ class TestF0Contour:
                 voiced=np.array([True, True]),
                 hop_seconds=0.01,
             )
+        with pytest.raises(ValueError, match="1-d"):
+            F0Contour(
+                f0_hz=np.array([[100.0]]),
+                f0_cents=np.array([[0.0]]),
+                voiced=np.array([[True]]),
+                hop_seconds=0.01,
+            )
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -148,6 +155,14 @@ class TestF0Contour:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             voiced_contour([np.nan], 0.01)
+        # a voiced inf passes the sign checks and fails the finite one
+        with pytest.raises(ValueError, match="f0_hz must be finite"):
+            F0Contour(
+                f0_hz=np.array([np.inf]),
+                f0_cents=np.array([0.0]),
+                voiced=np.array([True]),
+                hop_seconds=0.01,
+            )
 
     def test_times_and_duration(self):
         contour = voiced_contour([100.0, 110.0, 0.0], 0.01)
@@ -227,7 +242,8 @@ class TestViterbi:
         # the full 80-720 Hz search range of a 16 kHz grid; the tracker
         # runs at TRANSITION_SCALE_CENTS, and _best_transition is
         # checked at every scale
-        grid = LogFrequencyGrid.for_nyquist(8000.0, cents_per_bin=cents_per_bin)
+        n_bins = int(math.floor(1200.0 * math.log2(8000.0 / 30.0) / cents_per_bin)) + 1
+        grid = LogFrequencyGrid(n_bins=n_bins, h_low_hz=30.0, cents_per_bin=cents_per_bin)
         rng = np.random.default_rng(int(cents_per_bin * 10 + scale_cents))
         for _ in range(3):
             s = _saliency(_saliency_case(kind, 100, grid.n_bins, rng), grid)
@@ -299,6 +315,13 @@ class TestF0Csv:
         back = read_f0_csv(path)
         np.testing.assert_array_equal(back.f0_hz, [0.0, 200.0])
         np.testing.assert_array_equal(back.voiced, [False, True])
+
+    def test_blank_rows_skipped(self, tmp_path):
+        path = tmp_path / "f0.csv"
+        path.write_text("time_seconds,f0_hz\n0.00,100.0\n\n ,\n0.01,200.0\n")
+        back = read_f0_csv(path)
+        np.testing.assert_array_equal(back.f0_hz, [100.0, 200.0])
+        assert back.hop_seconds == pytest.approx(0.01)
 
     def test_single_row_uses_default_tick(self, tmp_path):
         path = tmp_path / "f0.csv"
