@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["AudioSignal", "read_wav", "write_wav"]
+__all__ = ["AudioSignal", "check_wav_rate", "read_wav", "write_wav"]
 
 PCM16_SCALE = 32768.0
 
@@ -162,17 +162,23 @@ def _parse_fmt(chunk: bytes, path) -> tuple[int, int, np.dtype]:
     return sample_rate, channels, dtype
 
 
-def write_wav(path, signal: AudioSignal) -> None:
-    """Write an AudioSignal to a mono 32-bit float WAV file. A sample
-    rate the header cannot hold (not a whole number, or 2**30 Hz or
-    more) is a ValueError, raised before the file is opened."""
-    rate = signal.sample_rate
+def check_wav_rate(rate) -> None:
+    """Raise ValueError for a sample rate that write_wav's header cannot
+    hold: not a whole number, or 2**30 Hz or more."""
     # the header holds the rate and the byte rate, 4 * rate, in 4 bytes each
     if not isinstance(rate, numbers.Integral) or 4 * rate > _RIFF_SIZE_LIMIT:
         raise ValueError(
             "a WAV header cannot hold a sample rate of %r Hz; it takes whole "
             "rates below 2**30 Hz" % (rate,)
         )
+
+
+def write_wav(path, signal: AudioSignal) -> None:
+    """Write an AudioSignal to a mono 32-bit float WAV file. A sample
+    rate the header cannot hold (see check_wav_rate) is a ValueError,
+    raised before the file is opened."""
+    rate = signal.sample_rate
+    check_wav_rate(rate)
     data = signal.samples.astype("<f4")
     if data.nbytes + 50 > _RIFF_SIZE_LIMIT:
         raise ValueError(

@@ -15,7 +15,7 @@ import logging
 import sys
 
 from . import pipeline
-from .audio import read_wav, write_wav
+from .audio import check_wav_rate, read_wav, write_wav
 from .metrics import PITCH_TOLERANCE_CENTS
 from .pipeline import GridAxis, GridSearchSpec, PipelineConfig
 from .report import report_failures, write_grid_csv, write_report_csv
@@ -45,6 +45,8 @@ def _config_from_args(args, sample_rate: int) -> PipelineConfig:
 
 def _cmd_separate(args) -> int:
     signal = read_wav(args.input, mixdown=args.mixdown)
+    # the outputs take the input's rate, so check it before the separation runs
+    check_wav_rate(signal.sample_rate)
     cfg = _config_from_args(args, signal.sample_rate)
     result, contour = pipeline.run(signal, cfg, dump_dir=args.dump_dir)
     write_wav(args.vocal, result.vocal)

@@ -14,12 +14,12 @@ the Wiener mask of the lambda_sep solve and the contour are stored in a
 plain dict memo under a key made of a digest of the mixture and the
 config fields the stage reads, so a stage whose inputs repeat is
 computed once. Each run() call has its own memo unless the
-caller passes one; grid_search passes one memo through evaluate() to
-run() so that consecutive cells with the same RPCA settings share their
-analysis, solves, Wiener masks and contours. A cell that changes only
-the harmonic mask then costs the harmonic mask, its product with the
-Wiener mask, one forward and one inverse transform and one subtraction.
-No stage writes into an array it got from the memo.
+caller passes one; grid_search passes one memo per clip and RPCA
+setting through evaluate() to run(), so the cells with those settings
+share the clip's analysis, solves, Wiener mask and contours. A cell that
+changes only the harmonic mask then costs the harmonic mask, its product
+with the Wiener mask, one forward and one inverse transform and one
+subtraction. No stage writes into an array it got from the memo.
 
 Every stage releases its intermediates after their last use, and a solve
 in a memo that run() or estimate_f0() made itself leaves it once no
@@ -674,51 +674,64 @@ def grid_search(
 ) -> list:
     """Sweep the axes' cartesian product, scoring the corpus per cell.
 
-    Returns one dict per cell: axis values, the objective value (None
-    if every clip failed), and the per-cell failure count. A failing
-    cell never aborts the sweep.
+    Returns one dict per cell, in the order of the product: axis values,
+    the objective value (None if every clip failed), and the per-cell
+    failure count. Each cell's scores are those of evaluate() on the
+    whole corpus at the cell's config. A cell whose config is invalid
+    fails before any clip is read, and a failing cell never aborts the
+    sweep. An empty corpus is a ValueError.
 
-    Consecutive cells with the same RPCA settings share each clip's |X|,
-    solves, Wiener mask and contours through one memo, which is emptied
-    whenever the settings change; put the lambda axes first to make
-    those runs long.
+    Clips run one at a time. Within a clip, the cells that share RPCA
+    settings (window_size, hop_size and both lambdas) run together on one
+    memo, so the clip's |X|, solves, Wiener mask and contours are
+    computed once per setting whatever the order of the axes. The memo
+    goes before the next setting, so the sweep holds one clip's memo at
+    one RPCA setting, however large the corpus.
 
     workers must be 1, as in evaluate(), and goes with its keyword there.
     """
+    if not entries:
+        raise ValueError("empty corpus")
     _check_scoring(workers, tolerance_cents)
     names = [axis.name for axis in spec.axes]
-    cells = []
     combos = list(itertools.product(*(axis.values() for axis in spec.axes)))
     logger.info("grid search: %d cells over axes %s", len(combos), names)
-    memo, memo_settings = {}, None
+    cells, groups = [], {}
     for combo in combos:
         cell = dict(zip(names, combo))
+        cells.append(cell)
         try:
             cell_cfg = _apply_axes(cfg, names, combo)
-            # a cell whose config is invalid never gets here, so it
-            # leaves the memo to the cells around it
-            lams = (cell_cfg.lambda_f0, cell_cfg.lambda_sep)
-            settings = [_rpca_key(None, cell_cfg, lam) for lam in lams]
-            if settings != memo_settings:
-                memo.clear()
-                memo_settings = settings
-            report = evaluate(
-                entries,
-                cell_cfg,
-                tolerance_cents=tolerance_cents,
-                use_ground_truth_f0=spec.use_ground_truth_f0,
-                memo=memo,
-            )
-            if spec.objective == "gnsdr":
-                value = report.get("vocal", {}).get("gnsdr")
-            else:
-                value = report.get("raw_pitch_accuracy_mean")
-            cell["value"] = value
-            cell["n_failed"] = report.get("n_failed", 0)
-        except Exception as exc:  # record and continue the sweep
+        except ValueError as exc:  # record and continue the sweep
             logger.warning("grid cell %s failed: %s", cell, exc)
             cell["value"] = None
             cell["n_failed"] = len(entries)
             cell["error"] = "%s: %s" % (type(exc).__name__, exc)
-        cells.append(cell)
+            continue
+        settings = (
+            cell_cfg.window_size, cell_cfg.hop_size, cell_cfg.lambda_f0, cell_cfg.lambda_sep
+        )
+        groups.setdefault(settings, []).append((cell, cell_cfg, []))
+
+    for entry in entries:
+        for group in groups.values():
+            memo = {}
+            for _, cell_cfg, clips in group:
+                report = evaluate(
+                    [entry],
+                    cell_cfg,
+                    tolerance_cents=tolerance_cents,
+                    use_ground_truth_f0=spec.use_ground_truth_f0,
+                    memo=memo,
+                )
+                clips.extend(report["clips"])
+
+    for group in groups.values():
+        for cell, _, clips in group:
+            section = _aggregate(clips)
+            if spec.objective == "gnsdr":
+                cell["value"] = section.get("vocal", {}).get("gnsdr")
+            else:
+                cell["value"] = section.get("raw_pitch_accuracy_mean")
+            cell["n_failed"] = section["n_failed"]
     return cells

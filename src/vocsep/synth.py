@@ -178,10 +178,10 @@ def write_demo_corpus(
     n_clips: int = 2,
     duration_seconds: float = 4.0,
     sample_rate: int = 16000,
-    hop_size: int = 160,
     snr_db: float = 0.0,
 ) -> str:
-    """Write clips + references + truth CSVs and a corpus manifest.
+    """Write clips + references + truth CSVs and a corpus manifest. The
+    truth contours are sampled at make_clip's default hop.
 
     The manifest holds absolute paths, so it can be used from any
     working directory. Returns the manifest path.
@@ -195,7 +195,6 @@ def write_demo_corpus(
         clip = make_clip(
             duration_seconds=duration_seconds,
             sample_rate=sample_rate,
-            hop_size=hop_size,
             snr_db=snr_db,
             seed=i,
         )

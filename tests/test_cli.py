@@ -137,9 +137,13 @@ class TestSeparate:
         assert code == EXIT_INVALID_INPUT
         assert not vocal.exists() and not accomp.exists()
 
-    def test_rate_the_output_header_cannot_hold_is_invalid_input(self, tmp_path, caplog):
+    def test_rate_the_output_header_cannot_hold_is_invalid_input(
+        self, tmp_path, caplog, monkeypatch
+    ):
         # read_wav takes any 32-bit rate, but a written header holds
-        # rates below 2**30 Hz only
+        # rates below 2**30 Hz only; the rate fails before any solve
+        solves = []
+        monkeypatch.setattr(rpca_mod, "decompose", lambda *args: solves.append(args))
         wav = tmp_path / "fast.wav"
         samples = make_clip(duration_seconds=0.5, sample_rate=16000, seed=5).mixture.samples
         write_wav(wav, AudioSignal(samples[:5000], 16000))
@@ -152,6 +156,7 @@ class TestSeparate:
         assert code == EXIT_INVALID_INPUT
         assert not vocal.exists() and not accomp.exists()
         assert "sample rate of %d Hz" % 2**31 in caplog.text
+        assert solves == []
 
     def test_unknown_config_field_fails(self, mix_wav, tmp_path):
         cfg = tmp_path / "cfg.json"

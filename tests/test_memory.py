@@ -1,6 +1,6 @@
-"""Peak memory of run(), estimate_f0(), magnitude(stft()), the solver
-and the tracker, and what a caller's memo holds after run(), as a
-multiple of the float64 magnitude spectrogram: frames x
+"""Peak memory of run(), estimate_f0(), magnitude(stft()), the solver,
+the tracker and a grid sweep, and what a caller's memo holds after
+run(), as a multiple of the float64 magnitude spectrogram: frames x
 (window_size/2 + 1) x 8 bytes."""
 
 import dataclasses
@@ -11,10 +11,18 @@ import pytest
 
 import vocsep.pipeline as pipeline_mod
 from vocsep import rpca
-from vocsep.audio import AudioSignal
-from vocsep.pipeline import PipelineConfig, estimate_f0, run
+from vocsep.audio import AudioSignal, read_wav
+from vocsep.pipeline import (
+    GridAxis,
+    GridSearchSpec,
+    PipelineConfig,
+    estimate_f0,
+    grid_search,
+    load_corpus,
+    run,
+)
 from vocsep.spectrogram import magnitude, stft
-from vocsep.synth import make_clip
+from vocsep.synth import make_clip, write_demo_corpus
 
 # Peak traced allocation above the baseline, over the magnitude's nbytes.
 # The worst case measured is 4.96, run() on the 1 s 16 kHz clips (with
@@ -135,8 +143,9 @@ def _array_nbytes(value):
 )
 def test_memo_hold_per_clip(overrides, solves, clip_and_cfg):
     # |X| (1), each solve's two parts (2 each) and the Wiener mask (1),
-    # plus the contour: what a grid memo keeps per clip, and no more; the
-    # unit phase is formed from the mixture when the resynthesis runs
+    # plus the contours: all that grid_search's memo holds, since it has
+    # one clip at one RPCA setting; the phase is formed from the mixture
+    # when the resynthesis runs
     signal, cfg = clip_and_cfg
     cfg = cfg.with_overrides(overrides)
     memo = {}
@@ -147,6 +156,25 @@ def test_memo_hold_per_clip(overrides, solves, clip_and_cfg):
     mag_nbytes = _mag_nbytes(signal, cfg)
     assert held <= (2 + 2 * solves) * mag_nbytes + contour
     assert contour < 0.01 * mag_nbytes
+
+
+def test_grid_search_peak_does_not_grow_with_the_corpus(tmp_path):
+    # the sweep holds one clip's memo at one RPCA setting at a time, so
+    # twice the clips add no more than allocator noise to its peak; one
+    # memo shared by every clip read 12.5x the magnitude over 2 clips
+    # and 20.6x over 4
+    entries = load_corpus(write_demo_corpus(tmp_path, n_clips=4, duration_seconds=1.0))
+    cfg = PipelineConfig()
+    spec = GridSearchSpec(
+        axes=(GridAxis("lambda", 0.8, 1.0, 0.2), GridAxis("w", 30.0, 50.0, 20.0))
+    )
+    signal = read_wav(entries[0].mixture_path)
+    # numpy imports numpy.ma on first use, 0.7x the magnitude in the
+    # first sweep of a process
+    grid_search(entries[:1], spec, cfg)
+    two = _peak_multiple(lambda: grid_search(entries[:2], spec, cfg), signal, cfg)
+    four = _peak_multiple(lambda: grid_search(entries, spec, cfg), signal, cfg)
+    assert four <= two + 0.5, "peak %.2fx over 4 clips, %.2fx over 2" % (four, two)
 
 
 def test_decompose_peak_within_bound(clip_and_cfg):

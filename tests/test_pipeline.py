@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import hashlib
 import inspect
+import itertools
 import json
 
 import numpy as np
@@ -840,6 +841,51 @@ class TestGridSearch:
         assert cells[0]["value"] is None
         assert "error" in cells[0]
         assert cells[1]["value"] is not None
+
+    def test_empty_corpus_rejected(self, solves):
+        spec = GridSearchSpec(axes=(GridAxis("alpha", 0.6, 0.6, 0.2),))
+        with pytest.raises(ValueError, match="empty corpus"):
+            grid_search([], spec, PipelineConfig())
+        assert solves == []
+
+    @pytest.mark.parametrize(
+        "order", [("lambda", "w"), ("w", "lambda")], ids=["lambda-w", "w-lambda"]
+    )
+    def test_each_clip_solves_each_rpca_setting_once(self, demo_corpus, solves, order):
+        entries = load_corpus(demo_corpus)
+        axes = {"lambda": GridAxis("lambda", 0.8, 1.0, 0.2), "w": GridAxis("w", 30.0, 50.0, 20.0)}
+        spec = GridSearchSpec(axes=tuple(axes[name] for name in order))
+        cells = grid_search(entries, spec, PipelineConfig())
+        assert [tuple(c[name] for name in order) for c in cells] == list(
+            itertools.product(*(axes[name].values() for name in order))
+        )
+        assert sorted(solves) == [0.8] * len(entries) + [1.0] * len(entries)
+
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            (GridAxis("gamma", 0.5, 1.0, 0.5),),
+            (GridAxis("alpha", 0.6, 1.2, 0.6), GridAxis("n_partials", 0.0, 10.0, 10.0)),
+        ],
+        ids=["gamma", "alpha-n_partials"],
+    )
+    def test_every_cell_scores_as_evaluate(self, demo_corpus, axes):
+        entries = load_corpus(demo_corpus)
+        cfg = PipelineConfig()
+        names = [axis.name for axis in axes]
+        cells = grid_search(entries, GridSearchSpec(axes=axes), cfg)
+        combos = list(itertools.product(*(axis.values() for axis in axes)))
+        assert [tuple(c[name] for name in names) for c in cells] == combos
+        for cell, combo in zip(cells, combos):
+            if cell.get("n_partials") == 0:
+                assert cell["value"] is None
+                assert "n_partials must be >= 1" in cell["error"]
+                assert cell["n_failed"] == len(entries)
+                continue
+            report = evaluate(entries, _apply_axes(cfg, names, combo))
+            assert cell["value"] == report["vocal"]["gnsdr"]
+            assert cell["n_failed"] == report["n_failed"] == 0
+            assert "error" not in cell
 
     def test_cells_sharing_lambda_reuse_solves(self, tiny_corpus, solves):
         entries = load_corpus(tiny_corpus)
