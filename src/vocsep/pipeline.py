@@ -77,13 +77,7 @@ from .metrics import (
 )
 from .report import mask_to_csv, mask_to_pgm, saliency_to_csv, trace_to_csv
 from .saliency import combine, f0_enhancement, shs
-from .spectrogram import (
-    LogFrequencyGrid,
-    apply_a_weighting,
-    magnitude,
-    stft,
-    to_log_frequency,
-)
+from .spectrogram import apply_a_weighting, magnitude, stft, to_log_frequency
 from .tracking import F0Contour, align_contour, read_f0_csv, viterbi, voiced_contour
 
 logger = logging.getLogger(__name__)
@@ -277,12 +271,11 @@ def _contour_stage(
     sounding = vocal_mag.values.max(axis=1) > 0
     weighted = apply_a_weighting(vocal_mag)
     del vocal_mag
-    grid = LogFrequencyGrid.for_nyquist(mag.nyquist_hz)
-    logspec = to_log_frequency(weighted, grid)
+    logspec = to_log_frequency(weighted)
     del weighted
     summation = shs(logspec, cfg.n_partials)
     del logspec
-    enhancement = f0_enhancement(mask_b, grid, mag.nyquist_hz, mag.hop_seconds)
+    enhancement = f0_enhancement(mask_b, mag.nyquist_hz, mag.hop_seconds)
     del mask_b
     saliency = combine(summation, enhancement, cfg.alpha)
     del summation, enhancement
@@ -637,11 +630,20 @@ def _axis_fields(name: str) -> tuple:
     return ("lambda_sep", "lambda_f0") if name == "lambda" else (name,)
 
 
+# The names an axis may take: "lambda" and the numeric config fields.
+_AXIS_NAMES = ("lambda",) + tuple(
+    f.name for f in dataclasses.fields(PipelineConfig) if f.type in ("int", "float")
+)
+
+
 @dataclass(frozen=True)
 class GridSearchSpec:
     """Axes to sweep and the objective to record ("gnsdr" on the vocal
-    estimate, or "rpa"). No two axes may set the same config field; an
-    axis named "lambda" sets lambda_sep and lambda_f0."""
+    estimate, or "rpa"). Each axis is named "lambda", which sets
+    lambda_sep and lambda_f0, or after a numeric PipelineConfig field,
+    and no two axes may set the same config field. "rpa" with
+    use_ground_truth_f0 is rejected: run() then returns the truth
+    contour, which scores itself."""
 
     axes: tuple
     objective: str = "gnsdr"
@@ -652,7 +654,17 @@ class GridSearchSpec:
             raise ValueError("grid search needs at least one axis")
         if self.objective not in ("gnsdr", "rpa"):
             raise ValueError("objective must be 'gnsdr' or 'rpa'")
+        if self.objective == "rpa" and self.use_ground_truth_f0:
+            raise ValueError(
+                "objective 'rpa' cannot rank cells that use the ground-truth f0: "
+                "each cell's contour is the truth itself"
+            )
         object.__setattr__(self, "axes", tuple(self.axes))
+        unknown = [axis.name for axis in self.axes if axis.name not in _AXIS_NAMES]
+        if unknown:
+            raise ValueError(
+                "unknown grid axes %s; an axis is one of %s" % (unknown, ", ".join(_AXIS_NAMES))
+            )
         fields = [field for axis in self.axes for field in _axis_fields(axis.name)]
         if len(set(fields)) < len(fields):
             raise ValueError("axes %s set a config field twice" % ([a.name for a in self.axes],))

@@ -65,7 +65,9 @@ class RpcaResult:
     within final_residual (relative Frobenius norm of the constraint gap).
 
     trace holds one (iteration, residual, rank_estimate, nnz) row per
-    iteration for inspection. rank_estimate counts the short-side Gram
+    iteration, so iterations and final_residual are read from it: its
+    length and its last residual, or 0 and 0.0 for the empty trace of
+    an all-zero input. rank_estimate counts the short-side Gram
     eigen-directions whose singular value exceeds the SVT threshold; a
     singular value within rounding of the threshold can make it differ
     by one from a count taken on a full SVD.
@@ -73,10 +75,16 @@ class RpcaResult:
 
     low_rank: np.ndarray
     sparse: np.ndarray
-    iterations: int
     converged: bool
-    final_residual: float
     trace: tuple = ()
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace)
+
+    @property
+    def final_residual(self) -> float:
+        return float(self.trace[-1][1]) if self.trace else 0.0
 
 
 def _short_side(values):
@@ -136,13 +144,7 @@ def decompose(x, lam: float) -> RpcaResult:
     lam_hat = lam / np.sqrt(max(x.shape))
     x_fro = np.linalg.norm(x)
     if x_fro == 0.0:
-        return RpcaResult(
-            low_rank=np.zeros_like(x),
-            sparse=np.zeros_like(x),
-            iterations=0,
-            converged=True,
-            final_residual=0.0,
-        )
+        return RpcaResult(low_rank=np.zeros_like(x), sparse=np.zeros_like(x), converged=True)
 
     a, tall = _short_side(x)
     norm_two = np.sqrt(np.linalg.eigvalsh(a @ a.T)[-1])
@@ -196,11 +198,4 @@ def decompose(x, lam: float) -> RpcaResult:
             "low-rank/sparse solver stopped at %d iterations with residual %.3e "
             "(tolerance %.1e)", iterations, residual, TOLERANCE
         )
-    return RpcaResult(
-        low_rank=low_rank,
-        sparse=s,
-        iterations=iterations,
-        converged=converged,
-        final_residual=float(residual),
-        trace=tuple(trace),
-    )
+    return RpcaResult(low_rank=low_rank, sparse=s, converged=converged, trace=tuple(trace))

@@ -5,8 +5,10 @@ fundamental on the log-frequency axis by shifted, geometrically decayed
 sums. The enhancement term measures how comb-like each frame of the
 binary vocal mask is: the magnitude DFT of the mask row peaks at lags
 matching the harmonic spacing, and sampling it at lag floor(h_top/h_c)
-scores grid bin c. Raising the enhancement to an exponent alpha and
-multiplying into the summation sharpens true-F0 peaks.
+scores grid bin c. Both terms lie on the grid that the Nyquist rate
+fixes, LogFrequencyGrid.for_nyquist. Raising the enhancement to an
+exponent alpha and multiplying into the summation sharpens true-F0
+peaks.
 """
 
 from __future__ import annotations
@@ -69,12 +71,11 @@ def shs(logspec: LogSpectrogram, n_partials: int) -> SaliencySpectrogram:
 
 
 def f0_enhancement(
-    mask: TimeFrequencyMask,
-    grid: LogFrequencyGrid,
-    h_top_hz: float,
-    hop_seconds: float,
+    mask: TimeFrequencyMask, h_top_hz: float, hop_seconds: float
 ) -> SaliencySpectrogram:
-    """Comb-structure saliency from a binary vocal mask.
+    """Comb-structure saliency from a binary vocal mask whose top bin
+    lies at h_top_hz (the Nyquist rate), on the grid
+    LogFrequencyGrid.for_nyquist(h_top_hz).
 
     Each frame's mask row (length F) is DFT'd; grid bin c with center
     h_c samples the magnitude at lag k = floor(h_top / h_c), read from
@@ -85,10 +86,9 @@ def f0_enhancement(
     """
     if mask.values.dtype != bool:
         raise ValueError("f0_enhancement requires a bool mask, got %s values" % mask.values.dtype)
-    if h_top_hz <= 0:
-        raise ValueError("h_top_hz must be positive")
     if hop_seconds <= 0:
         raise ValueError("hop_seconds must be positive")
+    grid = LogFrequencyGrid.for_nyquist(h_top_hz)
     n_bins = mask.n_bins
     lags = np.floor(h_top_hz / grid.centers_hz).astype(np.intp)
     clamped = int(np.count_nonzero(lags > n_bins - 1))

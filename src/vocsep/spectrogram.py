@@ -16,9 +16,10 @@ istft(spec, m) inverts the magnitudes m with spec's own phase
 X / max(|X|, tiny), the resynthesis of a masked mixture.
 
 The log-frequency resampling fits a natural cubic spline across each
-frame's bins. Its tridiagonal system is solved by cyclic reduction in
-numpy, which needs no scipy.linalg and is faster than its solve_banded
-on these sizes.
+frame's bins and evaluates it on the grid that the magnitude's Nyquist
+rate fixes (LogFrequencyGrid.for_nyquist). Its tridiagonal system is
+solved by cyclic reduction in numpy, which needs no scipy.linalg and is
+faster than its solve_banded on these sizes.
 """
 
 from __future__ import annotations
@@ -148,26 +149,22 @@ class Stft:
 @dataclass(frozen=True)
 class MagnitudeSpectrogram:
     """Nonnegative float64 magnitudes on one STFT grid: values has shape
-    (frames, window_size // 2 + 1). Derive a spectrogram on the same
-    grid with dataclasses.replace(spec, values=...), which re-runs the
-    checks."""
+    (frames, bins), and the window is 2 * (bins - 1) samples, a power of
+    two. Derive a spectrogram on the same grid with
+    dataclasses.replace(spec, values=...), which re-runs the checks."""
 
     values: np.ndarray
-    window_size: int
     hop_size: int
     sample_rate: int
 
     def __post_init__(self):
-        _validate_geometry(self.window_size, self.hop_size)
         values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2 or values.shape[1] != self.window_size // 2 + 1:
-            raise ValueError(
-                "values must have shape (frames, window_size//2+1), got %s"
-                % (values.shape,)
-            )
+        if values.ndim != 2:
+            raise ValueError("values must have shape (frames, bins), got %s" % (values.shape,))
+        object.__setattr__(self, "values", values)
+        _validate_geometry(self.window_size, self.hop_size)
         if values.size and values.min() < 0:
             raise ValueError("magnitudes must be nonnegative")
-        object.__setattr__(self, "values", values)
 
     @property
     def n_frames(self) -> int:
@@ -176,6 +173,10 @@ class MagnitudeSpectrogram:
     @property
     def n_bins(self) -> int:
         return self.values.shape[1]
+
+    @property
+    def window_size(self) -> int:
+        return 2 * (self.n_bins - 1)
 
     @property
     def hop_seconds(self) -> float:
@@ -325,12 +326,7 @@ def magnitude(spec: Stft) -> MagnitudeSpectrogram:
     values = np.empty((spec.n_frames, spec.n_bins))
     for rows, block in spec.blocks():
         np.abs(block, out=values[rows])
-    return MagnitudeSpectrogram(
-        values=values,
-        window_size=spec.window_size,
-        hop_size=spec.hop_size,
-        sample_rate=spec.sample_rate,
-    )
+    return MagnitudeSpectrogram(values=values, hop_size=spec.hop_size, sample_rate=spec.sample_rate)
 
 
 def a_weight_at(freq_hz) -> np.ndarray:
@@ -357,23 +353,16 @@ def apply_a_weighting(mag: MagnitudeSpectrogram) -> MagnitudeSpectrogram:
     return dataclasses.replace(mag, values=mag.values * weights[np.newaxis, :])
 
 
-def to_log_frequency(
-    mag: MagnitudeSpectrogram, grid: LogFrequencyGrid
-) -> LogSpectrogram:
-    """Resample a magnitude spectrogram onto a log-frequency grid in dB.
+def to_log_frequency(mag: MagnitudeSpectrogram) -> LogSpectrogram:
+    """Resample a magnitude spectrogram in dB onto the log-frequency
+    grid LogFrequencyGrid.for_nyquist(mag.nyquist_hz).
 
     Magnitudes are floored at 1e-10 (-200 dB), converted to dB, and
     interpolated across frequency with a natural cubic spline evaluated
-    at the grid centers, a block of frames at a time. The grid must not
-    extend past Nyquist.
+    at the grid centers, a block of frames at a time.
     """
-    centers = grid.centers_hz
-    if centers[-1] > mag.nyquist_hz * (1 + 1e-12):
-        raise ValueError(
-            "grid extends to %.2f Hz, beyond Nyquist %.2f Hz"
-            % (centers[-1], mag.nyquist_hz)
-        )
-    positions = centers / (mag.sample_rate / mag.window_size)
+    grid = LogFrequencyGrid.for_nyquist(mag.nyquist_hz)
+    positions = grid.centers_hz / (mag.sample_rate / mag.window_size)
     values = np.empty((mag.n_frames, grid.n_bins))
     for rows in row_blocks(mag.n_frames):
         db = np.maximum(mag.values[rows], DB_FLOOR_AMPLITUDE)

@@ -8,6 +8,7 @@ import struct
 import numpy as np
 import pytest
 
+import vocsep.cli as cli_mod
 import vocsep.pipeline as pipeline_mod
 import vocsep.rpca as rpca_mod
 from vocsep.audio import AudioSignal, read_wav, write_wav
@@ -489,6 +490,30 @@ class TestGridSearch:
         ])
         assert code == EXIT_INVALID_INPUT
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--axis", "lamda:0.8:1.0:0.2"],
+            ["--axis", "mask_mode:0:1:1"],
+            ["--axis", "w:30:70:40", "--objective", "rpa", "--ground-truth-f0"],
+        ],
+        ids=["misspelled-axis", "non-numeric-field", "rpa-of-the-truth-contour"],
+    )
+    def test_invalid_spec_exits_before_reading_audio(self, cli_corpus, tmp_path, monkeypatch, args):
+        reads = []
+
+        def recorded_read(path, **kwargs):
+            reads.append(path)
+            return read_wav(path, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "read_wav", recorded_read)
+        monkeypatch.setattr(pipeline_mod, "read_wav", recorded_read)
+        out = tmp_path / "grid.csv"
+        code = main(["grid-search", "--corpus", cli_corpus, "--out", str(out)] + args)
+        assert code == EXIT_INVALID_INPUT
+        assert not out.exists()
+        assert reads == []
 
     def test_failing_cell_gives_partial_failure(self, cli_corpus, tmp_path):
         out = tmp_path / "grid.csv"

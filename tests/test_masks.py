@@ -35,9 +35,7 @@ def _rpca_result(low, sparse):
     return RpcaResult(
         low_rank=np.asarray(low, dtype=np.float64),
         sparse=np.asarray(sparse, dtype=np.float64),
-        iterations=1,
         converged=True,
-        final_residual=0.0,
     )
 
 
@@ -71,12 +69,9 @@ def _random_split(rng, n_frames, n_bins=129):
     return _rpca_result(np.asfortranarray(low), sparse)
 
 
-def _mag(values, sample_rate=44100, window_size=2048, hop_size=441):
+def _mag(values, sample_rate=44100, hop_size=441):
     return MagnitudeSpectrogram(
-        values=np.asarray(values, dtype=np.float64),
-        window_size=window_size,
-        hop_size=hop_size,
-        sample_rate=sample_rate,
+        values=np.asarray(values, dtype=np.float64), hop_size=hop_size, sample_rate=sample_rate
     )
 
 
@@ -277,7 +272,7 @@ class TestHarmonicMask:
         # 44100/2048 geometry the interval [175, 225] contains exactly
         # bins 9 and 10 (193.80 and 215.33 Hz)
         sr, window = 44100, 2048
-        mag = _mag(np.ones((1, window // 2 + 1)), sr, window)
+        mag = _mag(np.ones((1, window // 2 + 1)), sr)
         contour = voiced_contour([200.0], 0.01)
         mask = harmonic_mask(contour, mag, 1, 50.0)
         row = mask.values[0]
@@ -292,7 +287,7 @@ class TestHarmonicMask:
 
     def test_partials_at_multiples_of_f0(self):
         sr, window = 16000, 2048
-        mag = _mag(np.ones((1, window // 2 + 1)), sr, window, 160)
+        mag = _mag(np.ones((1, window // 2 + 1)), sr, 160)
         contour = voiced_contour([400.0], 0.01)
         row = harmonic_mask(contour, mag, 3, 50.0).values[0]
         bin_hz = np.arange(window // 2 + 1) * sr / window
@@ -305,7 +300,7 @@ class TestHarmonicMask:
 
     def test_partials_above_nyquist_skipped(self):
         sr, window = 16000, 2048
-        mag = _mag(np.ones((1, window // 2 + 1)), sr, window, 160)
+        mag = _mag(np.ones((1, window // 2 + 1)), sr, 160)
         contour = voiced_contour([3000.0], 0.01)
         row = harmonic_mask(contour, mag, 10, 50.0).values[0]
         bin_hz = np.arange(window // 2 + 1) * sr / window
@@ -315,7 +310,7 @@ class TestHarmonicMask:
 
     def test_unvoiced_frames_stay_zero(self):
         sr, window = 16000, 2048
-        mag = _mag(np.ones((2, window // 2 + 1)), sr, window, 160)
+        mag = _mag(np.ones((2, window // 2 + 1)), sr, 160)
         contour = voiced_contour([200.0, 0.0], 0.01)
         mask = harmonic_mask(contour, mag, 10, 50.0)
         assert mask.values[1].max() == 0.0
@@ -323,14 +318,14 @@ class TestHarmonicMask:
 
     def test_overlapping_lobes_stay_below_one(self):
         sr, window = 16000, 2048
-        mag = _mag(np.ones((1, window // 2 + 1)), sr, window, 160)
+        mag = _mag(np.ones((1, window // 2 + 1)), sr, 160)
         contour = voiced_contour([40.0], 0.01)
         row = harmonic_mask(contour, mag, 10, 100.0).values[0]
         assert row.max() <= 1.0
 
     def test_more_partials_only_add(self):
         sr, window = 16000, 2048
-        mag = _mag(np.ones((1, window // 2 + 1)), sr, window, 160)
+        mag = _mag(np.ones((1, window // 2 + 1)), sr, 160)
         contour = voiced_contour([300.0], 0.01)
         one = harmonic_mask(contour, mag, 1, 50.0).values[0]
         many = harmonic_mask(contour, mag, 8, 50.0).values[0]
@@ -338,7 +333,7 @@ class TestHarmonicMask:
 
     def test_twenty_partials_fit_at_44k(self):
         sr, window = 44100, 4096
-        mag = _mag(np.ones((1, window // 2 + 1)), sr, window, 441)
+        mag = _mag(np.ones((1, window // 2 + 1)), sr, 441)
         contour = voiced_contour([700.0], 0.01)
         row = harmonic_mask(contour, mag, 20, 70.0).values[0]
         bin_hz = np.arange(window // 2 + 1) * sr / window
@@ -355,7 +350,7 @@ class TestHarmonicMask:
         # shapes other than TUKEY_SHAPE change which of two overlapping
         # lobes wins the max: all-flat at 0, no flat top at 1
         monkeypatch.setattr(masks_mod, "TUKEY_SHAPE", tukey_shape)
-        mag = _mag(np.ones((101, window // 2 + 1)), sr, window, hop)
+        mag = _mag(np.ones((101, window // 2 + 1)), sr, hop)
         contour = voiced_contour(_random_f0(rng, 101, sr / 2.0), hop / sr)
         expected = _loop_harmonic_mask(contour, mag, n_partials, width_hz, tukey_shape)
         assert np.array_equal(harmonic_mask(contour, mag, n_partials, width_hz).values, expected)
@@ -374,7 +369,7 @@ class TestHarmonicMask:
     @pytest.mark.parametrize("tukey_shape", [0.0, 0.5, 1.0])
     def test_matches_frame_loop_on_edge_cases(self, f0, width_hz, tukey_shape, monkeypatch):
         monkeypatch.setattr(masks_mod, "TUKEY_SHAPE", tukey_shape)
-        mag = _mag(np.ones((len(f0), 1025)), 16000, 2048, 160)
+        mag = _mag(np.ones((len(f0), 1025)), 16000, 160)
         contour = voiced_contour(f0, 0.01)
         expected = _loop_harmonic_mask(contour, mag, 10, width_hz, tukey_shape)
         assert np.array_equal(harmonic_mask(contour, mag, 10, width_hz).values, expected)
@@ -387,7 +382,7 @@ class TestHarmonicMask:
 
     def test_voiced_f0_at_nyquist_rejected(self):
         sr, window = 16000, 2048
-        mag = _mag(np.ones((1, window // 2 + 1)), sr, window, 160)
+        mag = _mag(np.ones((1, window // 2 + 1)), sr, 160)
         contour = voiced_contour([8000.0], 0.01)
         with pytest.raises(ValueError):
             harmonic_mask(contour, mag, 10, 50.0)

@@ -785,6 +785,27 @@ class TestGridSearch:
             with pytest.raises(ValueError, match="twice"):
                 GridSearchSpec(axes=tuple(GridAxis(name, 0.2, 0.4, 0.2) for name in names))
 
+    @pytest.mark.parametrize("name", ["lamda", "mask_mode", "Lambda", ""])
+    def test_unknown_axis_rejected(self, name):
+        with pytest.raises(ValueError, match="unknown grid axes") as info:
+            GridSearchSpec(axes=(GridAxis(name, 0.0, 1.0, 1.0),))
+        assert repr(name) in str(info.value)
+        for valid in [
+            "lambda", "window_size", "hop_size", "lambda_sep", "lambda_f0", "gamma",
+            "n_partials", "w", "alpha",
+        ]:
+            assert valid in str(info.value)
+            GridSearchSpec(axes=(GridAxis(valid, 1.0, 1.0, 1.0),))
+
+    def test_rpa_of_the_truth_contour_rejected(self):
+        axes = (GridAxis("w", 30.0, 70.0, 40.0),)
+        with pytest.raises(ValueError, match="ground-truth"):
+            GridSearchSpec(axes=axes, objective="rpa", use_ground_truth_f0=True)
+        # the truth contour can still rank cells by separation, and RPA
+        # still ranks the estimated contours
+        GridSearchSpec(axes=axes, objective="gnsdr", use_ground_truth_f0=True)
+        GridSearchSpec(axes=axes, objective="rpa")
+
     def test_lambda_axis_sets_both_weights(self):
         cfg = _apply_axes(PipelineConfig(), ["lambda"], [0.9])
         assert cfg.lambda_sep == 0.9

@@ -1,5 +1,6 @@
 """Subharmonic summation, comb enhancement, and their blend."""
 
+import hashlib
 import logging
 
 import numpy as np
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import vocsep.spectrogram as spectrogram_mod
+from vocsep.audio import AudioSignal
 from vocsep.masks import TimeFrequencyMask
+from vocsep.pipeline import PipelineConfig, estimate_f0
 from vocsep.saliency import (
     SHS_DECAY,
     SaliencySpectrogram,
@@ -18,7 +21,13 @@ from vocsep.saliency import (
     shs,
 )
 from vocsep.report import saliency_to_csv
-from vocsep.spectrogram import LogFrequencyGrid, LogSpectrogram
+from vocsep.spectrogram import (
+    LogFrequencyGrid,
+    LogSpectrogram,
+    magnitude,
+    stft,
+    to_log_frequency,
+)
 
 
 def _grid(n_bins=200, cents_per_bin=10.0):
@@ -155,7 +164,7 @@ class TestF0Enhancement:
         expected = _whole_array_enhancement(mask_values, grid, h_top)
         monkeypatch.setattr(spectrogram_mod, "BLOCK_FRAMES", n_frames if block == "all" else block)
         mask = TimeFrequencyMask(mask_values.astype(bool))
-        out = f0_enhancement(mask, grid, h_top_hz=h_top, hop_seconds=0.01).values
+        out = f0_enhancement(mask, h_top_hz=h_top, hop_seconds=0.01).values
         assert np.array_equal(out, expected)
 
     @pytest.mark.parametrize("window", [256, 1024])
@@ -166,14 +175,14 @@ class TestF0Enhancement:
         lags, expected = _full_fft_enhancement(mask_values, grid, h_top)
         assert lags.max() > n_bins // 2
         mask = TimeFrequencyMask(mask_values.astype(bool))
-        out = f0_enhancement(mask, grid, h_top_hz=h_top, hop_seconds=0.01).values
+        out = f0_enhancement(mask, h_top_hz=h_top, hop_seconds=0.01).values
         np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-9)
         # the row [1, 1, 0, ...] has |X[k]| = 2|cos(pi k / F)|, one value
         # per min(k, F - k), so each output names the lag it was read at
         probe = np.zeros((1, n_bins))
         probe[0, :2] = 1.0
         read = f0_enhancement(
-            TimeFrequencyMask(probe.astype(bool)), grid, h_top_hz=h_top, hop_seconds=0.01
+            TimeFrequencyMask(probe.astype(bool)), h_top_hz=h_top, hop_seconds=0.01
         ).values[0]
         table = np.abs(np.fft.fft(probe[0]))[: n_bins // 2 + 1]
         read_lags = np.abs(table[None, :] - read[:, None]).argmin(axis=1)
@@ -181,10 +190,10 @@ class TestF0Enhancement:
 
     def test_matches_brute_force_dft(self, rng):
         n_bins = 64
-        grid = _grid(40)
+        grid = LogFrequencyGrid.for_nyquist(8000.0)
         mask_values = (rng.uniform(size=(3, n_bins)) > 0.6).astype(float)
         mask = TimeFrequencyMask(mask_values.astype(bool))
-        out = f0_enhancement(mask, grid, h_top_hz=8000.0, hop_seconds=0.01).values
+        out = f0_enhancement(mask, h_top_hz=8000.0, hop_seconds=0.01).values
         for t in range(3):
             row = mask_values[t]
             spectrum = [
@@ -203,8 +212,8 @@ class TestF0Enhancement:
         row = np.zeros(n_bins)
         row[::period] = 1.0
         mask = TimeFrequencyMask(row[None, :].astype(bool))
-        grid = _grid(150)
-        out = f0_enhancement(mask, grid, h_top_hz=8000.0, hop_seconds=0.01).values[0]
+        grid = LogFrequencyGrid.for_nyquist(8000.0)
+        out = f0_enhancement(mask, h_top_hz=8000.0, hop_seconds=0.01).values[0]
         lags = np.floor(8000.0 / grid.centers_hz).astype(int)
         peak_lag_set = {n_bins // period * m for m in range(1, period)}
         best = np.argmax(out)
@@ -212,14 +221,14 @@ class TestF0Enhancement:
 
     def test_all_zero_row_scores_zero(self):
         mask = TimeFrequencyMask(np.zeros((1, 32), dtype=bool))
-        out = f0_enhancement(mask, _grid(20), h_top_hz=8000.0, hop_seconds=0.01).values
+        out = f0_enhancement(mask, h_top_hz=8000.0, hop_seconds=0.01).values
         assert np.all(out == 0.0)
 
     def test_all_ones_row_concentrates_at_dc(self):
         n_bins = 32
         mask = TimeFrequencyMask(np.ones((1, n_bins), dtype=bool))
-        grid = _grid(20)
-        out = f0_enhancement(mask, grid, h_top_hz=8000.0, hop_seconds=0.01).values[0]
+        grid = LogFrequencyGrid.for_nyquist(8000.0)
+        out = f0_enhancement(mask, h_top_hz=8000.0, hop_seconds=0.01).values[0]
         lags = np.minimum(np.floor(8000.0 / grid.centers_hz).astype(int), n_bins - 1)
         np.testing.assert_allclose(out, np.where(lags == 0, n_bins, 0.0), atol=1e-9)
 
@@ -228,8 +237,8 @@ class TestF0Enhancement:
         # row only has 16 samples
         mask = TimeFrequencyMask(np.ones((1, 16), dtype=bool))
         with caplog.at_level(logging.WARNING, logger="vocsep.saliency"):
-            out = f0_enhancement(mask, _grid(20), h_top_hz=8000.0, hop_seconds=0.01)
-        assert out.values.shape == (1, 20)
+            out = f0_enhancement(mask, h_top_hz=8000.0, hop_seconds=0.01)
+        assert out.values.shape == (1, LogFrequencyGrid.for_nyquist(8000.0).n_bins)
         assert any("clamp" in r.message.lower() for r in caplog.records)
 
     def test_soft_mask_rejected(self):
@@ -237,15 +246,15 @@ class TestF0Enhancement:
         for values in (np.full((1, 16), 0.5), np.ones((1, 16))):
             with pytest.raises(ValueError, match="bool"):
                 f0_enhancement(
-                    TimeFrequencyMask(values), _grid(20), h_top_hz=8000.0, hop_seconds=0.01
+                    TimeFrequencyMask(values), h_top_hz=8000.0, hop_seconds=0.01
                 )
 
     def test_bad_scalars_rejected(self):
         mask = TimeFrequencyMask(np.ones((1, 16), dtype=bool))
         with pytest.raises(ValueError):
-            f0_enhancement(mask, _grid(20), h_top_hz=0.0, hop_seconds=0.01)
+            f0_enhancement(mask, h_top_hz=0.0, hop_seconds=0.01)
         with pytest.raises(ValueError):
-            f0_enhancement(mask, _grid(20), h_top_hz=8000.0, hop_seconds=0.0)
+            f0_enhancement(mask, h_top_hz=8000.0, hop_seconds=0.0)
 
 
 class TestCombine:
@@ -321,3 +330,30 @@ class TestSaliencyCsv:
         header = [float(x) for x in lines[0].split(",")]
         np.testing.assert_allclose(header, grid.centers_hz, atol=1e-6)
         assert len(lines) == 3
+
+
+# SHA-256 of the header row (the grid centres in Hz) of the saliency.csv
+# that estimate_f0 dumps for a 4096-sample clip at each rate. The stages
+# build their grids from the Nyquist rate, and the dump keeps these bytes.
+SALIENCY_HEADER_SHA256 = {
+    8000: "d82fd7272a523237e4876764d2c55c9e7f17f7b58bedfbdb12fbefaaa5ce3843",
+    16000: "311b5df43258c16c8916c3fc12613ae6f8932049446d9d00a92c9b4d4ba5266c",
+    22050: "f08913124f5be706f303bde929ab58a426d1426dc171a04f03c558e5da76ea0a",
+    44100: "cb1b1de5bdf3023d55961fc42d425e0416bdf3f3e9b08fa415aff7461d044361",
+    48000: "b9ac98902b37a81253fd99cde7e664a3c88e24c0f114a0e1ad40f71d5a895c57",
+}
+
+
+@pytest.mark.parametrize("sample_rate", sorted(SALIENCY_HEADER_SHA256))
+def test_stages_build_the_nyquist_grid(sample_rate, rng, tmp_path):
+    signal = AudioSignal(rng.standard_normal(4096), sample_rate)
+    cfg = PipelineConfig.for_sample_rate(sample_rate)
+    mag = magnitude(stft(signal, cfg.window_size, cfg.hop_size))
+    grid = LogFrequencyGrid.for_nyquist(sample_rate / 2.0)
+    assert to_log_frequency(mag).grid == grid
+    mask = TimeFrequencyMask(mag.values > np.median(mag.values))
+    assert f0_enhancement(mask, mag.nyquist_hz, mag.hop_seconds).grid == grid
+    estimate_f0(signal, cfg, dump_dir=tmp_path)
+    header = (tmp_path / "saliency.csv").read_bytes().split(b"\n", 1)[0]
+    assert header.count(b",") + 1 == grid.n_bins
+    assert hashlib.sha256(header).hexdigest() == SALIENCY_HEADER_SHA256[sample_rate]
