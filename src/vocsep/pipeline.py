@@ -11,15 +11,17 @@ each stage function the PipelineConfig fields it reads as plain
 arguments (lam, n_partials, width_hz); the settings no caller tunes are
 constants of the stage modules. The mixture's |X|, the RPCA solves,
 the Wiener mask of the lambda_sep solve and the contour are stored in a
-plain dict memo under a key made of a digest of the mixture and the
-config fields the stage reads, so a stage whose inputs repeat is
-computed once. Each run() call has its own memo unless the
-caller passes one; grid_search passes one memo per clip and RPCA
-setting through evaluate() to run(), so the cells with those settings
-share the clip's analysis, solves, Wiener mask and contours. A cell that
-changes only the harmonic mask then costs the harmonic mask, its product
-with the Wiener mask, one forward and one inverse transform and one
-subtraction. No stage writes into an array it got from the memo.
+plain dict memo, so a stage whose inputs repeat is computed once. A memo
+holds one mixture at one (window_size, hop_size, lambda_f0, lambda_sep),
+so its keys name only what varies within it: "stft", ("rpca", lam),
+"wiener" and ("contour", gamma, alpha, n_partials). Each run() call has
+its own memo; only grid_search makes one to share, one per clip and RPCA
+setting, and passes it through evaluate() to run(), so the cells with
+that setting share the clip's analysis, solves, Wiener mask and
+contours. A cell that changes only the harmonic mask then costs the
+harmonic mask, its product with the Wiener mask, one forward and one
+inverse transform and one subtraction. No stage writes into an array it
+got from the memo.
 
 Every stage releases its intermediates after their last use, and a solve
 in a memo that run() or estimate_f0() made itself leaves it once no
@@ -42,11 +44,11 @@ references) and grid search over pipeline parameters.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import itertools
 import json
 import logging
 import numbers
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -188,35 +190,20 @@ class PipelineConfig:
         return cls.for_sample_rate(sample_rate).with_overrides(data)
 
 
-def _mixture_key(signal: AudioSignal) -> tuple:
-    """Identity of a mixture for memo keys: its samples and rate, not a
-    clip id (ids in a manifest need not be unique)."""
-    digest = hashlib.sha256(np.ascontiguousarray(signal.samples).tobytes()).hexdigest()
-    return digest, signal.sample_rate
-
-
-def _rpca_key(mixture_key: tuple, cfg: PipelineConfig, lam: float) -> tuple:
-    """Memo key of an RPCA solve: the config fields it reads besides
-    the mixture."""
-    return ("rpca", mixture_key, lam, cfg.window_size, cfg.hop_size)
-
-
-def _stft_stage(mixture_key, signal: AudioSignal, cfg: PipelineConfig, memo: dict):
-    """The mixture's STFT magnitude |X|, computed once per mixture and
-    geometry; the memo keeps no other part of the STFT. separate() forms
-    the mixture's phase from a fresh stft of the mixture when it
-    resynthesizes."""
-    key = ("stft", mixture_key, cfg.window_size, cfg.hop_size)
-    if key not in memo:
+def _stft_stage(signal: AudioSignal, cfg: PipelineConfig, memo: dict):
+    """The mixture's STFT magnitude |X|, computed once per memo; the
+    memo keeps no other part of the STFT. separate() forms the mixture's
+    phase from a fresh stft of the mixture when it resynthesizes."""
+    if "stft" not in memo:
         mag = magnitude(stft(signal, cfg.window_size, cfg.hop_size))
         logger.info("stft: %d frames x %d bins", mag.n_frames, mag.n_bins)
-        memo[key] = mag
-    return memo[key]
+        memo["stft"] = mag
+    return memo["stft"]
 
 
-def _rpca_stage(mixture_key, mag, cfg: PipelineConfig, lam: float, memo: dict, stage: str):
+def _rpca_stage(mag, lam: float, memo: dict, stage: str):
     """Low-rank/sparse split of the magnitude at sparsity weight lam."""
-    key = _rpca_key(mixture_key, cfg, lam)
+    key = ("rpca", lam)
     if key not in memo:
         t0 = time.perf_counter()
         memo[key] = rpca.decompose(mag.values, lam)
@@ -224,13 +211,11 @@ def _rpca_stage(mixture_key, mag, cfg: PipelineConfig, lam: float, memo: dict, s
     return memo[key]
 
 
-def _soft_stage(mixture_key, mag, cfg: PipelineConfig, memo: dict):
+def _soft_stage(mag, cfg: PipelineConfig, memo: dict):
     """The Wiener mask of the lambda_sep split, stored next to it."""
-    key = ("wiener", _rpca_key(mixture_key, cfg, cfg.lambda_sep))
-    if key not in memo:
-        decomposition = _rpca_stage(mixture_key, mag, cfg, cfg.lambda_sep, memo, "rpca[sep]")
-        memo[key] = wiener_mask(decomposition)
-    return memo[key]
+    if "wiener" not in memo:
+        memo["wiener"] = wiener_mask(_rpca_stage(mag, cfg.lambda_sep, memo, "rpca[sep]"))
+    return memo["wiener"]
 
 
 def _dump_dir(path) -> Path | None:
@@ -242,7 +227,7 @@ def _dump_dir(path) -> Path | None:
 
 
 def _contour_stage(
-    mixture_key, mag, cfg: PipelineConfig, memo: dict, dump_dir=None, drop_solve=False
+    mag, cfg: PipelineConfig, memo: dict, dump_dir=None, drop_solve=False
 ) -> F0Contour:
     """F0 contour from the lambda_f0 split. Frames whose binary-masked
     vocal spectrogram is identically zero come back unvoiced.
@@ -252,20 +237,17 @@ def _contour_stage(
     mask is built, for a memo that no later stage reads it from. Each
     intermediate is released after its last use.
     """
-    key = (
-        "contour", _rpca_key(mixture_key, cfg, cfg.lambda_f0),
-        cfg.gamma, cfg.alpha, cfg.n_partials,
-    )
+    key = ("contour", cfg.gamma, cfg.alpha, cfg.n_partials)
     if key in memo:
         return memo[key]
-    decomposition = _rpca_stage(mixture_key, mag, cfg, cfg.lambda_f0, memo, "rpca[f0]")
+    decomposition = _rpca_stage(mag, cfg.lambda_f0, memo, "rpca[f0]")
     mask_b = binary_mask(decomposition, cfg.gamma)
     if dump_dir is not None:
         trace_to_csv(decomposition, dump_dir / "rpca_trace.csv")
         mask_to_pgm(mask_b, dump_dir / "binary_rpca.pgm")
     del decomposition
     if drop_solve:
-        del memo[_rpca_key(mixture_key, cfg, cfg.lambda_f0)]
+        del memo["rpca", cfg.lambda_f0]
 
     vocal_mag = dataclasses.replace(mag, values=mask_b.values * mag.values)
     sounding = vocal_mag.values.max(axis=1) > 0
@@ -290,14 +272,13 @@ def _contour_stage(
 
 
 def _mask_stage(
-    mixture_key, mag, contour: F0Contour, cfg: PipelineConfig, memo: dict,
-    dump_dir=None, clear_memo=False,
+    mag, contour: F0Contour, cfg: PipelineConfig, memo: dict, dump_dir=None, clear_memo=False
 ):
     """The vocal mask: the Wiener mask times the harmonic mask,
     binarised in binary mode. clear_memo empties the memo once the
     Wiener mask is taken from it, for a memo that no later stage
     reads."""
-    soft = _soft_stage(mixture_key, mag, cfg, memo)
+    soft = _soft_stage(mag, cfg, memo)
     if clear_memo:
         memo.clear()
     harmonic = harmonic_mask(contour, mag, cfg.n_partials, cfg.w)
@@ -318,9 +299,9 @@ def estimate_f0(
     stages of run()). With dump_dir, writes rpca_trace.csv, saliency.csv
     and binary_rpca.pgm there."""
     dump_dir = _dump_dir(dump_dir)
-    mixture_key, memo = _mixture_key(signal), {}
-    mag = _stft_stage(mixture_key, signal, cfg, memo)
-    return _contour_stage(mixture_key, mag, cfg, memo, dump_dir, drop_solve=True)
+    memo = {}
+    mag = _stft_stage(signal, cfg, memo)
+    return _contour_stage(mag, cfg, memo, dump_dir, drop_solve=True)
 
 
 def _log_rpca(stage, result, t0):
@@ -337,7 +318,8 @@ def run(
     cfg: PipelineConfig | None = None,
     ground_truth_f0: F0Contour | None = None,
     dump_dir: str | Path | None = None,
-    memo: dict | None = None,
+    *,
+    _memo: dict | None = None,
 ):
     """Separate a mixture and estimate its vocal F0.
 
@@ -355,11 +337,14 @@ def run(
         rpca_trace.csv (the lambda_f0 solve), saliency.csv and
         binary_rpca.pgm from the contour stage; wiener.pgm,
         harmonic.pgm and integrated.csv from the mask stage.
-    memo : dict, optional
-        Stage results (the mixture's |X|, RPCA solves, the Wiener mask,
-        contours) to reuse and add to; a fresh one is used when omitted,
-        so equal lambda_sep and lambda_f0 still solve once. Stages taken from the memo write no debug artifacts, and
-        nothing in it is written to.
+    _memo : dict, optional
+        grid_search's memo of this mixture at this cfg's window_size,
+        hop_size and lambdas, which its keys do not record: the
+        mixture's |X|, RPCA solves, the Wiener mask and contours to
+        reuse and add to. Stages taken from it write no debug
+        artifacts, and nothing in it is written to. Without it, run()
+        keeps its own, so equal lambda_sep and lambda_f0 still solve
+        once.
 
     Returns
     -------
@@ -367,13 +352,11 @@ def run(
     """
     if cfg is None:
         cfg = PipelineConfig.for_sample_rate(signal.sample_rate)
-    own_memo = memo is None
-    if own_memo:
-        memo = {}
+    own_memo = _memo is None
+    memo = {} if own_memo else _memo
     dump_dir = _dump_dir(dump_dir)
     t_start = time.perf_counter()
-    mixture_key = _mixture_key(signal)
-    mag = _stft_stage(mixture_key, signal, cfg, memo)
+    mag = _stft_stage(signal, cfg, memo)
     if ground_truth_f0 is not None and ground_truth_f0.n_frames != mag.n_frames:
         raise ValueError(
             "ground-truth contour has %d frames, expected %d; align it "
@@ -383,15 +366,15 @@ def run(
     if own_memo and cfg.lambda_f0 == cfg.lambda_sep:
         # the Wiener mask first, so that the contour stage can drop the
         # shared solve as soon as its binary mask is built
-        _soft_stage(mixture_key, mag, cfg, memo)
+        _soft_stage(mag, cfg, memo)
     contour = ground_truth_f0
     if contour is None:
         # in our own memo, no later stage reads the lambda_f0 solve
-        contour = _contour_stage(mixture_key, mag, cfg, memo, dump_dir, drop_solve=own_memo)
+        contour = _contour_stage(mag, cfg, memo, dump_dir, drop_solve=own_memo)
     # separate() gets the only reference to the vocal mask, and lets it
     # go before the resynthesis
     result = separate(
-        signal, mag, _mask_stage(mixture_key, mag, contour, cfg, memo, dump_dir, own_memo)
+        signal, mag, _mask_stage(mag, contour, cfg, memo, dump_dir, own_memo)
     )
     logger.info("pipeline done (%.2fs total)", time.perf_counter() - t_start)
     return result, contour
@@ -442,7 +425,7 @@ def _score_clip(
     snr_db: float | None,
     tolerance_cents: float,
     use_ground_truth_f0: bool,
-    memo: dict | None = None,
+    memo: dict | None,
 ) -> dict:
     """Evaluate one clip; returns a per-clip report dict. memo is passed
     on to run()."""
@@ -475,7 +458,7 @@ def _score_clip(
     if use_ground_truth_f0:
         n_frames = 1 + n // cfg.hop_size
         gt = align_contour(truth, n_frames, cfg.hop_size / mixture.sample_rate)
-    separation, contour = run(mixture, cfg, ground_truth_f0=gt, memo=memo)
+    separation, contour = run(mixture, cfg, ground_truth_f0=gt, _memo=memo)
 
     gated = {
         "est_vocal": voiced_region_mask(separation.vocal, truth),
@@ -539,7 +522,8 @@ def evaluate(
     tolerance_cents: float = PITCH_TOLERANCE_CENTS,
     workers: int = 1,
     use_ground_truth_f0: bool = False,
-    memo: dict | None = None,
+    *,
+    _memo: dict | None = None,
 ) -> dict:
     """Score a corpus: per-clip SDR/SIR/SAR/NSDR for both sources, raw
     pitch accuracy, and length-weighted global aggregates.
@@ -549,7 +533,8 @@ def evaluate(
     section per SNR; otherwise the manifest mixtures are scored
     directly. snr_list must not be empty, and each SNR must be finite.
     Clip failures are recorded per clip, never fatal. Clips are scored
-    one after another, and memo is passed to each run().
+    one after another. _memo is grid_search's memo of its one clip at one
+    RPCA setting, passed on to run(); no other caller passes one.
 
     workers must be 1; any other value is a ValueError. The keyword
     goes once the benchmark harness stops passing workers=1.
@@ -568,7 +553,7 @@ def evaluate(
         for entry in entries:
             try:
                 clip = _score_clip(
-                    entry, cfg, snr_db, tolerance_cents, use_ground_truth_f0, memo
+                    entry, cfg, snr_db, tolerance_cents, use_ground_truth_f0, _memo
                 )
             except Exception as exc:  # per-clip failures must not sink the corpus
                 logger.warning("clip %s failed: %s", entry.clip_id, exc)
@@ -599,7 +584,8 @@ class GridAxis:
     name may be any numeric PipelineConfig field, or "lambda" to sweep
     lambda_sep and lambda_f0 together. The integer fields (window_size,
     hop_size, n_partials) take only whole values; a fractional one makes
-    its cell fail. start, stop and step must be finite.
+    its cell fail. start, stop and step must be finite, and the range may
+    hold no more steps than a Python list can (sys.maxsize).
     """
 
     name: str
@@ -616,6 +602,12 @@ class GridAxis:
             raise ValueError("step must be positive")
         if self.stop < self.start:
             raise ValueError("stop must be >= start")
+        steps = (self.stop - self.start) / self.step
+        if not steps < sys.maxsize:  # also an overflow to inf
+            raise ValueError(
+                "axis %r spans %r steps of %r, more values than a list can hold"
+                % (self.name, steps, self.step)
+            )
 
     def values(self) -> list:
         # floored (int() of a nonnegative ratio), so no value passes
@@ -696,9 +688,11 @@ def grid_search(
     Clips run one at a time. Within a clip, the cells that share RPCA
     settings (window_size, hop_size and both lambdas) run together on one
     memo, so the clip's |X|, solves, Wiener mask and contours are
-    computed once per setting whatever the order of the axes. The memo
-    goes before the next setting, so the sweep holds one clip's memo at
-    one RPCA setting, however large the corpus.
+    computed once per setting whatever the order of the axes. The memo's
+    keys record neither the clip nor these settings, so this grouping is
+    what keeps one clip's or one setting's results from serving another.
+    The memo goes before the next setting, so the sweep holds one clip's
+    memo at one RPCA setting, however large the corpus.
 
     workers must be 1, as in evaluate(), and goes with its keyword there.
     """
@@ -734,7 +728,7 @@ def grid_search(
                     cell_cfg,
                     tolerance_cents=tolerance_cents,
                     use_ground_truth_f0=spec.use_ground_truth_f0,
-                    memo=memo,
+                    _memo=memo,
                 )
                 clips.extend(report["clips"])
 

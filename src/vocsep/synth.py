@@ -29,6 +29,14 @@ __all__ = [
 ]
 
 
+# Each partial of the vocal is TONE_DECAY times the one below it, the
+# vocal has VOCAL_HARMONICS partials, and the vocal and the accompaniment
+# are each scaled to peak at SOURCE_PEAK before they are mixed.
+TONE_DECAY = 0.6
+VOCAL_HARMONICS = 8
+SOURCE_PEAK = 0.35
+
+
 @dataclass(frozen=True)
 class SyntheticClip:
     mixture: AudioSignal
@@ -58,18 +66,15 @@ def vibrato_f0(n_samples: int, sample_rate: int) -> np.ndarray:
 
 
 def harmonic_tone(
-    f0_track: np.ndarray,
-    sample_rate: int,
-    n_harmonics: int = 8,
-    decay: float = 0.6,
-    peak: float = 0.35,
+    f0_track: np.ndarray, sample_rate: int, n_harmonics: int = VOCAL_HARMONICS
 ) -> np.ndarray:
-    """Sum of n_harmonics phase-continuous partials of a varying F0."""
+    """Sum of n_harmonics phase-continuous partials of a varying F0,
+    peaking at SOURCE_PEAK."""
     phase = 2 * np.pi * np.cumsum(f0_track) / sample_rate
     out = np.zeros_like(f0_track)
     for n in range(1, n_harmonics + 1):
-        out += decay ** (n - 1) * np.sin(n * phase)
-    return out * (peak / np.abs(out).max())
+        out += TONE_DECAY ** (n - 1) * np.sin(n * phase)
+    return out * (SOURCE_PEAK / np.abs(out).max())
 
 
 def _one_bar(bar_samples: int, sample_rate: int, rng: np.random.Generator) -> np.ndarray:
@@ -101,30 +106,23 @@ def _one_bar(bar_samples: int, sample_rate: int, rng: np.random.Generator) -> np
     return bar
 
 
-def loop_accompaniment(
-    n_samples: int,
-    sample_rate: int,
-    bars: int | None = None,
-    seed: int = 0,
-    peak: float = 0.35,
-) -> np.ndarray:
-    """Exactly repeating accompaniment: one bar tiled `bars` times.
+def loop_accompaniment(n_samples: int, sample_rate: int, seed: int = 0) -> np.ndarray:
+    """Exactly repeating accompaniment: one bar tiled to the clip's
+    length, peaking at SOURCE_PEAK.
 
-    When `bars` is None the bar period is held near 1.0 s so longer
-    clips repeat the loop more often instead of stretching it. A whole
-    second also keeps repetitions aligned to 10 ms analysis frames.
+    The bar period is held near 1.0 s so longer clips repeat the loop
+    more often instead of stretching it. A whole second also keeps
+    repetitions aligned to 10 ms analysis frames. A clip shorter than a
+    tenth of a second is too short for a meaningful bar.
     """
-    if bars is None:
-        bars = max(1, round(n_samples / float(sample_rate)))
-    if bars < 1:
-        raise ValueError("bars must be >= 1")
+    bars = max(1, round(n_samples / float(sample_rate)))
     bar_samples = n_samples // bars
     if bar_samples < sample_rate // 10:
         raise ValueError("bars too short to be meaningful")
     rng = np.random.default_rng(seed)
     bar = _one_bar(bar_samples, sample_rate, rng)
     out = np.tile(bar, bars + 1)[:n_samples]
-    return out * (peak / np.abs(out).max())
+    return out * (SOURCE_PEAK / np.abs(out).max())
 
 
 def mix_at_snr(vocal: np.ndarray, accomp: np.ndarray, snr_db: float):
@@ -144,7 +142,6 @@ def make_clip(
     hop_size: int = 160,
     snr_db: float = 0.0,
     seed: int = 0,
-    n_harmonics: int = 8,
 ) -> SyntheticClip:
     """Build a synthetic mixture with known references and F0 truth.
 
@@ -153,7 +150,7 @@ def make_clip(
     """
     n = int(round(duration_seconds * sample_rate))
     f0_track = vibrato_f0(n, sample_rate)
-    vocal = harmonic_tone(f0_track, sample_rate, n_harmonics=n_harmonics)
+    vocal = harmonic_tone(f0_track, sample_rate)
     accomp = loop_accompaniment(n, sample_rate, seed=seed)
     mixture, accomp = mix_at_snr(vocal, accomp, snr_db)
 

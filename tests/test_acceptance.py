@@ -144,7 +144,7 @@ def test_criterion_3_mask_algebra():
     for _ in range(n_trials):
         n = 2048 + int(rng.integers(0, 1600))
         signal = _random_signal(rng, n)
-        mag = _stft_stage(None, signal, PipelineConfig(), {})
+        mag = _stft_stage(signal, PipelineConfig(), {})
         shape = (mag.n_frames, mag.n_bins)
         fake = RpcaResult(
             low_rank=rng.normal(size=shape),
@@ -322,7 +322,7 @@ def test_criterion_10_each_task_improves_the_other():
         clip = make_clip(duration_seconds=2.0, sample_rate=rate, seed=seed, snr_db=snr_db)
         cfg = PipelineConfig.for_sample_rate(rate)
         full, _ = run(clip.mixture, cfg)
-        mag = _stft_stage(None, clip.mixture, cfg, {})
+        mag = _stft_stage(clip.mixture, cfg, {})
         solve = decompose(mag.values, cfg.lambda_sep)  # lambda_f0 is the same
         wiener = separate(clip.mixture, mag, wiener_mask(solve))
         gains.append(tuple(

@@ -497,8 +497,13 @@ class TestGridSearch:
             ["--axis", "lamda:0.8:1.0:0.2"],
             ["--axis", "mask_mode:0:1:1"],
             ["--axis", "w:30:70:40", "--objective", "rpa", "--ground-truth-f0"],
+            ["--axis", "w:1:1e308:1e-10"],
+            ["--axis", "w:0:1:1e-300"],
         ],
-        ids=["misspelled-axis", "non-numeric-field", "rpa-of-the-truth-contour"],
+        ids=[
+            "misspelled-axis", "non-numeric-field", "rpa-of-the-truth-contour",
+            "value-count-overflows", "value-count-past-maxsize",
+        ],
     )
     def test_invalid_spec_exits_before_reading_audio(self, cli_corpus, tmp_path, monkeypatch, args):
         reads = []

@@ -451,7 +451,7 @@ class TestIntegration:
 def _analysis(signal, window_size=2048, hop_size=160):
     """|X| of a signal, built as run() builds it."""
     cfg = PipelineConfig(window_size=window_size, hop_size=hop_size)
-    return _stft_stage(None, signal, cfg, {})
+    return _stft_stage(signal, cfg, {})
 
 
 class TestSeparate:

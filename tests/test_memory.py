@@ -1,5 +1,5 @@
 """Peak memory of run(), estimate_f0(), magnitude(stft()), the solver,
-the tracker and a grid sweep, and what a caller's memo holds after
+the tracker and a grid sweep, and what grid_search's memo holds after
 run(), as a multiple of the float64 magnitude spectrogram: frames x
 (window_size/2 + 1) x 8 bytes."""
 
@@ -149,10 +149,13 @@ def test_memo_hold_per_clip(overrides, solves, clip_and_cfg):
     signal, cfg = clip_and_cfg
     cfg = cfg.with_overrides(overrides)
     memo = {}
-    run(signal, cfg, memo=memo)
-    assert [key[0] for key in memo].count("rpca") == solves
+    run(signal, cfg, _memo=memo)
+    contour_key = ("contour", cfg.gamma, cfg.alpha, cfg.n_partials)
+    rpca_keys = {("rpca", lam) for lam in (cfg.lambda_sep, cfg.lambda_f0)}
+    assert len(rpca_keys) == solves
+    assert set(memo) == {"stft", "wiener", contour_key} | rpca_keys
     held = sum(_array_nbytes(value) for value in memo.values())
-    contour = sum(_array_nbytes(value) for key, value in memo.items() if key[0] == "contour")
+    contour = _array_nbytes(memo[contour_key])
     mag_nbytes = _mag_nbytes(signal, cfg)
     assert held <= (2 + 2 * solves) * mag_nbytes + contour
     assert contour < 0.01 * mag_nbytes

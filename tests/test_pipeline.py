@@ -16,7 +16,7 @@ import vocsep.masks as masks_mod
 import vocsep.pipeline as pipeline_mod
 import vocsep.rpca as rpca_mod
 import vocsep.saliency as saliency_mod
-from vocsep.audio import AudioSignal
+from vocsep.audio import AudioSignal, read_wav
 from vocsep.spectrogram import MagnitudeSpectrogram, magnitude, stft
 from vocsep.pipeline import (
     GridAxis,
@@ -299,9 +299,9 @@ class TestRun:
     def test_memo_hit_changes_nothing(self, tiny_clip, solves):
         cfg = PipelineConfig(lambda_sep=1.0)
         memo = {}
-        first, contour_a = run(tiny_clip.mixture, cfg, memo=memo)
+        first, contour_a = run(tiny_clip.mixture, cfg, _memo=memo)
         assert solves == [0.8, 1.0]
-        reused, contour_b = run(tiny_clip.mixture, cfg, memo=memo)
+        reused, contour_b = run(tiny_clip.mixture, cfg, _memo=memo)
         assert solves == [0.8, 1.0]
         assert contour_b is contour_a
         fresh, contour_c = run(tiny_clip.mixture, cfg)
@@ -349,7 +349,7 @@ class TestRun:
 
     def test_memo_hit_runs_one_istft_and_no_analysis(self, tiny_clip, monkeypatch):
         memo = {}
-        run(tiny_clip.mixture, PipelineConfig(), memo=memo)
+        run(tiny_clip.mixture, PipelineConfig(), _memo=memo)
         calls = collections.Counter()
         for module, name in ((pipeline_mod, "stft"), (pipeline_mod, "magnitude"), (masks_mod, "istft")):
             original = getattr(module, name)
@@ -360,7 +360,7 @@ class TestRun:
 
             monkeypatch.setattr(module, name, counting)
         cfg = PipelineConfig(w=70.0)
-        hit, hit_contour = run(tiny_clip.mixture, cfg, memo=memo)
+        hit, hit_contour = run(tiny_clip.mixture, cfg, _memo=memo)
         assert calls == {"istft": 1}
         fresh, fresh_contour = run(tiny_clip.mixture, cfg)
         assert calls == {"istft": 2, "stft": 1, "magnitude": 1}
@@ -380,14 +380,14 @@ class TestRun:
 
         monkeypatch.setattr(pipeline_mod, "wiener_mask", counting)
         memo = {}
-        run(tiny_clip.mixture, PipelineConfig(lambda_f0=1.0), memo=memo)
+        run(tiny_clip.mixture, PipelineConfig(lambda_f0=1.0), _memo=memo)
         assert len(calls) == 1
         for cfg in (
             PipelineConfig(lambda_f0=1.0, w=70.0),
             PipelineConfig(lambda_f0=1.0, mask_mode="binary"),
             PipelineConfig(lambda_f0=1.0, alpha=0.0),
         ):
-            hit, hit_contour = run(tiny_clip.mixture, cfg, memo=memo)
+            hit, hit_contour = run(tiny_clip.mixture, cfg, _memo=memo)
             assert len(calls) == 1
             fresh, fresh_contour = run(tiny_clip.mixture, cfg)
             assert len(calls) == 2
@@ -397,10 +397,8 @@ class TestRun:
             for part in ("vocal_spec", "accomp_spec"):
                 assert np.array_equal(getattr(hit, part).values, getattr(fresh, part).values)
             assert np.array_equal(hit_contour.f0_hz, fresh_contour.f0_hz)
-        # a new lambda_sep is a new solve and a new mask
-        run(tiny_clip.mixture, PipelineConfig(lambda_f0=1.0, lambda_sep=0.9), memo=memo)
-        assert len(calls) == 2
-        assert solves.count(0.8) == 4 and solves.count(0.9) == 1
+        # the memo's two solves, then two per fresh run
+        assert solves.count(0.8) == solves.count(1.0) == 4
 
     def test_runs_leave_the_memo_arrays_unchanged(self, tiny_clip, solves):
         # leading silence gives all-zero STFT bins, which a clamp of |X|
@@ -408,38 +406,31 @@ class TestRun:
         sr = tiny_clip.mixture.sample_rate
         mixture = AudioSignal(np.concatenate([np.zeros(sr // 2), tiny_clip.mixture.samples]), sr)
         memo = {}
-        run(mixture, PipelineConfig(), memo=memo)
-        assert sorted(key[0] for key in memo) == ["contour", "rpca", "stft", "wiener"]
+        cfg = PipelineConfig()
+        run(mixture, cfg, _memo=memo)
+        assert set(memo) == {
+            "stft", ("rpca", 0.8), "wiener", ("contour", cfg.gamma, cfg.alpha, cfg.n_partials),
+        }
         # |X| is all the memo keeps of the STFT
-        mag = next(value for key, value in memo.items() if key[0] == "stft")
+        mag = memo["stft"]
         assert isinstance(mag, MagnitudeSpectrogram)
         assert np.any(mag.values == 0)
         before = _memo_digests(memo)
         for cfg in (PipelineConfig(w=70.0), PipelineConfig(mask_mode="binary")):
-            run(mixture, cfg, memo=memo)
+            run(mixture, cfg, _memo=memo)
         assert solves == [0.8]
         assert _memo_digests(memo) == before
 
-    def test_memo_is_keyed_by_samples_not_by_object(self, tiny_clip, solves):
-        memo = {}
-        run(tiny_clip.mixture, PipelineConfig(), memo=memo)
-        copy = AudioSignal(tiny_clip.mixture.samples.copy(), tiny_clip.mixture.sample_rate)
-        run(copy, PipelineConfig(w=70.0), memo=memo)
-        assert solves == [0.8]
-        louder = AudioSignal(2.0 * tiny_clip.mixture.samples, tiny_clip.mixture.sample_rate)
-        run(louder, PipelineConfig(), memo=memo)
-        assert solves == [0.8, 0.8]
-
     def test_contour_fields_recompute_the_contour_only(self, tiny_clip, solves):
         memo = {}
-        _, base = run(tiny_clip.mixture, PipelineConfig(), memo=memo)
-        _, other = run(tiny_clip.mixture, PipelineConfig(alpha=0.0), memo=memo)
+        _, base = run(tiny_clip.mixture, PipelineConfig(), _memo=memo)
+        _, other = run(tiny_clip.mixture, PipelineConfig(alpha=0.0), _memo=memo)
         _, fresh = run(tiny_clip.mixture, PipelineConfig(alpha=0.0))
         assert solves == [0.8, 0.8]
         assert other is not base
         np.testing.assert_array_equal(other.f0_hz, fresh.f0_hz)
 
-    def test_memo_filled_at_base_matches_a_fresh_run_for_every_field(self):
+    def test_memo_filled_at_base_matches_a_fresh_run_for_every_field(self, tmp_path):
         # one valid alternative per PipelineConfig field, each changing
         # this clip's outputs; a field added without a case here fails
         # the first assertion
@@ -455,13 +446,32 @@ class TestRun:
             "mask_mode": "binary",
         }
         assert list(alternatives) == [f.name for f in dataclasses.fields(PipelineConfig)]
-        mixture = make_clip(duration_seconds=0.5, sample_rate=16000, seed=5).mixture
+        # a memo holds one RPCA setting, so grid_search gives each its own
+        rpca_settings = ["window_size", "hop_size", "lambda_sep", "lambda_f0"]
+        entries = load_corpus(write_demo_corpus(tmp_path, n_clips=1, duration_seconds=0.5))
+        mixture = read_wav(entries[0].mixture_path)
         base = PipelineConfig()
         base_memo = {}
-        base_sep, base_contour = run(mixture, base, memo=base_memo)
+        base_sep, base_contour = run(mixture, base, _memo=base_memo)
+        base_report = evaluate(entries, base)
         for name, value in alternatives.items():
             cfg = dataclasses.replace(base, **{name: value})
-            sep, contour = run(mixture, cfg, memo=dict(base_memo))
+            if name in rpca_settings:
+                low, high = sorted([getattr(base, name), value])
+                spec = GridSearchSpec(axes=(GridAxis(name, low, high, high - low),))
+                reports = {getattr(base, name): base_report, value: evaluate(entries, cfg)}
+                scores = [
+                    (report["vocal"]["gnsdr"], report["raw_pitch_accuracy_mean"])
+                    for report in reports.values()
+                ]
+                assert scores[0] != scores[1], name
+                cells = grid_search(entries, spec, base)
+                assert [cell[name] for cell in cells] == [low, high], name
+                for cell in cells:
+                    assert cell["value"] == reports[cell[name]]["vocal"]["gnsdr"], name
+                    assert cell["n_failed"] == 0, name
+                continue
+            sep, contour = run(mixture, cfg, _memo=dict(base_memo))
             fresh_sep, fresh_contour = run(mixture, cfg)
             assert not (
                 np.array_equal(fresh_sep.vocal.samples, base_sep.vocal.samples)
@@ -472,6 +482,15 @@ class TestRun:
                 sep.accompaniment.samples, fresh_sep.accompaniment.samples, err_msg=name
             )
             np.testing.assert_array_equal(contour.f0_hz, fresh_contour.f0_hz, err_msg=name)
+
+    def test_memo_is_not_public(self, tiny_clip, tiny_corpus, solves):
+        # a memo serves one mixture at one RPCA setting, which only
+        # grid_search keeps to
+        with pytest.raises(TypeError, match="memo"):
+            run(tiny_clip.mixture, PipelineConfig(), memo={})
+        with pytest.raises(TypeError, match="memo"):
+            evaluate(load_corpus(tiny_corpus), PipelineConfig(), memo={})
+        assert solves == []
 
     def test_ground_truth_skips_estimation_pass(self, tiny_clip, solves):
         sep, contour = run(
@@ -766,6 +785,21 @@ class TestGridAxis:
         with pytest.raises(ValueError):
             GridAxis("alpha", 1.0, 0.0, 0.1)
 
+    @pytest.mark.parametrize(
+        "start, stop, step",
+        [(1.0, 1e308, 1e-10), (-1e308, 1e308, 1.0), (0.0, 1.0, 1e-300), (0.0, 2.0**63, 1.0)],
+        ids=["overflows", "overflows-from-finite-span", "past-maxsize", "at-maxsize"],
+    )
+    def test_more_values_than_a_list_holds_rejected(self, start, stop, step):
+        # rejected at construction; values() would raise OverflowError,
+        # or try to build a list longer than memory
+        with pytest.raises(ValueError, match="more values than a list can hold"):
+            GridAxis("w", start, stop, step)
+
+    def test_huge_but_listable_axis_is_accepted(self):
+        # a finite sweep that is merely huge is the caller's to choose
+        GridAxis("w", 0.0, 2.0**62, 1.0)
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("field", ["start", "stop", "step"])
     def test_non_finite_bound_rejected(self, field, value):
@@ -887,8 +921,17 @@ class TestGridSearch:
         [
             (GridAxis("gamma", 0.5, 1.0, 0.5),),
             (GridAxis("alpha", 0.6, 1.2, 0.6), GridAxis("n_partials", 0.0, 10.0, 10.0)),
+            # the memo's keys record none of these fields, so only
+            # grid_search's grouping keeps their cells apart
+            (GridAxis("window_size", 1024.0, 2048.0, 1024.0),),
+            (GridAxis("hop_size", 160.0, 320.0, 160.0), GridAxis("w", 30.0, 70.0, 40.0)),
+            (GridAxis("w", 30.0, 70.0, 40.0), GridAxis("lambda_sep", 0.8, 1.0, 0.2)),
+            (GridAxis("lambda_f0", 0.8, 1.0, 0.2), GridAxis("gamma", 0.5, 1.0, 0.5)),
         ],
-        ids=["gamma", "alpha-n_partials"],
+        ids=[
+            "gamma", "alpha-n_partials", "window_size", "hop_size-w", "w-lambda_sep",
+            "lambda_f0-gamma",
+        ],
     )
     def test_every_cell_scores_as_evaluate(self, demo_corpus, axes):
         entries = load_corpus(demo_corpus)

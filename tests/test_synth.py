@@ -9,6 +9,7 @@ import pytest
 from vocsep.audio import read_wav
 from vocsep.pipeline import PipelineConfig, evaluate, load_corpus
 from vocsep.synth import (
+    SOURCE_PEAK,
     harmonic_tone,
     loop_accompaniment,
     make_clip,
@@ -39,12 +40,12 @@ class TestVibratoF0:
 class TestHarmonicTone:
     def test_peak_normalized(self):
         track = vibrato_f0(16000, 16000)
-        tone = harmonic_tone(track, 16000, peak=0.35)
-        assert np.abs(tone).max() == pytest.approx(0.35)
+        tone = harmonic_tone(track, 16000)
+        assert np.abs(tone).max() == pytest.approx(SOURCE_PEAK)
 
     def test_single_harmonic_is_a_sine(self):
         track = np.full(16000, 100.0)
-        tone = harmonic_tone(track, 16000, n_harmonics=1, peak=1.0)
+        tone = harmonic_tone(track, 16000, n_harmonics=1)
         # 100 Hz fits 100 cycles in one second; count zero crossings
         crossings = np.sum(np.diff(np.signbit(tone)))
         assert abs(int(crossings) - 200) <= 2
@@ -61,21 +62,18 @@ class TestLoopAccompaniment:
         np.testing.assert_array_equal(out[:16000], out[32000:])
 
     def test_peak_normalized(self):
-        out = loop_accompaniment(32000, 16000, peak=0.35)
-        assert np.abs(out).max() == pytest.approx(0.35)
+        out = loop_accompaniment(32000, 16000)
+        assert np.abs(out).max() == pytest.approx(SOURCE_PEAK)
 
     def test_seed_changes_bursts(self):
         a = loop_accompaniment(16000, 16000, seed=0)
         b = loop_accompaniment(16000, 16000, seed=1)
         assert not np.array_equal(a, b)
 
-    def test_too_many_bars_rejected(self):
-        with pytest.raises(ValueError):
-            loop_accompaniment(16000, 16000, bars=11)
-
-    def test_zero_bars_rejected(self):
-        with pytest.raises(ValueError):
-            loop_accompaniment(16000, 16000, bars=0)
+    def test_clip_under_a_tenth_of_a_second_rejected(self):
+        with pytest.raises(ValueError, match="too short"):
+            loop_accompaniment(1599, 16000)
+        assert loop_accompaniment(1600, 16000).size == 1600
 
 
 class TestMixAtSnr:
