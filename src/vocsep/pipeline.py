@@ -16,12 +16,15 @@ holds one mixture at one (window_size, hop_size, lambda_f0, lambda_sep),
 so its keys name only what varies within it: "stft", ("rpca", lam),
 "wiener" and ("contour", gamma, alpha, n_partials). Each run() call has
 its own memo; only grid_search makes one to share, one per clip and RPCA
-setting, and passes it through evaluate() to run(), so the cells with
-that setting share the clip's analysis, solves, Wiener mask and
-contours. A cell that changes only the harmonic mask then costs the
-harmonic mask, its product with the Wiener mask, one forward and one
-inverse transform and one subtraction. No stage writes into an array it
-got from the memo.
+setting. It reads the clip once and puts it in each such memo under
+"clip". Before the setting's first cell it fills the memo with the
+clip's |X|, every contour the cells ask for and the Wiener mask, and
+drops each solve once nothing left to compute reads it. It passes the
+memo through evaluate(), which takes the clip from it instead of
+reading it, to run(). A cell then costs the harmonic mask, its product
+with the Wiener mask, one forward and one inverse transform and one
+subtraction, and no solve is held while it runs. No stage writes into
+an array it got from the memo.
 
 Every stage releases its intermediates after their last use, and a solve
 in a memo that run() or estimate_f0() made itself leaves it once no
@@ -34,11 +37,12 @@ of frames at a time from a fresh transform of the mixture's frames. The
 STFT, the log-frequency resampling, the subharmonic summation, the comb
 enhancement, the Wiener and binary masks and the resynthesis work a
 block of frames at a time. That keeps the peak of run() at about
-5 times the float64 magnitude spectrogram (tests/test_memory.py bounds
-it at 5.5).
+5 times the float64 magnitude spectrogram, and that of a grid sweep at
+about 6.5 (tests/test_memory.py bounds them at 5.5 and 7.0).
 
 Also hosts corpus evaluation (with optional SNR remixing from the
-references) and grid search over pipeline parameters.
+references, reading each clip once for every SNR) and grid search over
+pipeline parameters.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -419,25 +424,33 @@ def load_corpus(manifest_path) -> list:
     return entries
 
 
-def _score_clip(
-    entry: CorpusEntry,
-    cfg: PipelineConfig,
-    snr_db: float | None,
-    tolerance_cents: float,
-    use_ground_truth_f0: bool,
-    memo: dict | None,
-) -> dict:
-    """Evaluate one clip; returns a per-clip report dict. memo is passed
-    on to run()."""
+class _Clip(NamedTuple):
+    """A clip's mixture, references and truth contour. The mixture is
+    None in a clip read to be remixed from its references."""
+
+    mixture: AudioSignal | None
+    vocal: AudioSignal
+    accomp: AudioSignal
+    truth: F0Contour
+
+
+def _read_clip(entry: CorpusEntry, remix: bool) -> _Clip:
+    """Read a clip's references and truth, and its mixture unless remix."""
     ref_vocal = read_wav(entry.vocal_path)
     ref_accomp = read_wav(entry.accomp_path)
     truth = read_f0_csv(entry.f0_path)
     if ref_vocal.sample_rate != ref_accomp.sample_rate:
         raise ValueError("reference sample rates differ for %s" % entry.clip_id)
-    if snr_db is None:
-        mixture = read_wav(entry.mixture_path)
-    else:
-        # remix from the references, targeting the SNR over voiced samples
+    mixture = None if remix else read_wav(entry.mixture_path)
+    return _Clip(mixture, ref_vocal, ref_accomp, truth)
+
+
+def _mix_clip(entry: CorpusEntry, clip: _Clip, snr_db: float | None) -> _Clip:
+    """The clip to score: with snr_db, its references remixed at that
+    SNR, measured over voiced samples; otherwise its own mixture. The
+    signals are trimmed to their common length."""
+    mixture, ref_vocal, ref_accomp, truth = clip
+    if snr_db is not None:
         gain = snr_gain(
             voiced_region_mask(ref_vocal, truth).samples,
             voiced_region_mask(ref_accomp, truth).samples,
@@ -450,10 +463,24 @@ def _score_clip(
     if mixture.sample_rate != ref_vocal.sample_rate:
         raise ValueError("mixture sample rate differs for %s" % entry.clip_id)
     n = min(mixture.samples.size, ref_vocal.samples.size, ref_accomp.samples.size)
-    mixture = AudioSignal(mixture.samples[:n], mixture.sample_rate)
-    ref_vocal = AudioSignal(ref_vocal.samples[:n], ref_vocal.sample_rate)
-    ref_accomp = AudioSignal(ref_accomp.samples[:n], ref_accomp.sample_rate)
+    return _Clip(
+        *(AudioSignal(s.samples[:n], s.sample_rate) for s in (mixture, ref_vocal, ref_accomp)),
+        truth,
+    )
 
+
+def _score_clip(
+    entry: CorpusEntry,
+    clip: _Clip,
+    cfg: PipelineConfig,
+    tolerance_cents: float,
+    use_ground_truth_f0: bool,
+    memo: dict | None,
+) -> dict:
+    """Separate a mixed clip (see _mix_clip) and score it; returns a
+    per-clip report dict. memo is passed on to run()."""
+    mixture, ref_vocal, ref_accomp, truth = clip
+    n = mixture.samples.size
     gt = None
     if use_ground_truth_f0:
         n_frames = 1 + n // cfg.hop_size
@@ -481,6 +508,12 @@ def _score_clip(
         "accompaniment": _score("est_accomp", "ref_accomp", "ref_vocal"),
         "raw_pitch_accuracy": raw_pitch_accuracy(contour, truth, tolerance_cents),
     }
+
+
+def _clip_failure(entry: CorpusEntry, exc: Exception) -> dict:
+    """The report entry of a clip that raised exc."""
+    logger.warning("clip %s failed: %s", entry.clip_id, exc)
+    return {"id": entry.clip_id, "error": "%s: %s" % (type(exc).__name__, exc)}
 
 
 def _aggregate(clips: list) -> dict:
@@ -533,8 +566,11 @@ def evaluate(
     section per SNR; otherwise the manifest mixtures are scored
     directly. snr_list must not be empty, and each SNR must be finite.
     Clip failures are recorded per clip, never fatal. Clips are scored
-    one after another. _memo is grid_search's memo of its one clip at one
-    RPCA setting, passed on to run(); no other caller passes one.
+    one after another, and each is read once and then mixed at each SNR
+    in turn, so only one clip is held at a time. _memo is grid_search's
+    memo of its one clip at one RPCA setting: evaluate() takes the clip
+    from it, as _read_clip read it, when it holds one under "clip", and
+    passes it on to run(). No other caller passes one.
 
     workers must be 1; any other value is a ValueError. The keyword
     goes once the benchmark harness stops passing workers=1.
@@ -547,19 +583,29 @@ def evaluate(
         raise ValueError("snr_list is empty; pass None to score the manifest mixtures")
     if snr_list is not None and not np.all(np.isfinite(snrs)):
         raise ValueError("SNRs must be finite, got %r" % (snrs,))
-    sections = []
-    for snr_db in snrs:
-        clips = []
-        for entry in entries:
+    sections = [[] for _ in snrs]
+    for entry in entries:
+        # one clip at a time, read once and mixed at each SNR
+        try:
+            if _memo is not None and "clip" in _memo:
+                clip = _memo["clip"]
+            else:
+                clip = _read_clip(entry, remix=snr_list is not None)
+        except Exception as exc:  # per-clip failures must not sink the corpus
+            for clips in sections:
+                clips.append(_clip_failure(entry, exc))
+            continue
+        for snr_db, clips in zip(snrs, sections):
             try:
-                clip = _score_clip(
-                    entry, cfg, snr_db, tolerance_cents, use_ground_truth_f0, _memo
+                clips.append(
+                    _score_clip(
+                        entry, _mix_clip(entry, clip, snr_db), cfg, tolerance_cents,
+                        use_ground_truth_f0, _memo,
+                    )
                 )
-            except Exception as exc:  # per-clip failures must not sink the corpus
-                logger.warning("clip %s failed: %s", entry.clip_id, exc)
-                clip = {"id": entry.clip_id, "error": "%s: %s" % (type(exc).__name__, exc)}
-            clips.append(clip)
-        sections.append(_aggregate(clips))
+            except Exception as exc:
+                clips.append(_clip_failure(entry, exc))
+    sections = [_aggregate(clips) for clips in sections]
 
     if snr_list is None:
         report = sections[0]
@@ -669,6 +715,35 @@ def _apply_axes(cfg: PipelineConfig, names, values) -> PipelineConfig:
     return cfg.with_overrides(overrides)
 
 
+def _analyse_group(
+    signal: AudioSignal, cfgs: list, use_ground_truth_f0: bool, memo: dict
+) -> None:
+    """Fill the memo of one clip at one RPCA setting with all that the
+    run() calls of its cells (cfgs) read but the harmonic mask: |X|, the
+    contour of each (gamma, alpha, n_partials) unless they use the
+    ground-truth f0, and the Wiener mask.
+
+    Each solve leaves the memo once the stages here that read it are
+    done: with different lambdas the lambda_f0 solve goes after the last
+    contour and before the lambda_sep solve starts, and the memo holds
+    no solve when the cells run. A stage error ends the analysis and is
+    left to the cells, each of which meets it again and records it; the
+    solves stay in the memo for them.
+    """
+    cfg = cfgs[0]
+    try:
+        mag = _stft_stage(signal, cfg, memo)
+        if not use_ground_truth_f0:
+            for cell_cfg in cfgs:  # a contour computed before is a memo hit
+                _contour_stage(mag, cell_cfg, memo)
+        if cfg.lambda_f0 != cfg.lambda_sep:
+            memo.pop(("rpca", cfg.lambda_f0), None)
+        _soft_stage(mag, cfg, memo)
+    except Exception:  # left to the cells, which find the solves made so far
+        return
+    memo.pop(("rpca", cfg.lambda_sep), None)
+
+
 def grid_search(
     entries: list,
     spec: GridSearchSpec,
@@ -685,14 +760,22 @@ def grid_search(
     fails before any clip is read, and a failing cell never aborts the
     sweep. An empty corpus is a ValueError.
 
-    Clips run one at a time. Within a clip, the cells that share RPCA
-    settings (window_size, hop_size and both lambdas) run together on one
-    memo, so the clip's |X|, solves, Wiener mask and contours are
-    computed once per setting whatever the order of the axes. The memo's
-    keys record neither the clip nor these settings, so this grouping is
-    what keeps one clip's or one setting's results from serving another.
-    The memo goes before the next setting, so the sweep holds one clip's
-    memo at one RPCA setting, however large the corpus.
+    Clips run one at a time, and each is read once. Within a clip, the
+    cells that share RPCA settings (window_size, hop_size and both
+    lambdas) form a group with one memo. Before the group's first cell
+    the memo gets the clip, under "clip", and the group's analysis
+    (_analyse_group): |X|, every contour its cells ask for and the
+    Wiener mask, each solve leaving as soon as the analysis no longer
+    reads it. Each cell's evaluate() then takes the clip from the memo,
+    and its run() adds only the harmonic mask, the integration and the
+    resynthesis. So each clip is solved once per setting whatever the
+    order of the axes, and no solve is held while a cell runs. The
+    memo's keys record neither the clip nor these settings, so this
+    grouping is what keeps one clip's or one setting's results from
+    serving another. The memo goes before the next setting, so the sweep
+    holds one clip's memo at one RPCA setting, however large the corpus.
+    A clip that fails to read goes in no memo: each cell reads it again
+    and records the error as evaluate() does.
 
     workers must be 1, as in evaluate(), and goes with its keyword there.
     """
@@ -718,10 +801,21 @@ def grid_search(
             cell_cfg.window_size, cell_cfg.hop_size, cell_cfg.lambda_f0, cell_cfg.lambda_sep
         )
         groups.setdefault(settings, []).append((cell, cell_cfg, []))
+    if not groups:  # every cell is invalid: read no clip
+        return cells
 
     for entry in entries:
+        try:
+            clip = _read_clip(entry, remix=False)
+            mixture = _mix_clip(entry, clip, None).mixture
+        except Exception:  # each cell reads the clip itself and records the error
+            clip = None
         for group in groups.values():
             memo = {}
+            if clip is not None:
+                memo["clip"] = clip
+                cfgs = [cell_cfg for _, cell_cfg, _ in group]
+                _analyse_group(mixture, cfgs, spec.use_ground_truth_f0, memo)
             for _, cell_cfg, clips in group:
                 report = evaluate(
                     [entry],

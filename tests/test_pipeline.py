@@ -72,6 +72,34 @@ def _memo_digests(memo):
     return digests
 
 
+def _count_calls(monkeypatch, sites):
+    """A Counter, by name, of the calls made through the (module, name)
+    globals in sites while the test runs."""
+    calls = collections.Counter()
+    for module, name in sites:
+        original = getattr(module, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+READS = [(pipeline_mod, "read_wav"), (pipeline_mod, "read_f0_csv")]
+
+
+@pytest.fixture(scope="module")
+def two_lengths_corpus(tmp_path_factory, tiny_corpus):
+    """Entries of a 1 s clip and the 1.5 s tiny_corpus clip, which a
+    stage can tell apart by their frame counts (101 and 151)."""
+    root = tmp_path_factory.mktemp("one_second")
+    return load_corpus(write_demo_corpus(root, n_clips=1, duration_seconds=1.0)) + load_corpus(
+        tiny_corpus
+    )
+
+
 @pytest.fixture(scope="module")
 def demo_report(demo_corpus):
     entries = load_corpus(demo_corpus)
@@ -350,15 +378,9 @@ class TestRun:
     def test_memo_hit_runs_one_istft_and_no_analysis(self, tiny_clip, monkeypatch):
         memo = {}
         run(tiny_clip.mixture, PipelineConfig(), _memo=memo)
-        calls = collections.Counter()
-        for module, name in ((pipeline_mod, "stft"), (pipeline_mod, "magnitude"), (masks_mod, "istft")):
-            original = getattr(module, name)
-
-            def counting(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counting)
+        calls = _count_calls(
+            monkeypatch, [(pipeline_mod, "stft"), (pipeline_mod, "magnitude"), (masks_mod, "istft")]
+        )
         cfg = PipelineConfig(w=70.0)
         hit, hit_contour = run(tiny_clip.mixture, cfg, _memo=memo)
         assert calls == {"istft": 1}
@@ -670,6 +692,31 @@ class TestEvaluate:
             assert section["n_clips"] == 1
         assert report_failures(report) == 0
 
+    def test_snr_list_reads_each_clip_once(self, two_lengths_corpus, monkeypatch):
+        snrs = [-5.0, 0.0, 5.0]
+        singles = [evaluate(two_lengths_corpus, PipelineConfig(), snr_list=[snr]) for snr in snrs]
+        reads = _count_calls(monkeypatch, READS)
+        report = evaluate(two_lengths_corpus, PipelineConfig(), snr_list=snrs)
+        # the two references of each clip, and no mixture
+        assert reads == {"read_wav": 4, "read_f0_csv": 2}
+        assert report["sections"] == [single["sections"][0] for single in singles]
+        assert [s["snr_db"] for s in report["sections"]] == snrs
+        assert report_failures(report) == 0
+
+    def test_snr_list_records_a_read_failure_in_every_section(
+        self, two_lengths_corpus, tmp_path, solves
+    ):
+        entries = [
+            two_lengths_corpus[0],
+            dataclasses.replace(two_lengths_corpus[1], f0_path=str(tmp_path / "missing.csv")),
+        ]
+        report = evaluate(entries, PipelineConfig(), snr_list=[-5.0, 5.0])
+        for section in report["sections"]:
+            scored, failed = section["clips"]
+            assert "vocal" in scored
+            assert failed["error"].startswith("FileNotFoundError") and "missing.csv" in failed["error"]
+        assert solves == [0.8, 0.8]
+
     def test_clip_failure_is_isolated(self, demo_corpus, tmp_path):
         entries = load_corpus(demo_corpus)
         broken = dataclasses.replace(
@@ -809,6 +856,42 @@ class TestGridAxis:
             GridAxis("lambda", **bounds)
 
 
+def _record_evaluate(monkeypatch):
+    """The (entries, cfg, keywords, report) of every evaluate() call made
+    through pipeline's global while the test runs."""
+    calls = []
+
+    def recording(entries, cfg, **kwargs):
+        report = evaluate(entries, cfg, **kwargs)
+        calls.append((entries, cfg, kwargs, report))
+        return report
+
+    monkeypatch.setattr(pipeline_mod, "evaluate", recording)
+    return calls
+
+
+def _failure_spec(ground_truth=False):
+    """A 4-cell sweep with two RPCA settings, one of them two solves."""
+    axes = (GridAxis("lambda_sep", 0.8, 1.0, 0.2), GridAxis("w", 30.0, 70.0, 40.0))
+    return GridSearchSpec(axes=axes, use_ground_truth_f0=ground_truth)
+
+
+def _assert_cells_score_as_evaluate(entries, spec, cells, calls):
+    """Each of the grid's evaluate() calls reports what evaluate() does
+    without the memo, and each cell's value is that of evaluate() on the
+    corpus, with the second clip failed."""
+    assert len(calls) == len(cells) * len(entries)
+    for entries_, cfg, kwargs, report in calls:
+        assert kwargs.pop("_memo") is not None
+        assert report == evaluate(entries_, cfg, **kwargs)
+    names = [axis.name for axis in spec.axes]
+    for cell in cells:
+        cfg = _apply_axes(PipelineConfig(), names, [cell[name] for name in names])
+        report = evaluate(entries, cfg, use_ground_truth_f0=spec.use_ground_truth_f0)
+        assert report["n_failed"] == cell["n_failed"] == 1
+        assert cell["value"] == report["vocal"]["gnsdr"]
+
+
 class TestGridSearch:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -855,8 +938,9 @@ class TestGridSearch:
         with pytest.raises(ValueError, match="whole number"):
             _apply_axes(PipelineConfig(), ["n_partials"], [1.5])
 
-    def test_invalid_width_cell_fails_without_a_solve(self, tiny_corpus, solves):
+    def test_invalid_width_cell_fails_without_a_solve(self, tiny_corpus, solves, monkeypatch):
         entries = load_corpus(tiny_corpus)
+        reads = _count_calls(monkeypatch, READS)
         spec = GridSearchSpec(axes=(GridAxis("w", -10.0, -10.0, 1.0),))
         cells = grid_search(entries, spec, PipelineConfig())
         assert len(cells) == 1
@@ -864,6 +948,7 @@ class TestGridSearch:
         assert cells[0]["n_failed"] == len(entries)
         assert "w must be positive" in cells[0]["error"]
         assert solves == []
+        assert reads == {}
 
     def test_hop_size_axis_scores_every_cell(self, tiny_corpus):
         entries = load_corpus(tiny_corpus)
@@ -915,6 +1000,96 @@ class TestGridSearch:
             itertools.product(*(axes[name].values() for name in order))
         )
         assert sorted(solves) == [0.8] * len(entries) + [1.0] * len(entries)
+
+    @pytest.mark.parametrize(
+        "axes,solves_per_clip",
+        [
+            ((GridAxis("lambda", 0.8, 1.0, 0.2), GridAxis("w", 30.0, 70.0, 20.0)), [0.8, 1.0]),
+            # one contour per alpha in each group, from its lambda_f0 solve
+            (
+                (GridAxis("alpha", 0.0, 1.2, 0.6), GridAxis("lambda_sep", 0.8, 1.0, 0.2)),
+                [0.8, 0.8, 1.0],
+            ),
+        ],
+        ids=["lambda-w", "alpha-lambda_sep"],
+    )
+    def test_reads_each_clip_once_and_runs_no_solve_in_a_cell(
+        self, two_lengths_corpus, solves, monkeypatch, axes, solves_per_clip
+    ):
+        reads = _count_calls(monkeypatch, READS)
+        held, solved_in_run = [], []
+        original = pipeline_mod.run
+
+        def recording(signal, cfg, ground_truth_f0=None, dump_dir=None, *, _memo):
+            held.extend(key for key in _memo if isinstance(key, tuple) and key[0] == "rpca")
+            n_solves = len(solves)
+            result = original(signal, cfg, ground_truth_f0, dump_dir, _memo=_memo)
+            solved_in_run.append(len(solves) - n_solves)
+            return result
+
+        monkeypatch.setattr(pipeline_mod, "run", recording)
+        cells = grid_search(two_lengths_corpus, GridSearchSpec(axes=axes), PipelineConfig())
+        assert len(cells) == 6
+        assert all(cell["n_failed"] == 0 for cell in cells)
+        assert reads == {"read_wav": 6, "read_f0_csv": 2}
+        assert sorted(solves) == sorted(solves_per_clip * 2)
+        # the group's analysis made every solve, and let each go before
+        # the cells ran
+        assert solved_in_run == [0] * 12
+        assert held == []
+
+    @pytest.mark.parametrize("ground_truth", [False, True], ids=["estimated", "ground-truth"])
+    def test_clip_that_fails_to_read_fails_in_every_cell(
+        self, two_lengths_corpus, tmp_path, monkeypatch, ground_truth
+    ):
+        entries = [
+            two_lengths_corpus[0],
+            dataclasses.replace(two_lengths_corpus[1], vocal_path=str(tmp_path / "missing.wav")),
+        ]
+        calls = _record_evaluate(monkeypatch)
+        spec = _failure_spec(ground_truth)
+        cells = grid_search(entries, spec, PipelineConfig())
+        _assert_cells_score_as_evaluate(entries, spec, cells, calls)
+        errors = [
+            report["clips"][0]["error"] for entries_, _, _, report in calls if entries_[0] is entries[1]
+        ]
+        assert len(errors) == 4
+        assert all(e.startswith("FileNotFoundError") and "missing.wav" in e for e in errors)
+
+    @pytest.mark.parametrize(
+        "stage,frames,failing_clip_solves",
+        [
+            # met by the group's analysis, midway and last; the cells
+            # reuse the solves it made before the error
+            ("viterbi", lambda saliency: saliency.values.shape[0], [0.8, 0.8]),
+            ("wiener_mask", lambda result: result.sparse.shape[0], [0.8, 0.8, 1.0]),
+            # met by each cell's own run()
+            ("harmonic_mask", lambda contour: contour.f0_hz.size, [0.8, 0.8, 1.0]),
+        ],
+        ids=["viterbi", "wiener_mask", "harmonic_mask"],
+    )
+    def test_stage_that_fails_on_one_clip_fails_in_every_cell(
+        self, two_lengths_corpus, solves, monkeypatch, stage, frames, failing_clip_solves
+    ):
+        original = getattr(pipeline_mod, stage)
+
+        def failing(first, *args):
+            if frames(first) == 151:  # the 1.5 s clip
+                raise RuntimeError("%s failed on this clip" % stage)
+            return original(first, *args)
+
+        monkeypatch.setattr(pipeline_mod, stage, failing)
+        calls = _record_evaluate(monkeypatch)
+        spec = _failure_spec()
+        cells = grid_search(two_lengths_corpus, spec, PipelineConfig())
+        assert sorted(solves) == sorted([0.8, 0.8, 1.0] + failing_clip_solves)
+        _assert_cells_score_as_evaluate(two_lengths_corpus, spec, cells, calls)
+        errors = [
+            report["clips"][0]["error"]
+            for entries_, _, _, report in calls
+            if entries_[0] is two_lengths_corpus[1]
+        ]
+        assert errors == ["RuntimeError: %s failed on this clip" % stage] * 4
 
     @pytest.mark.parametrize(
         "axes",
