@@ -5,39 +5,36 @@ log-frequency vocal spectrogram -> subharmonic summation + comb
 enhancement -> contour tracking -> harmonic mask -> soft mask ->
 mask integration -> masked resynthesis.
 
-run() wires five stage helpers (the STFT, the RPCA solve, the contour,
-the Wiener mask and the vocal mask) and resynthesizes with separate(). The helpers pass
-each stage function the PipelineConfig fields it reads as plain
-arguments (lam, n_partials, width_hz); the settings no caller tunes are
-constants of the stage modules. The mixture's |X|, the RPCA solves,
-the Wiener mask of the lambda_sep solve and the contour are stored in a
-plain dict memo, so a stage whose inputs repeat is computed once. A memo
-holds one mixture at one (window_size, hop_size, lambda_f0, lambda_sep),
-so its keys name only what varies within it: "stft", ("rpca", lam),
-"wiener" and ("contour", gamma, alpha, n_partials). Each run() call has
-its own memo; only grid_search makes one to share, one per clip and RPCA
-setting. It reads the clip once and puts it in each such memo under
-"clip". Before the setting's first cell it fills the memo with the
-clip's |X|, every contour the cells ask for and the Wiener mask, and
-drops each solve once nothing left to compute reads it. It passes the
-memo through evaluate(), which takes the clip from it instead of
-reading it, to run(). A cell then costs the harmonic mask, its product
-with the Wiener mask, one forward and one inverse transform and one
-subtraction, and no solve is held while it runs. No stage writes into
-an array it got from the memo.
+run() wires the stage helpers (the STFT, the RPCA solve, the binary
+mask, the contour, the Wiener mask and the vocal mask) and
+resynthesizes with separate(). The helpers pass each stage function the
+PipelineConfig fields it reads as plain arguments (lam, n_partials,
+width_hz); the settings no caller tunes are constants of the stage
+modules. Stage results go in a plain dict memo, so a stage whose inputs
+repeat is computed once. A memo holds one mixture at one (window_size,
+hop_size, lambda_f0, lambda_sep), so its keys name only what varies
+within it: "stft", ("rpca", lam), ("binary", gamma), "wiener" and
+("contour", gamma, alpha, n_partials).
 
-Every stage releases its intermediates after their last use, and a solve
-in a memo that run() or estimate_f0() made itself leaves it once no
-later stage reads it: with equal lambdas, run() builds the Wiener mask
-first and drops the shared solve once the contour stage has its binary
-mask. No complex spectrum is held: stft returns a lazy spectrogram.Stft
-of the mixture, the STFT stage keeps only its |X|, and the resynthesis
-inverts the vocal magnitude with the mixture's own phase, formed a block
-of frames at a time from a fresh transform of the mixture's frames. The
-STFT, the log-frequency resampling, the subharmonic summation, the comb
+One analysis, _analyse(), fills a memo in one fixed order for the
+configs that share it, and the memo keeps what their runs read: |X|,
+each contour and the Wiener mask. A solve or binary mask leaves once
+nothing left to build reads it. run() analyses its config in a memo of
+its own. grid_search analyses each clip once per RPCA setting for all
+its cells, with the clip itself under "clip", and passes that memo
+through evaluate() to each cell's run(), which then costs the harmonic
+mask, the integration and the resynthesis. No stage writes into an
+array it got from the memo.
+
+Every stage releases its intermediates after their last use. No complex
+spectrum is held: stft returns a lazy spectrogram.Stft of the mixture,
+the STFT stage keeps only its |X|, and the resynthesis inverts the
+vocal magnitude with the mixture's own phase, formed a block of frames
+at a time from a fresh transform of the mixture's frames. The STFT, the
+log-frequency resampling, the subharmonic summation, the comb
 enhancement, the Wiener and binary masks and the resynthesis work a
-block of frames at a time. That keeps the peak of run() at about
-5 times the float64 magnitude spectrogram, and that of a grid sweep at
+block of frames at a time. That keeps the peak of run() at about 5
+times the float64 magnitude spectrogram, and that of a grid sweep at
 about 6.5 (tests/test_memory.py bounds them at 5.5 and 7.0).
 
 Also hosts corpus evaluation (with optional SNR remixing from the
@@ -231,29 +228,34 @@ def _dump_dir(path) -> Path | None:
     return path
 
 
-def _contour_stage(
-    mag, cfg: PipelineConfig, memo: dict, dump_dir=None, drop_solve=False
-) -> F0Contour:
-    """F0 contour from the lambda_f0 split. Frames whose binary-masked
-    vocal spectrogram is identically zero come back unvoiced.
+def _binary_stage(mag, cfg: PipelineConfig, memo: dict, dump_dir=None):
+    """The binary mask of the lambda_f0 split at gamma, the contour's
+    only use of that split. Debug artifacts are written when the mask is
+    computed, not on a memo hit."""
+    key = ("binary", cfg.gamma)
+    if key not in memo:
+        decomposition = _rpca_stage(mag, cfg.lambda_f0, memo, "rpca[f0]")
+        memo[key] = binary_mask(decomposition, cfg.gamma)
+        if dump_dir is not None:
+            trace_to_csv(decomposition, dump_dir / "rpca_trace.csv")
+            mask_to_pgm(memo[key], dump_dir / "binary_rpca.pgm")
+    return memo[key]
 
-    Debug artifacts are written when the contour is computed, not on a
-    memo hit. drop_solve takes the split out of the memo once the binary
-    mask is built, for a memo that no later stage reads it from. Each
-    intermediate is released after its last use.
+
+def _contour_key(cfg: PipelineConfig) -> tuple:
+    return ("contour", cfg.gamma, cfg.alpha, cfg.n_partials)
+
+
+def _contour_stage(mag, cfg: PipelineConfig, memo: dict, dump_dir=None) -> F0Contour:
+    """F0 contour from the binary mask of the lambda_f0 split. Frames
+    whose binary-masked vocal spectrogram is identically zero come back
+    unvoiced. saliency.csv is written when the contour is computed, not
+    on a memo hit. Each intermediate is released after its last use.
     """
-    key = ("contour", cfg.gamma, cfg.alpha, cfg.n_partials)
+    key = _contour_key(cfg)
     if key in memo:
         return memo[key]
-    decomposition = _rpca_stage(mag, cfg.lambda_f0, memo, "rpca[f0]")
-    mask_b = binary_mask(decomposition, cfg.gamma)
-    if dump_dir is not None:
-        trace_to_csv(decomposition, dump_dir / "rpca_trace.csv")
-        mask_to_pgm(mask_b, dump_dir / "binary_rpca.pgm")
-    del decomposition
-    if drop_solve:
-        del memo["rpca", cfg.lambda_f0]
-
+    mask_b = _binary_stage(mag, cfg, memo, dump_dir)
     vocal_mag = dataclasses.replace(mag, values=mask_b.values * mag.values)
     sounding = vocal_mag.values.max(axis=1) > 0
     weighted = apply_a_weighting(vocal_mag)
@@ -276,16 +278,9 @@ def _contour_stage(
     return contour
 
 
-def _mask_stage(
-    mag, contour: F0Contour, cfg: PipelineConfig, memo: dict, dump_dir=None, clear_memo=False
-):
-    """The vocal mask: the Wiener mask times the harmonic mask,
-    binarised in binary mode. clear_memo empties the memo once the
-    Wiener mask is taken from it, for a memo that no later stage
-    reads."""
-    soft = _soft_stage(mag, cfg, memo)
-    if clear_memo:
-        memo.clear()
+def _mask_stage(mag, contour: F0Contour, soft, cfg: PipelineConfig, dump_dir=None):
+    """The vocal mask: the Wiener mask soft times the harmonic mask,
+    binarised in binary mode."""
     harmonic = harmonic_mask(contour, mag, cfg.n_partials, cfg.w)
     integrated = integrate_soft(soft, harmonic)
     if cfg.mask_mode == "binary":
@@ -297,6 +292,36 @@ def _mask_stage(
     return integrated
 
 
+def _analyse(
+    signal: AudioSignal, cfgs: list, contours: bool, memo: dict, dump_dir=None
+) -> None:
+    """Fill a memo of one mixture at one RPCA setting with what run()
+    reads of it at each of cfgs but the harmonic mask: |X|, with
+    contours each cfg's contour, and the Wiener mask.
+
+    The order is fixed so that each solve and binary mask leaves as soon
+    as nothing left here reads it, and a clean analysis leaves only
+    "stft", the contours and "wiener"; with equal lambdas the Wiener
+    mask is built before the shared solve goes. A stage that raises
+    leaves all built so far, so a later analysis meets the error again
+    without solving again.
+    """
+    cfg = cfgs[0]
+    mag = _stft_stage(signal, cfg, memo)
+    missing = [c for c in cfgs if contours and _contour_key(c) not in memo]
+    for cell_cfg in missing:
+        _binary_stage(mag, cell_cfg, memo, dump_dir)
+    if cfg.lambda_f0 == cfg.lambda_sep:
+        _soft_stage(mag, cfg, memo)
+    memo.pop(("rpca", cfg.lambda_f0), None)
+    for cell_cfg in missing:
+        _contour_stage(mag, cell_cfg, memo, dump_dir)
+    for cell_cfg in missing:
+        memo.pop(("binary", cell_cfg.gamma), None)
+    _soft_stage(mag, cfg, memo)
+    memo.pop(("rpca", cfg.lambda_sep), None)
+
+
 def estimate_f0(
     signal: AudioSignal, cfg: PipelineConfig, dump_dir: str | Path | None = None
 ) -> F0Contour:
@@ -306,7 +331,9 @@ def estimate_f0(
     dump_dir = _dump_dir(dump_dir)
     memo = {}
     mag = _stft_stage(signal, cfg, memo)
-    return _contour_stage(mag, cfg, memo, dump_dir, drop_solve=True)
+    _binary_stage(mag, cfg, memo, dump_dir)
+    del memo["rpca", cfg.lambda_f0]  # the contour reads only the binary mask
+    return _contour_stage(mag, cfg, memo, dump_dir)
 
 
 def _log_rpca(stage, result, t0):
@@ -344,12 +371,11 @@ def run(
         harmonic.pgm and integrated.csv from the mask stage.
     _memo : dict, optional
         grid_search's memo of this mixture at this cfg's window_size,
-        hop_size and lambdas, which its keys do not record: the
-        mixture's |X|, RPCA solves, the Wiener mask and contours to
-        reuse and add to. Stages taken from it write no debug
+        hop_size and lambdas, which its keys do not record, filled by
+        _analyse(). run() analyses only what it lacks, so it adds the
+        harmonic mask alone. Stages taken from it write no debug
         artifacts, and nothing in it is written to. Without it, run()
-        keeps its own, so equal lambda_sep and lambda_f0 still solve
-        once.
+        analyses in a memo of its own.
 
     Returns
     -------
@@ -357,8 +383,9 @@ def run(
     """
     if cfg is None:
         cfg = PipelineConfig.for_sample_rate(signal.sample_rate)
-    own_memo = _memo is None
-    memo = {} if own_memo else _memo
+    # a memo of run()'s own hands its Wiener mask to the mask stage as
+    # the only reference, so that the mask goes before the resynthesis
+    memo, take = ({}, dict.pop) if _memo is None else (_memo, dict.get)
     dump_dir = _dump_dir(dump_dir)
     t_start = time.perf_counter()
     mag = _stft_stage(signal, cfg, memo)
@@ -367,19 +394,12 @@ def run(
             "ground-truth contour has %d frames, expected %d; align it "
             "with align_contour()" % (ground_truth_f0.n_frames, mag.n_frames)
         )
-
-    if own_memo and cfg.lambda_f0 == cfg.lambda_sep:
-        # the Wiener mask first, so that the contour stage can drop the
-        # shared solve as soon as its binary mask is built
-        _soft_stage(mag, cfg, memo)
-    contour = ground_truth_f0
-    if contour is None:
-        # in our own memo, no later stage reads the lambda_f0 solve
-        contour = _contour_stage(mag, cfg, memo, dump_dir, drop_solve=own_memo)
+    _analyse(signal, [cfg], ground_truth_f0 is None, memo, dump_dir)
+    contour = memo[_contour_key(cfg)] if ground_truth_f0 is None else ground_truth_f0
     # separate() gets the only reference to the vocal mask, and lets it
     # go before the resynthesis
     result = separate(
-        signal, mag, _mask_stage(mag, contour, cfg, memo, dump_dir, own_memo)
+        signal, mag, _mask_stage(mag, contour, take(memo, "wiener"), cfg, dump_dir)
     )
     logger.info("pipeline done (%.2fs total)", time.perf_counter() - t_start)
     return result, contour
@@ -568,7 +588,7 @@ def evaluate(
     Clip failures are recorded per clip, never fatal. Clips are scored
     one after another, and each is read once and then mixed at each SNR
     in turn, so only one clip is held at a time. _memo is grid_search's
-    memo of its one clip at one RPCA setting: evaluate() takes the clip
+    analysed memo of one clip at one RPCA setting: evaluate() takes the clip
     from it, as _read_clip read it, when it holds one under "clip", and
     passes it on to run(). No other caller passes one.
 
@@ -715,35 +735,6 @@ def _apply_axes(cfg: PipelineConfig, names, values) -> PipelineConfig:
     return cfg.with_overrides(overrides)
 
 
-def _analyse_group(
-    signal: AudioSignal, cfgs: list, use_ground_truth_f0: bool, memo: dict
-) -> None:
-    """Fill the memo of one clip at one RPCA setting with all that the
-    run() calls of its cells (cfgs) read but the harmonic mask: |X|, the
-    contour of each (gamma, alpha, n_partials) unless they use the
-    ground-truth f0, and the Wiener mask.
-
-    Each solve leaves the memo once the stages here that read it are
-    done: with different lambdas the lambda_f0 solve goes after the last
-    contour and before the lambda_sep solve starts, and the memo holds
-    no solve when the cells run. A stage error ends the analysis and is
-    left to the cells, each of which meets it again and records it; the
-    solves stay in the memo for them.
-    """
-    cfg = cfgs[0]
-    try:
-        mag = _stft_stage(signal, cfg, memo)
-        if not use_ground_truth_f0:
-            for cell_cfg in cfgs:  # a contour computed before is a memo hit
-                _contour_stage(mag, cell_cfg, memo)
-        if cfg.lambda_f0 != cfg.lambda_sep:
-            memo.pop(("rpca", cfg.lambda_f0), None)
-        _soft_stage(mag, cfg, memo)
-    except Exception:  # left to the cells, which find the solves made so far
-        return
-    memo.pop(("rpca", cfg.lambda_sep), None)
-
-
 def grid_search(
     entries: list,
     spec: GridSearchSpec,
@@ -763,19 +754,20 @@ def grid_search(
     Clips run one at a time, and each is read once. Within a clip, the
     cells that share RPCA settings (window_size, hop_size and both
     lambdas) form a group with one memo. Before the group's first cell
-    the memo gets the clip, under "clip", and the group's analysis
-    (_analyse_group): |X|, every contour its cells ask for and the
-    Wiener mask, each solve leaving as soon as the analysis no longer
-    reads it. Each cell's evaluate() then takes the clip from the memo,
-    and its run() adds only the harmonic mask, the integration and the
-    resynthesis. So each clip is solved once per setting whatever the
-    order of the axes, and no solve is held while a cell runs. The
-    memo's keys record neither the clip nor these settings, so this
-    grouping is what keeps one clip's or one setting's results from
-    serving another. The memo goes before the next setting, so the sweep
-    holds one clip's memo at one RPCA setting, however large the corpus.
-    A clip that fails to read goes in no memo: each cell reads it again
-    and records the error as evaluate() does.
+    the memo gets the clip, under "clip", and _analyse() of all the
+    group's configs, which leaves what the cells read: |X|, every
+    contour and the Wiener mask. Each cell's evaluate() then takes the
+    clip from the memo, and its run() adds only the harmonic mask, the
+    integration and the resynthesis. So each clip is solved once per
+    setting whatever the order of the axes, and no solve is held while a
+    cell runs. An analysis that raises leaves what it built, and each
+    cell meets the error again without solving again. The memo's keys
+    record neither the clip nor these settings, so this grouping is what
+    keeps one clip's or one setting's results from serving another. The
+    memo goes before the next setting, so the sweep holds one clip's
+    memo at one RPCA setting, however large the corpus. A clip that
+    fails to read goes in no memo: each cell reads it again and records
+    the error as evaluate() does.
 
     workers must be 1, as in evaluate(), and goes with its keyword there.
     """
@@ -815,7 +807,10 @@ def grid_search(
             if clip is not None:
                 memo["clip"] = clip
                 cfgs = [cell_cfg for _, cell_cfg, _ in group]
-                _analyse_group(mixture, cfgs, spec.use_ground_truth_f0, memo)
+                try:
+                    _analyse(mixture, cfgs, not spec.use_ground_truth_f0, memo)
+                except Exception:  # left to the cells, which find what it made so far
+                    pass
             for _, cell_cfg, clips in group:
                 report = evaluate(
                     [entry],

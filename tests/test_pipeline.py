@@ -22,6 +22,7 @@ from vocsep.pipeline import (
     GridAxis,
     GridSearchSpec,
     PipelineConfig,
+    _analyse,
     _apply_axes,
     align_contour,
     estimate_f0,
@@ -315,6 +316,12 @@ class TestContourFields:
             self._assert_derived_from_f0(built)
 
 
+# the cells of an analysis: two gammas, and two alphas at one gamma
+_ANALYSED_CHANGES = [{}, {"gamma": 0.5}, {"alpha": 0.0}]
+_BINARY = {("binary", 1.0), ("binary", 0.5)}
+_CONTOURS = {("contour", 1.0, 0.6, 10), ("contour", 0.5, 0.6, 10), ("contour", 1.0, 0.0, 10)}
+
+
 class TestRun:
     def test_equal_lambdas_run_one_decomposition(self, tiny_clip, solves):
         run(tiny_clip.mixture, PipelineConfig())
@@ -401,14 +408,15 @@ class TestRun:
             return original(result)
 
         monkeypatch.setattr(pipeline_mod, "wiener_mask", counting)
-        memo = {}
-        run(tiny_clip.mixture, PipelineConfig(lambda_f0=1.0), _memo=memo)
-        assert len(calls) == 1
-        for cfg in (
+        cfgs = [
             PipelineConfig(lambda_f0=1.0, w=70.0),
             PipelineConfig(lambda_f0=1.0, mask_mode="binary"),
             PipelineConfig(lambda_f0=1.0, alpha=0.0),
-        ):
+        ]
+        memo = {}
+        _analyse(tiny_clip.mixture, [PipelineConfig(lambda_f0=1.0)] + cfgs, True, memo)
+        assert len(calls) == 1
+        for cfg in cfgs:
             hit, hit_contour = run(tiny_clip.mixture, cfg, _memo=memo)
             assert len(calls) == 1
             fresh, fresh_contour = run(tiny_clip.mixture, cfg)
@@ -419,7 +427,7 @@ class TestRun:
             for part in ("vocal_spec", "accomp_spec"):
                 assert np.array_equal(getattr(hit, part).values, getattr(fresh, part).values)
             assert np.array_equal(hit_contour.f0_hz, fresh_contour.f0_hz)
-        # the memo's two solves, then two per fresh run
+        # the analysis's two solves, then two per fresh run
         assert solves.count(0.8) == solves.count(1.0) == 4
 
     def test_runs_leave_the_memo_arrays_unchanged(self, tiny_clip, solves):
@@ -430,9 +438,7 @@ class TestRun:
         memo = {}
         cfg = PipelineConfig()
         run(mixture, cfg, _memo=memo)
-        assert set(memo) == {
-            "stft", ("rpca", 0.8), "wiener", ("contour", cfg.gamma, cfg.alpha, cfg.n_partials),
-        }
+        assert set(memo) == {"stft", "wiener", ("contour", cfg.gamma, cfg.alpha, cfg.n_partials)}
         # |X| is all the memo keeps of the STFT
         mag = memo["stft"]
         assert isinstance(mag, MagnitudeSpectrogram)
@@ -445,12 +451,51 @@ class TestRun:
 
     def test_contour_fields_recompute_the_contour_only(self, tiny_clip, solves):
         memo = {}
+        _analyse(tiny_clip.mixture, [PipelineConfig(), PipelineConfig(alpha=0.0)], True, memo)
         _, base = run(tiny_clip.mixture, PipelineConfig(), _memo=memo)
         _, other = run(tiny_clip.mixture, PipelineConfig(alpha=0.0), _memo=memo)
         _, fresh = run(tiny_clip.mixture, PipelineConfig(alpha=0.0))
         assert solves == [0.8, 0.8]
         assert other is not base
         np.testing.assert_array_equal(other.f0_hz, fresh.f0_hz)
+
+    @pytest.mark.parametrize(
+        "lambda_sep,contours,left_by_error",
+        [
+            (
+                0.8, True,
+                {"viterbi": {"wiener"} | _BINARY, "wiener_mask": {("rpca", 0.8)} | _BINARY},
+            ),
+            (1.0, True, {"viterbi": _BINARY, "wiener_mask": {("rpca", 1.0)} | _CONTOURS}),
+            (0.8, False, {"wiener_mask": {("rpca", 0.8)}}),
+        ],
+        ids=["equal-lambdas", "different-lambdas", "ground-truth"],
+    )
+    def test_analysis_leaves_what_cells_read(
+        self, tiny_clip, solves, monkeypatch, lambda_sep, contours, left_by_error
+    ):
+        base = PipelineConfig(lambda_sep=lambda_sep)
+        cfgs = [base.with_overrides(change) for change in _ANALYSED_CHANGES]
+        memo = {}
+        _analyse(tiny_clip.mixture, cfgs, contours, memo)
+        # each contour and the Wiener mask, and no solve or binary mask
+        assert set(memo) == {"stft", "wiener"} | (_CONTOURS if contours else set())
+        assert solves == (sorted({0.8, lambda_sep}) if contours else [lambda_sep])
+        for stage, left in left_by_error.items():
+            original = getattr(pipeline_mod, stage)
+            monkeypatch.setattr(pipeline_mod, stage, lambda *args: 1 / 0)
+            memo = {}
+            with pytest.raises(ZeroDivisionError):
+                _analyse(tiny_clip.mixture, cfgs, contours, memo)
+            # what was made before the error stays, so the next analysis
+            # meets the error again without solving again
+            assert set(memo) == {"stft"} | left
+            made = len(solves)
+            with pytest.raises(ZeroDivisionError):
+                _analyse(tiny_clip.mixture, cfgs, contours, memo)
+            assert set(memo) == {"stft"} | left
+            assert len(solves) == made
+            monkeypatch.setattr(pipeline_mod, stage, original)
 
     def test_memo_filled_at_base_matches_a_fresh_run_for_every_field(self, tmp_path):
         # one valid alternative per PipelineConfig field, each changing
@@ -1059,14 +1104,15 @@ class TestGridSearch:
     @pytest.mark.parametrize(
         "stage,frames,failing_clip_solves",
         [
-            # met by the group's analysis, midway and last; the cells
-            # reuse the solves it made before the error
+            # met by the group's analysis, first, midway and last; the
+            # cells reuse the solves it made before the error
+            ("binary_mask", lambda result: result.sparse.shape[0], [0.8, 0.8]),
             ("viterbi", lambda saliency: saliency.values.shape[0], [0.8, 0.8]),
             ("wiener_mask", lambda result: result.sparse.shape[0], [0.8, 0.8, 1.0]),
             # met by each cell's own run()
             ("harmonic_mask", lambda contour: contour.f0_hz.size, [0.8, 0.8, 1.0]),
         ],
-        ids=["viterbi", "wiener_mask", "harmonic_mask"],
+        ids=["binary_mask", "viterbi", "wiener_mask", "harmonic_mask"],
     )
     def test_stage_that_fails_on_one_clip_fails_in_every_cell(
         self, two_lengths_corpus, solves, monkeypatch, stage, frames, failing_clip_solves
