@@ -39,7 +39,9 @@ about 6.5 (tests/test_memory.py bounds them at 5.5 and 7.0).
 
 Also hosts corpus evaluation (with optional SNR remixing from the
 references, reading each clip once for every SNR) and grid search over
-pipeline parameters.
+pipeline parameters. Both read a clip once, with _read_clip(), which
+checks its rates and trims its signals to one length; _remix() only
+remixes, and a clip that fails to read fails every section or cell.
 """
 
 from __future__ import annotations
@@ -445,8 +447,8 @@ def load_corpus(manifest_path) -> list:
 
 
 class _Clip(NamedTuple):
-    """A clip's mixture, references and truth contour. The mixture is
-    None in a clip read to be remixed from its references."""
+    """A clip's mixture, references and truth contour, of one length. The
+    mixture is None in a clip read to be remixed from its references."""
 
     mixture: AudioSignal | None
     vocal: AudioSignal
@@ -455,38 +457,33 @@ class _Clip(NamedTuple):
 
 
 def _read_clip(entry: CorpusEntry, remix: bool) -> _Clip:
-    """Read a clip's references and truth, and its mixture unless remix."""
+    """Read a clip's references and truth, and its mixture unless remix,
+    check that their rates agree, and trim them to their common length."""
     ref_vocal = read_wav(entry.vocal_path)
     ref_accomp = read_wav(entry.accomp_path)
     truth = read_f0_csv(entry.f0_path)
     if ref_vocal.sample_rate != ref_accomp.sample_rate:
         raise ValueError("reference sample rates differ for %s" % entry.clip_id)
     mixture = None if remix else read_wav(entry.mixture_path)
-    return _Clip(mixture, ref_vocal, ref_accomp, truth)
-
-
-def _mix_clip(entry: CorpusEntry, clip: _Clip, snr_db: float | None) -> _Clip:
-    """The clip to score: with snr_db, its references remixed at that
-    SNR, measured over voiced samples; otherwise its own mixture. The
-    signals are trimmed to their common length."""
-    mixture, ref_vocal, ref_accomp, truth = clip
-    if snr_db is not None:
-        gain = snr_gain(
-            voiced_region_mask(ref_vocal, truth).samples,
-            voiced_region_mask(ref_accomp, truth).samples,
-            snr_db,
-        )
-        ref_accomp = AudioSignal(ref_accomp.samples * gain, ref_accomp.sample_rate)
-        mixture = AudioSignal(
-            ref_vocal.samples + ref_accomp.samples, ref_vocal.sample_rate
-        )
-    if mixture.sample_rate != ref_vocal.sample_rate:
+    if mixture is not None and mixture.sample_rate != ref_vocal.sample_rate:
         raise ValueError("mixture sample rate differs for %s" % entry.clip_id)
-    n = min(mixture.samples.size, ref_vocal.samples.size, ref_accomp.samples.size)
-    return _Clip(
-        *(AudioSignal(s.samples[:n], s.sample_rate) for s in (mixture, ref_vocal, ref_accomp)),
-        truth,
+    n = min(s.samples.size for s in (mixture, ref_vocal, ref_accomp) if s is not None)
+    trim = lambda s: None if s is None else AudioSignal(s.samples[:n], s.sample_rate)
+    return _Clip(trim(mixture), trim(ref_vocal), trim(ref_accomp), truth)
+
+
+def _remix(clip: _Clip, snr_db: float) -> _Clip:
+    """The clip with its references remixed at snr_db, measured over
+    voiced samples, in place of its mixture."""
+    _, ref_vocal, ref_accomp, truth = clip
+    gain = snr_gain(
+        voiced_region_mask(ref_vocal, truth).samples,
+        voiced_region_mask(ref_accomp, truth).samples,
+        snr_db,
     )
+    ref_accomp = AudioSignal(ref_accomp.samples * gain, ref_accomp.sample_rate)
+    mixture = AudioSignal(ref_vocal.samples + ref_accomp.samples, ref_vocal.sample_rate)
+    return _Clip(mixture, ref_vocal, ref_accomp, truth)
 
 
 def _score_clip(
@@ -497,8 +494,8 @@ def _score_clip(
     use_ground_truth_f0: bool,
     memo: dict | None,
 ) -> dict:
-    """Separate a mixed clip (see _mix_clip) and score it; returns a
-    per-clip report dict. memo is passed on to run()."""
+    """Separate a clip's mixture and score it; returns a per-clip report
+    dict. memo is passed on to run()."""
     mixture, ref_vocal, ref_accomp, truth = clip
     n = mixture.samples.size
     gt = None
@@ -587,10 +584,11 @@ def evaluate(
     directly. snr_list must not be empty, and each SNR must be finite.
     Clip failures are recorded per clip, never fatal. Clips are scored
     one after another, and each is read once and then mixed at each SNR
-    in turn, so only one clip is held at a time. _memo is grid_search's
-    analysed memo of one clip at one RPCA setting: evaluate() takes the clip
-    from it, as _read_clip read it, when it holds one under "clip", and
-    passes it on to run(). No other caller passes one.
+    in turn, so only one clip is held at a time; its signals are trimmed
+    to their common length when it is read, before any remix. _memo is
+    grid_search's analysed memo of one clip at one RPCA setting:
+    evaluate() scores its "clip", as _read_clip read it, and passes the
+    memo on to run(). No other caller passes one.
 
     workers must be 1; any other value is a ValueError. The keyword
     goes once the benchmark harness stops passing workers=1.
@@ -607,10 +605,7 @@ def evaluate(
     for entry in entries:
         # one clip at a time, read once and mixed at each SNR
         try:
-            if _memo is not None and "clip" in _memo:
-                clip = _memo["clip"]
-            else:
-                clip = _read_clip(entry, remix=snr_list is not None)
+            clip = _read_clip(entry, remix=snr_list is not None) if _memo is None else _memo["clip"]
         except Exception as exc:  # per-clip failures must not sink the corpus
             for clips in sections:
                 clips.append(_clip_failure(entry, exc))
@@ -619,8 +614,8 @@ def evaluate(
             try:
                 clips.append(
                     _score_clip(
-                        entry, _mix_clip(entry, clip, snr_db), cfg, tolerance_cents,
-                        use_ground_truth_f0, _memo,
+                        entry, clip if snr_db is None else _remix(clip, snr_db), cfg,
+                        tolerance_cents, use_ground_truth_f0, _memo,
                     )
                 )
             except Exception as exc:
@@ -765,9 +760,10 @@ def grid_search(
     record neither the clip nor these settings, so this grouping is what
     keeps one clip's or one setting's results from serving another. The
     memo goes before the next setting, so the sweep holds one clip's
-    memo at one RPCA setting, however large the corpus. A clip that
-    fails to read goes in no memo: each cell reads it again and records
-    the error as evaluate() does.
+    memo at one RPCA setting, however large the corpus. A clip is
+    checked and trimmed when it is read. One that fails to read goes in
+    no memo and is read once: it fails in every cell with the error
+    evaluate() records, and no cell calls evaluate() for it.
 
     workers must be 1, as in evaluate(), and goes with its keyword there.
     """
@@ -799,18 +795,18 @@ def grid_search(
     for entry in entries:
         try:
             clip = _read_clip(entry, remix=False)
-            mixture = _mix_clip(entry, clip, None).mixture
-        except Exception:  # each cell reads the clip itself and records the error
-            clip = None
+        except Exception as exc:  # read once, failed in every cell
+            for group in groups.values():
+                for _, _, clips in group:
+                    clips.append(_clip_failure(entry, exc))
+            continue
         for group in groups.values():
-            memo = {}
-            if clip is not None:
-                memo["clip"] = clip
-                cfgs = [cell_cfg for _, cell_cfg, _ in group]
-                try:
-                    _analyse(mixture, cfgs, not spec.use_ground_truth_f0, memo)
-                except Exception:  # left to the cells, which find what it made so far
-                    pass
+            memo = {"clip": clip}
+            cfgs = [cell_cfg for _, cell_cfg, _ in group]
+            try:
+                _analyse(clip.mixture, cfgs, not spec.use_ground_truth_f0, memo)
+            except Exception:  # left to the cells, which find what it made so far
+                pass
             for _, cell_cfg, clips in group:
                 report = evaluate(
                     [entry],

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
+import vocsep.audio as audio_mod
 from vocsep.audio import PCM16_SCALE, AudioSignal, read_wav, write_wav
 
 PCM_GUID = bytes.fromhex("0100000000001000800000aa00389b71")
@@ -103,6 +104,18 @@ class TestReadWriteWav:
         path = tmp_path / "x.wav"
         with pytest.raises(ValueError, match=re.escape("sample rate of %r Hz" % (rate,))):
             write_wav(path, AudioSignal(np.zeros(4), rate))
+        assert not path.exists()
+
+    def test_samples_the_riff_size_cannot_hold_are_rejected(self, tmp_path, monkeypatch):
+        # a limit of 450 bytes still holds the 400-byte byte rate of 100 Hz,
+        # and the 50 header bytes after the size field and 100 float32 samples
+        monkeypatch.setattr(audio_mod, "_RIFF_SIZE_LIMIT", 450)
+        fits = tmp_path / "fits.wav"
+        write_wav(fits, AudioSignal(np.zeros(100), 100))
+        assert read_wav(fits).samples.size == 100
+        path = tmp_path / "x.wav"
+        with pytest.raises(ValueError, match="101 samples do not fit in a RIFF WAV file"):
+            write_wav(path, AudioSignal(np.zeros(101), 100))
         assert not path.exists()
 
     def test_int16_scaling(self, tmp_path):

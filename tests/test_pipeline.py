@@ -6,6 +6,7 @@ import hashlib
 import inspect
 import itertools
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ import vocsep.masks as masks_mod
 import vocsep.pipeline as pipeline_mod
 import vocsep.rpca as rpca_mod
 import vocsep.saliency as saliency_mod
-from vocsep.audio import AudioSignal, read_wav
+from vocsep.audio import AudioSignal, read_wav, write_wav
+from vocsep.metrics import PITCH_TOLERANCE_CENTS, snr_gain, voiced_region_mask
 from vocsep.spectrogram import MagnitudeSpectrogram, magnitude, stft
 from vocsep.pipeline import (
     GridAxis,
@@ -762,6 +764,36 @@ class TestEvaluate:
             assert failed["error"].startswith("FileNotFoundError") and "missing.csv" in failed["error"]
         assert solves == [0.8, 0.8]
 
+    def test_snr_remix_trims_unequal_references(self, tmp_path):
+        entry = load_corpus(write_demo_corpus(tmp_path, n_clips=1, duration_seconds=1.0))[0]
+        vocal = read_wav(entry.vocal_path)
+        write_wav(entry.vocal_path, AudioSignal(vocal.samples[:-800], vocal.sample_rate))
+        cfg = PipelineConfig()
+        plain = evaluate([entry], cfg)
+        assert plain["n_failed"] == 0
+        assert plain["clips"][0]["length_seconds"] == 15200 / 16000
+        report = evaluate([entry], cfg, snr_list=[-5.0, 0.0])
+        # by hand: both references trimmed to the shorter, then remixed
+        vocal, accomp = read_wav(entry.vocal_path), read_wav(entry.accomp_path)
+        truth = read_f0_csv(entry.f0_path)
+        n = vocal.samples.size
+        assert (n, accomp.samples.size) == (15200, 16000)
+        accomp = AudioSignal(accomp.samples[:n], accomp.sample_rate)
+        for section in report["sections"]:
+            assert section["n_failed"] == 0
+            gain = snr_gain(
+                voiced_region_mask(vocal, truth).samples,
+                voiced_region_mask(accomp, truth).samples,
+                section["snr_db"],
+            )
+            scaled = AudioSignal(accomp.samples * gain, accomp.sample_rate)
+            mixture = AudioSignal(vocal.samples + scaled.samples, vocal.sample_rate)
+            expected = pipeline_mod._score_clip(
+                entry, pipeline_mod._Clip(mixture, vocal, scaled, truth), cfg,
+                PITCH_TOLERANCE_CENTS, False, None,
+            )
+            assert section["clips"] == [expected]
+
     def test_clip_failure_is_isolated(self, demo_corpus, tmp_path):
         entries = load_corpus(demo_corpus)
         broken = dataclasses.replace(
@@ -921,11 +953,12 @@ def _failure_spec(ground_truth=False):
     return GridSearchSpec(axes=axes, use_ground_truth_f0=ground_truth)
 
 
-def _assert_cells_score_as_evaluate(entries, spec, cells, calls):
+def _assert_cells_score_as_evaluate(entries, spec, cells, calls, evaluated=None):
     """Each of the grid's evaluate() calls reports what evaluate() does
     without the memo, and each cell's value is that of evaluate() on the
-    corpus, with the second clip failed."""
-    assert len(calls) == len(cells) * len(entries)
+    corpus, with the second clip failed. evaluated, by default every
+    entry, are the clips that each cell calls evaluate() for."""
+    assert len(calls) == len(cells) * len(entries if evaluated is None else evaluated)
     for entries_, cfg, kwargs, report in calls:
         assert kwargs.pop("_memo") is not None
         assert report == evaluate(entries_, cfg, **kwargs)
@@ -1085,21 +1118,43 @@ class TestGridSearch:
 
     @pytest.mark.parametrize("ground_truth", [False, True], ids=["estimated", "ground-truth"])
     def test_clip_that_fails_to_read_fails_in_every_cell(
-        self, two_lengths_corpus, tmp_path, monkeypatch, ground_truth
+        self, two_lengths_corpus, tmp_path, monkeypatch, caplog, ground_truth
     ):
+        missing = str(tmp_path / "missing.wav")
         entries = [
             two_lengths_corpus[0],
-            dataclasses.replace(two_lengths_corpus[1], vocal_path=str(tmp_path / "missing.wav")),
+            dataclasses.replace(two_lengths_corpus[1], vocal_path=missing),
         ]
+        paths, errors = [], []
+        read_wav_, clip_failure = pipeline_mod.read_wav, pipeline_mod._clip_failure
+
+        def reading(path):
+            paths.append(path)
+            return read_wav_(path)
+
+        def recording(entry, exc):
+            errors.append(clip_failure(entry, exc))
+            return errors[-1]
+
+        monkeypatch.setattr(pipeline_mod, "read_wav", reading)
+        monkeypatch.setattr(pipeline_mod, "_clip_failure", recording)
         calls = _record_evaluate(monkeypatch)
         spec = _failure_spec(ground_truth)
+        caplog.set_level(logging.WARNING, logger=pipeline_mod.logger.name)
         cells = grid_search(entries, spec, PipelineConfig())
-        _assert_cells_score_as_evaluate(entries, spec, cells, calls)
-        errors = [
-            report["clips"][0]["error"] for entries_, _, _, report in calls if entries_[0] is entries[1]
-        ]
-        assert len(errors) == 4
-        assert all(e.startswith("FileNotFoundError") and "missing.wav" in e for e in errors)
+        # read once for the sweep, and failed in each cell with no
+        # evaluate() call and one warning
+        assert paths.count(missing) == 1
+        assert [entries_ for entries_, _, _, _ in calls] == [entries[:1]] * len(cells)
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == len(cells) == 4
+        assert all(w.startswith("clip clip00 failed: ") and "missing.wav" in w for w in warnings)
+        assert [e["id"] for e in errors] == ["clip00"] * 4
+        assert all(
+            e["error"].startswith("FileNotFoundError") and "missing.wav" in e["error"]
+            for e in errors
+        )
+        _assert_cells_score_as_evaluate(entries, spec, cells, calls, evaluated=entries[:1])
 
     @pytest.mark.parametrize(
         "stage,frames,failing_clip_solves",
